@@ -39,7 +39,9 @@ from .filters import (
     filter_lower,
     filter_upper,
     order_converges,
+    order_limit,
     star_converges,
+    star_limit_mask,
     super_filters,
     upper_iff_downset,
 )

@@ -26,6 +26,7 @@ from .order_core import (
     Poset,
     boolean_power,
     certify_lattice,
+    iter_bits,
     poset_from_dict,
     poset_to_dict,
     product,
@@ -185,10 +186,9 @@ def _cmd_converge(args) -> int:
     if args.mode == "order":
         doc["limits"] = [p.labels[x] for x in filters_mod.convergence_points(f)]
     else:
-        doc["limits"] = [p.labels[x] for x in range(p.n) if filters_mod.star_converges(f, x)]
-        doc["limits_literal_tail"] = [
-            p.labels[x] for x in range(p.n) if filters_mod.star_converges(f, x, literal_tail=True)
-        ]
+        doc["limits"] = [p.labels[x] for x in iter_bits(filters_mod.star_limit_mask(f))]
+        # the literal-tail reading is order convergence of f itself
+        doc["limits_literal_tail"] = [p.labels[x] for x in filters_mod.convergence_points(f)]
     _emit(doc)
     return EXIT_OK
 

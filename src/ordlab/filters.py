@@ -10,11 +10,11 @@ the definitional family for oracle checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import MalformedInputError
 from .limits import Limits, check_subset_elements
-from .order_core import ElementSet, Poset, iter_bits
+from .order_core import ElementSet, Poset
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,27 @@ def filter_lower_definitional(f: SetFilter, limits: Limits | None = None) -> Ele
     return ElementSet(f.parent, out)
 
 
-def order_converges(f: SetFilter, x: int) -> bool:
-    """True iff inf of the filter's upper set and sup of its lower set both equal x.
+def _generator_limit(p: Poset, gen: int) -> Optional[int]:
+    x = p.infimum_mask(p.upper_bounds_mask(gen))
+    if x is None or x != p.supremum_mask(p.lower_bounds_mask(gen)):
+        return None
+    return x
 
+
+def order_limit(f: SetFilter) -> Optional[int]:
+    """The point f order-converges to, or None.
+
+    f order-converges to x when the inf of its upper set and the sup of
+    its lower set both equal x, so there is at most one such point.
     Intended for complete lattices; when a required bound is missing the
-    filter simply does not converge (no error).
+    filter converges nowhere (no error).
     """
-    p = f.parent
-    upper = p.upper_bounds_mask(f.generator)
-    lower = p.lower_bounds_mask(f.generator)
-    return p.infimum_mask(upper) == x == p.supremum_mask(lower)
+    return _generator_limit(f.parent, f.generator)
+
+
+def order_converges(f: SetFilter, x: int) -> bool:
+    """True iff inf of the filter's upper set and sup of its lower set both equal x."""
+    return order_limit(f) == x
 
 
 def super_filters(f: SetFilter) -> list[SetFilter]:
@@ -133,9 +144,46 @@ def super_filters(f: SetFilter) -> list[SetFilter]:
     return out
 
 
+def star_limit_mask(f: SetFilter) -> int:
+    """Bitmask of the points f star-converges to.
+
+    f star-converges to x when every super-filter of f has a further
+    super-filter that order-converges to x.  The super-filters of f are
+    generated by the nonempty subsets m of its generator, so with
+    ``reach[m]`` the limits of the filters generated by nonempty subsets
+    of m,
+
+        reach[m] = bit(order limit of m) | OR over i in m of reach[m - {i}],
+
+    the star limits are the AND of ``reach[m]`` over all those m.  One
+    pass over the subsets in increasing order computes it, since each
+    m - {i} comes before m; it stops once the AND is empty.  Agreement
+    with the per-point definition is an acceptance gate of the test
+    suite.
+    """
+    p, gen = f.parent, f.generator
+    reach = {0: 0}
+    star = -1
+    m = 0
+    while m != gen:
+        m = (m - gen) & gen  # next subset of gen in increasing order
+        lim = _generator_limit(p, m)
+        r = 0 if lim is None else 1 << lim
+        rest = m
+        while rest:
+            low = rest & -rest
+            r |= reach[m ^ low]
+            rest ^= low
+        reach[m] = r
+        star &= r
+        if not star:
+            return 0
+    return star
+
+
 def star_converges(f: SetFilter, x: int, *, literal_tail: bool = False) -> bool:
     """Star-convergence: every super-filter has a further super-filter
-    that order-converges to x.
+    that order-converges to x (read from :func:`star_limit_mask`).
 
     With ``literal_tail=True`` the final clause instead asks that the
     original filter order-converges to x (the weaker reading in which
@@ -144,10 +192,7 @@ def star_converges(f: SetFilter, x: int, *, literal_tail: bool = False) -> bool:
     """
     if literal_tail:
         return order_converges(f, x)
-    for prime in super_filters(f):
-        if not any(order_converges(g, x) for g in super_filters(prime)):
-            return False
-    return True
+    return bool((star_limit_mask(f) >> x) & 1)
 
 
 def upper_iff_downset(f: SetFilter, x: int) -> bool:
@@ -161,17 +206,17 @@ def upper_iff_downset(f: SetFilter, x: int) -> bool:
 
 
 def convergence_points(f: SetFilter) -> list[int]:
-    return [x for x in range(f.parent.n) if order_converges(f, x)]
+    lim = order_limit(f)
+    return [] if lim is None else [lim]
 
 
 def order_convergence_is_pointlike(p: Poset) -> bool:
     """Brute-force the degeneracy law on one finite lattice: a filter
     order-converges to x exactly when its generator is {x}."""
     for gen in range(1, p.full_mask + 1):
-        f = SetFilter(p, gen)
-        for x in range(p.n):
-            if order_converges(f, x) != (gen == 1 << x):
-                return False
+        point = gen.bit_length() - 1 if not gen & (gen - 1) else None
+        if _generator_limit(p, gen) != point:
+            return False
     return True
 
 

@@ -43,14 +43,16 @@ class Poset:
         self.n: int = len(self.labels)
         self.down: tuple[int, ...] = tuple(down_rows)
         self.full_mask: int = (1 << self.n) - 1
+        if not _validated:
+            # before ``up`` is derived, so short or out-of-range rows are
+            # reported as malformed input rather than raising IndexError
+            self._validate()
         up = [0] * self.n
         for j in range(self.n):
             row = self.down[j]
             for i in iter_bits(row):
                 up[i] |= 1 << j
         self.up: tuple[int, ...] = tuple(up)
-        if not _validated:
-            self._validate()
 
     def _validate(self) -> None:
         n = self.n
@@ -63,7 +65,7 @@ class Poset:
         if len(self.down) != n:
             raise MalformedInputError("relation size does not match label count")
         for i, row in enumerate(self.down):
-            if row & ~self.full_mask:
+            if not isinstance(row, int) or row < 0 or row & ~self.full_mask:
                 raise MalformedInputError("relation row out of range")
             if not (row >> i) & 1:
                 raise MalformedInputError("relation is not reflexive")
@@ -130,14 +132,20 @@ class Poset:
 
     def upper_bounds_mask(self, mask: int) -> int:
         out = self.full_mask
-        for i in iter_bits(mask):
-            out &= self.up[i]
+        up = self.up
+        while mask:
+            low = mask & -mask
+            out &= up[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def lower_bounds_mask(self, mask: int) -> int:
         out = self.full_mask
-        for i in iter_bits(mask):
-            out &= self.down[i]
+        down = self.down
+        while mask:
+            low = mask & -mask
+            out &= down[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def upper_bounds(self, subset: "ElementSet | int") -> "ElementSet":
@@ -149,16 +157,26 @@ class Poset:
 
     def infimum_mask(self, mask: int) -> Optional[int]:
         lb = self.lower_bounds_mask(mask)
-        for x in iter_bits(lb):
-            if not lb & ~self.down[x]:
+        down = self.down
+        rest = lb
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if not lb & ~down[x]:
                 return x
+            rest ^= low
         return None
 
     def supremum_mask(self, mask: int) -> Optional[int]:
         ub = self.upper_bounds_mask(mask)
-        for x in iter_bits(ub):
-            if not ub & ~self.up[x]:
+        up = self.up
+        rest = ub
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if not ub & ~up[x]:
                 return x
+            rest ^= low
         return None
 
     def infimum(self, subset: "ElementSet | int") -> Optional[int]:
@@ -295,6 +313,7 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Pos
     n = len(labels)
     if n < 1:
         raise MalformedInputError("poset needs at least one element")
+    check_elements(n, None, "poset")
     if len(set(labels)) != n:
         raise MalformedInputError("duplicate label")
     edges = []

@@ -3,7 +3,11 @@
 Everything here is deliberately primitive: subsets are frozensets of
 indices, bounds are found by scanning with scalar ``leq`` queries, and
 families are enumerated exhaustively.  These routes share no code with
-the bitmask implementations they check.
+the bitmask implementations they check.  The exceptions are the
+per-point convergence definitions and the closed-family continuity
+check, which run the package's bound queries and open-family
+materialization (themselves gated against the routes above) to check
+the one-pass limit and neighborhood-table shortcuts.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
+from ordlab.filters import SetFilter, super_filters
 from ordlab.order_core import Poset
+from ordlab.topology import FiniteTopology
 
 
 def naive_transitive_closure(n: int, covers: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -186,4 +192,35 @@ def naive_is_complete_hom(mapping: tuple[int, ...], dom: Poset, cod: Poset) -> b
                 return False
             if mapping[sup_d] != naive_supremum(cod, image):
                 return False
+    return True
+
+
+def naive_order_converges(f: SetFilter, x: int) -> bool:
+    """Per-point definition: inf of the filter's upper set and sup of its
+    lower set both equal x."""
+    p = f.parent
+    upper = p.upper_bounds_mask(f.generator)
+    lower = p.lower_bounds_mask(f.generator)
+    return p.infimum_mask(upper) == x == p.supremum_mask(lower)
+
+
+def naive_star_converges(f: SetFilter, x: int) -> bool:
+    """Per-point definition: every super-filter has a further super-filter
+    that order-converges to x."""
+    for prime in super_filters(f):
+        if not any(naive_order_converges(g, x) for g in super_filters(prime)):
+            return False
+    return True
+
+
+def naive_is_continuous(mapping: tuple[int, ...], t_dom: FiniteTopology, t_cod: FiniteTopology) -> bool:
+    """Literal continuity: the preimage of every closed set of the codomain
+    topology is closed in the domain topology."""
+    for closed in t_cod.closed_family():
+        pre = 0
+        for i, v in enumerate(mapping):
+            if (closed >> v) & 1:
+                pre |= 1 << i
+        if not t_dom.is_closed(pre):
+            return False
     return True

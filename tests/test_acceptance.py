@@ -4,7 +4,8 @@ Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them all).  The oracle gates in criterion 9 justify the shortcuts used
 elsewhere: principal filter representation, the generator route for the
 filter upper set, the breadth size-bound reduction, and the finite
-complete-homomorphism test.
+complete-homomorphism test, continuity read off neighbourhood tables,
+and the one-pass order and star limits of a filter.
 """
 
 import itertools
@@ -27,14 +28,19 @@ from ordlab import (
     compute_breadth,
     enumerate_homs,
     interval_topology,
+    is_continuous,
     is_discrete,
     is_hausdorff,
+    lower_topology,
+    order_limit,
     preimage_scan,
     product,
     product_topology,
     star_converges,
+    star_limit_mask,
     topologies_equal,
     upper_iff_downset,
+    upper_topology,
 )
 from ordlab.breadth import METHOD_EXHAUSTIVE, METHOD_REDUCTION, has_breadth_at_most, is_irredundant
 from ordlab.catalog import (
@@ -56,10 +62,10 @@ from ordlab.filters import (
     order_convergence_is_pointlike,
     order_converges,
 )
-from ordlab.morphisms import is_complete_hom_exhaustive
+from ordlab.morphisms import is_complete_hom_exhaustive, iter_monotone_maps
 from ordlab.order_core import ElementSet
 
-from oracles import all_filter_families
+from oracles import all_filter_families, naive_is_continuous, naive_order_converges, naive_star_converges
 
 
 def report(num, description, ok):
@@ -253,6 +259,55 @@ def test_criterion_9d_gate_complete_hom_shortcut():
                 slow = is_complete_hom_exhaustive(mapping, dom, cod)
                 ok = ok and fast == slow
     report("9d", f"complete-hom shortcut equals the all-subsets definition ({maps_checked} maps, lattices <= 5)", ok)
+
+
+def test_criterion_9e_gate_continuity_from_neighbourhood_tables():
+    pool = [p for _, p in library_lattices(5)]
+    kinds = (interval_topology, lower_topology, upper_topology)
+    spaces = {id(p): [make(p) for make in kinds] for p in pool}
+    ok = True
+    maps_checked = discontinuous = 0
+    for dom in pool:
+        for cod in pool:
+            if dom.n <= 3 and cod.n <= 3:
+                maps = itertools.product(range(cod.n), repeat=dom.n)
+            else:
+                maps = iter_monotone_maps(dom, cod)
+            for mapping in maps:
+                maps_checked += 1
+                for t_dom, t_cod in itertools.product(spaces[id(dom)], spaces[id(cod)]):
+                    fast = is_continuous(mapping, t_dom, t_cod)
+                    ok = ok and fast == naive_is_continuous(mapping, t_dom, t_cod)
+                    discontinuous += not fast
+    ok = ok and discontinuous > 0
+    report(
+        "9e",
+        f"continuity from neighbourhood tables equals the closed-family definition "
+        f"({maps_checked} maps x 9 topology pairs, {discontinuous} discontinuous, lattices <= 5)",
+        ok,
+    )
+
+
+def test_criterion_9f_gate_one_limit_per_filter():
+    pool = all_posets_up_to(4) + [p for _, p in library_lattices(8)]
+    ok = True
+    filters_checked = 0
+    for p in pool:
+        for gen in range(1, p.full_mask + 1):
+            f = SetFilter(p, gen)
+            filters_checked += 1
+            limit = order_limit(f)
+            star = star_limit_mask(f)
+            for x in range(p.n):
+                ok = ok and (limit == x) == naive_order_converges(f, x)
+                ok = ok and bool((star >> x) & 1) == naive_star_converges(f, x)
+    ok = ok and filters_checked == 4785
+    report(
+        "9f",
+        f"order limit and star-limit mask equal the per-point definitions on {filters_checked} filters "
+        "(posets <= 4, library lattices <= 8)",
+        ok,
+    )
 
 
 def test_criterion_10_campaign_determinism():

@@ -6,7 +6,7 @@ import pytest
 
 from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, run_campaign
 from ordlab.catalog import m3
-from ordlab.order_core import poset_to_dict
+from ordlab.order_core import boolean_power, poset_to_dict
 
 
 def run_cli(args, stdin=None, env=None):
@@ -175,6 +175,29 @@ class TestCli:
         assert run_cli(["boolean", "10"]).returncode == 3
         res = run_cli(["breadth", "2^4"], env={"ORDLAB_MAX_ELEMENTS": "8"})
         assert res.returncode == 3
+
+    def test_poset_file_over_element_limit_exit_3(self, tmp_path):
+        path = tmp_path / "chain65.json"
+        path.write_text(json.dumps({"labels": [f"c{i}" for i in range(65)],
+                                    "covers": [[i, i + 1] for i in range(64)]}))
+        res = run_cli(["check", str(path)])
+        assert res.returncode == 3
+        assert "65 elements exceeds limit 64" in res.stderr
+
+    def test_hom_continuity_on_64_points(self, tmp_path):
+        # the identity of 2^6; continuity used to build open families and exit 3
+        labels = [format(i, "06b") for i in range(64)]
+        bool6 = tmp_path / "bool6.json"
+        bool6.write_text(json.dumps(poset_to_dict(boolean_power(6))))
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(
+            {"domain": str(bool6), "codomain": str(bool6), "map": {lab: lab for lab in labels}}
+        ))
+        res = run_cli(["hom", str(path)])
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert out["classification"] == "complete-hom"
+        assert out["continuous"] == {"interval": True, "lower": True, "upper": True}
 
     def test_env_override_allows_more(self):
         res = run_cli(["boolean", "7"], env={"ORDLAB_MAX_ELEMENTS": "128"})

@@ -14,6 +14,7 @@ from ordlab import (
     n5,
     order_converges,
     star_converges,
+    star_limit_mask,
     super_filters,
     upper_iff_downset,
 )
@@ -197,6 +198,13 @@ class TestStarConvergence:
                 f = SetFilter(p, gen)
                 for x in range(p.n):
                     assert star_converges(f, x) == (gen == 1 << x)
+
+    def test_large_generator_stops_early(self):
+        # 2^64 super-filters: the sweep must stop once no point is left
+        c = chain(64)
+        f = SetFilter(c, c.full_mask)
+        assert star_limit_mask(f) == 0
+        assert star_limit_mask(SetFilter(c, 1 << 63)) == 1 << 63
 
     def test_literal_tail_reading_collapses_to_order_convergence(self):
         for p in (boolean_power(2), m3(), chain(3)):

@@ -303,6 +303,12 @@ class TestValidation:
             Poset(["a", "b"], (0b11, 0b11))
         with pytest.raises(MalformedInputError, match="transitive"):
             Poset(["a", "b", "c"], (0b001, 0b011, 0b110))
+        with pytest.raises(MalformedInputError, match="relation size"):
+            Poset(["a", "b"], [1])
+        with pytest.raises(MalformedInputError, match="out of range"):
+            Poset(["a", "b"], (0b01, 0b110))
+        with pytest.raises(MalformedInputError, match="out of range"):
+            Poset(["a", "b"], (-1, 0b10))
 
     def test_unknown_label(self):
         with pytest.raises(MalformedInputError, match="unknown label"):
