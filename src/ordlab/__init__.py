@@ -55,6 +55,7 @@ from .morphisms import (
     classify,
     enumerate_homs,
     image_filter,
+    image_table,
     is_continuous,
     preimage_interval_analysis,
     preimage_scan,

@@ -152,11 +152,12 @@ def _run_fact_1_1(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optio
     pool.extend(_random_posets(spec, 8))
     checked = 0
     for p in pool:
+        upper_bounds = p.upper_bounds_table(limits)
         for gen in range(1, p.full_mask + 1):
             f = filters_mod.SetFilter(p, gen)
             for x in range(p.n):
                 checked += 1
-                if not filters_mod.upper_iff_downset(f, x):
+                if not filters_mod.upper_iff_downset(f, x, upper_bounds):
                     return checked, _poset_witness(
                         p,
                         check="upper-iff-downset",
@@ -265,13 +266,14 @@ def _run_lemma_3(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Option
     for dom in carriers:
         for cod in carriers:
             for mapping in itertools.product(range(cod.n), repeat=dom.n):
+                images = morph.image_table(mapping, limits)
                 for gen_coarse in range(1, dom.full_mask + 1):
                     coarse = filters_mod.SetFilter(dom, gen_coarse)
                     gen_fine = gen_coarse
                     while gen_fine:
                         fine = filters_mod.SetFilter(dom, gen_fine)
                         checked += 1
-                        if not morph.check_image_filter_inclusion(mapping, coarse, fine):
+                        if not morph.check_image_filter_inclusion(mapping, coarse, fine, images):
                             return checked, {
                                 "check": "image-filter-inclusion",
                                 "domain": poset_to_dict(dom),

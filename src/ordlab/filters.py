@@ -10,7 +10,7 @@ the definitional family for oracle checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInputError
 from .limits import Limits, check_subset_elements
@@ -195,14 +195,20 @@ def star_converges(f: SetFilter, x: int, *, literal_tail: bool = False) -> bool:
     return bool((star_limit_mask(f) >> x) & 1)
 
 
-def upper_iff_downset(f: SetFilter, x: int) -> bool:
+def upper_iff_downset(f: SetFilter, x: int, upper_bounds: Optional[Sequence[int]] = None) -> bool:
     """Check the equivalence: x bounds the filter from above iff the
     principal down-set of x is a member.  Returns whether the two sides
-    agree (they always should)."""
-    p = f.parent
-    in_upper = bool((p.upper_bounds_mask(f.generator) >> x) & 1)
-    downset_member = p.down[x] & f.generator == f.generator
-    return in_upper == downset_member
+    agree (they always should).
+
+    The upper side is read from ``upper_bounds``, the poset's
+    :meth:`~ordlab.order_core.Poset.upper_bounds_table`; a sweep over
+    many filters of one poset builds it once and passes it.  Without it
+    the table is built for this call (under the subset cap).
+    """
+    p, gen = f.parent, f.generator
+    if upper_bounds is None:
+        upper_bounds = p.upper_bounds_table()
+    return bool((upper_bounds[gen] >> x) & 1) == (p.down[x] & gen == gen)
 
 
 def convergence_points(f: SetFilter) -> list[int]:

@@ -5,7 +5,9 @@ Two caps apply: ``max_elements`` bounds carriers of relational operations
 ``max_subset_elements`` bounds operations that enumerate all 2^n subsets
 of a carrier (breadth search, filter enumeration, open-family
 materialization).  The environment variable ``ORDLAB_MAX_ELEMENTS``
-overrides both.
+overrides the element cap; it can lower the subset cap but never raise
+it above its default, since a 2^64-entry table or open family cannot be
+built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class Limits:
 
 
 def default_limits() -> Limits:
-    """Limits in effect, honoring the ORDLAB_MAX_ELEMENTS override."""
+    """Limits in effect, honoring the ORDLAB_MAX_ELEMENTS override
+    (which sets the element cap and at most lowers the subset cap)."""
     raw = os.environ.get(ENV_MAX_ELEMENTS)
     if raw is None:
         return Limits()
@@ -39,7 +42,7 @@ def default_limits() -> Limits:
         raise MalformedInputError(f"{ENV_MAX_ELEMENTS} must be an integer, got {raw!r}") from exc
     if cap < 1:
         raise MalformedInputError(f"{ENV_MAX_ELEMENTS} must be positive, got {cap}")
-    return Limits(max_elements=cap, max_subset_elements=cap)
+    return Limits(max_elements=cap, max_subset_elements=min(cap, DEFAULT_MAX_SUBSET_ELEMENTS))
 
 
 def check_elements(n: int, limits: Limits | None, what: str) -> None:

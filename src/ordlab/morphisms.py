@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 from .errors import MalformedInputError
 from .filters import SetFilter, order_limit, star_limit_mask
 from .limits import Limits, check_maps, check_subset_elements
-from .order_core import ElementSet, Poset, iter_bits
+from .order_core import ElementSet, Poset, iter_bits, subset_union_table
 from .topology import FiniteTopology
 
 
@@ -210,34 +210,40 @@ class PreimageIntervalReport:
     missing: Optional[int]  # witness in [low, high] outside the preimage
 
 
-def preimage_interval_analysis(h: LatticeHom, x: int, y: int) -> PreimageIntervalReport:
-    """Compute f^{-1} of the interval [x, y] and report its shape.
-
-    For a nonempty preimage, low/high are its infimum and supremum in the
-    domain; the preimage is an interval exactly when it equals [low, high].
-    """
-    dom, cod = h.domain, h.codomain
-    if not cod.leq(x, y):
-        raise ValueError("need x <= y in the codomain")
+def _preimage_shape(h: LatticeHom, x: int, y: int) -> tuple[str, int, Optional[int], Optional[int], Optional[int]]:
+    """(kind, preimage mask, low, high, missing) of f^{-1}([x, y]), the
+    OR of the fibres over the interval; see the report below."""
+    dom, cod, fibers = h.domain, h.codomain, h.fibers
     interval_mask = cod.up[x] & cod.down[y]
-    fibers = h.fibers
     pre = 0
     while interval_mask:
         low = interval_mask & -interval_mask
         pre |= fibers[low.bit_length() - 1]
         interval_mask ^= low
     if pre == 0:
-        return PreimageIntervalReport("empty", None, None, ElementSet(dom, 0), None)
+        return "empty", 0, None, None, None
     low = dom.infimum_mask(pre)
     high = dom.supremum_mask(pre)
     if low is None or high is None:
         # No box to compare against; witness the first gap.
-        return PreimageIntervalReport("non_interval", low, high, ElementSet(dom, pre), None)
-    box = dom.up[low] & dom.down[high]
-    if box == pre:
-        return PreimageIntervalReport("interval", low, high, ElementSet(dom, pre), None)
-    missing = next(iter_bits(box & ~pre))
-    return PreimageIntervalReport("non_interval", low, high, ElementSet(dom, pre), missing)
+        return "non_interval", pre, low, high, None
+    # pre lies inside the box [low, high]; it is an interval when it fills it
+    gap = dom.up[low] & dom.down[high] & ~pre
+    if not gap:
+        return "interval", pre, low, high, None
+    return "non_interval", pre, low, high, (gap & -gap).bit_length() - 1
+
+
+def preimage_interval_analysis(h: LatticeHom, x: int, y: int) -> PreimageIntervalReport:
+    """Compute f^{-1} of the interval [x, y] and report its shape.
+
+    For a nonempty preimage, low/high are its infimum and supremum in the
+    domain; the preimage is an interval exactly when it equals [low, high].
+    """
+    if not h.codomain.leq(x, y):
+        raise ValueError("need x <= y in the codomain")
+    kind, pre, low, high, missing = _preimage_shape(h, x, y)
+    return PreimageIntervalReport(kind, low, high, ElementSet(h.domain, pre), missing)
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,8 @@ def preimage_scan(h: LatticeHom, *, principal_only: bool = False) -> PreimageSca
 
     ``principal_only`` restricts the scan to the subbasic closed sets,
     i.e. the intervals [bottom, x] and [x, top]; the default scans every
-    interval [x, y].  Both views are reported by the CLI.
+    interval [x, y].  Both views are reported by the CLI.  The scan runs
+    on masks; the report is built only for a failing interval.
     """
     cod = h.codomain
     if principal_only:
@@ -265,10 +272,9 @@ def preimage_scan(h: LatticeHom, *, principal_only: bool = False) -> PreimageSca
         pairs = [(x, y) for x in range(cod.n) for y in iter_bits(cod.up[x])]
     checked = 0
     for x, y in pairs:
-        report = preimage_interval_analysis(h, x, y)
         checked += 1
-        if report.kind == "non_interval":
-            return PreimageScan(False, checked, report, (x, y))
+        if _preimage_shape(h, x, y)[0] == "non_interval":
+            return PreimageScan(False, checked, preimage_interval_analysis(h, x, y), (x, y))
     return PreimageScan(True, checked, None, None)
 
 
@@ -353,15 +359,29 @@ def check_image_convergence(h: LatticeHom, *, singleton_only: bool = False) -> C
     return CheckReport(True, checked, None)
 
 
-def check_image_filter_inclusion(f: MapLike, coarse: SetFilter, fine: SetFilter) -> bool:
+def image_table(f: MapLike, limits: Limits | None = None) -> list[int]:
+    """``table[m]`` is the image of the domain subset m, for every mask m
+    of the domain carrier (one increasing pass over the masks)."""
+    return subset_union_table([1 << v for v in _mapping_of(f)], limits, "image table")
+
+
+def check_image_filter_inclusion(
+    f: MapLike, coarse: SetFilter, fine: SetFilter, images: Optional[Sequence[int]] = None
+) -> bool:
     """Given nested filters (fine contains coarse), verify the image of
-    the fine one contains the image of the coarse one."""
-    if fine.generator & ~coarse.generator:
+    the fine one contains the image of the coarse one.
+
+    The images are read from ``images``, the map's :func:`image_table`;
+    a sweep over many filter pairs of one map builds it once and passes
+    it.  Without it the table is built for this call (under the subset
+    cap).
+    """
+    fine_gen, coarse_gen = fine.generator, coarse.generator
+    if fine_gen & ~coarse_gen:
         raise ValueError("second filter must contain the first (nested generators)")
-    mapping = _mapping_of(f)
-    img_fine = _image_mask(mapping, fine.generator)
-    img_coarse = _image_mask(mapping, coarse.generator)
-    return img_fine & ~img_coarse == 0
+    if images is None:
+        images = image_table(f)
+    return images[fine_gen] & ~images[coarse_gen] == 0
 
 
 def check_star_preservation(h: LatticeHom, *, singleton_only: bool = False) -> CheckReport:

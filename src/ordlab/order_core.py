@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import MalformedInputError
 from .limits import Limits, check_elements, check_subset_elements
@@ -35,6 +35,33 @@ def mask_of(indices: Iterable[int]) -> int:
     return out
 
 
+def subset_union_table(rows: Sequence[int], limits: Limits | None, what: str) -> list[int]:
+    """``table[m]`` is the OR of ``rows[i]`` over the bits i of m, for
+    every mask m below 2^len(rows).
+
+    One increasing pass over the masks: the masks whose top bit is i are
+    the 2^i masks before them, each with ``rows[i]`` added.  The table has
+    2^n entries, so n is held to the subset-enumeration limit.
+    """
+    check_subset_elements(len(rows), limits, what)
+    table = [0]
+    for row in rows:
+        table += [t | row for t in table]
+    return table
+
+
+def subset_intersection_table(
+    rows: Sequence[int], full: int, limits: Limits | None, what: str
+) -> list[int]:
+    """``table[m]`` is the AND of ``rows[i]`` over the bits i of m, and
+    ``full`` for the empty mask; built like :func:`subset_union_table`."""
+    check_subset_elements(len(rows), limits, what)
+    table = [full]
+    for row in rows:
+        table += [t & row for t in table]
+    return table
+
+
 class Poset:
     """Immutable finite partially ordered set."""
 
@@ -48,11 +75,25 @@ class Poset:
             # reported as malformed input rather than raising IndexError
             self._validate()
         up = [0] * self.n
-        for j in range(self.n):
-            row = self.down[j]
-            for i in iter_bits(row):
-                up[i] |= 1 << j
+        for j, row in enumerate(self.down):
+            bit = 1 << j
+            while row:
+                low = row & -row
+                up[low.bit_length() - 1] |= bit
+                row ^= low
         self.up: tuple[int, ...] = tuple(up)
+
+    @classmethod
+    def _from_rows(cls, labels: tuple[str, ...], down: tuple[int, ...], up: tuple[int, ...]) -> "Poset":
+        """Trusted constructor: ``down`` is a valid order and ``up`` its
+        transpose, both already tuples, so nothing is checked or derived."""
+        p = cls.__new__(cls)
+        p.labels = labels
+        p.n = len(labels)
+        p.down = down
+        p.full_mask = (1 << p.n) - 1
+        p.up = up
+        return p
 
     def _validate(self) -> None:
         n = self.n
@@ -123,13 +164,6 @@ class Poset:
                 return False
         return True
 
-    def is_up_set(self, subset: "ElementSet | int") -> bool:
-        mask = _mask_arg(self, subset)
-        for i in iter_bits(mask):
-            if self.up[i] & ~mask:
-                return False
-        return True
-
     def upper_bounds_mask(self, mask: int) -> int:
         out = self.full_mask
         up = self.up
@@ -147,6 +181,22 @@ class Poset:
             out &= down[low.bit_length() - 1]
             mask ^= low
         return out
+
+    # Whole-carrier tables, one entry per subset mask; callers hold them
+    # for as long as they sweep, the poset does not cache them.
+
+    def upper_bounds_table(self, limits: Limits | None = None) -> list[int]:
+        """``table[m] == upper_bounds_mask(m)`` for every subset mask m."""
+        return subset_intersection_table(self.up, self.full_mask, limits, "upper-bounds table")
+
+    def down_closure_table(self, limits: Limits | None = None) -> list[int]:
+        """``table[m]`` is the down-set generated by m, so m is a down-set
+        exactly when ``table[m] == m``."""
+        return subset_union_table(self.down, limits, "down-closure table")
+
+    def up_closure_table(self, limits: Limits | None = None) -> list[int]:
+        """``table[m]`` is the up-set generated by m."""
+        return subset_union_table(self.up, limits, "up-closure table")
 
     def upper_bounds(self, subset: "ElementSet | int") -> "ElementSet":
         """Elements above every member of the subset; the carrier when empty."""
@@ -195,25 +245,19 @@ class Poset:
 
     @cached_property
     def bottom(self) -> Optional[int]:
-        for x in range(self.n):
-            if self.up[x] == self.full_mask:
-                return x
-        return None
+        return self.up.index(self.full_mask) if self.full_mask in self.up else None
 
     @cached_property
     def top(self) -> Optional[int]:
-        for x in range(self.n):
-            if self.down[x] == self.full_mask:
-                return x
-        return None
+        return self.down.index(self.full_mask) if self.full_mask in self.down else None
 
     @cached_property
     def meet_table(self) -> tuple[tuple[Optional[int], ...], ...]:
-        return tuple(tuple(self.meet(i, j) for j in range(self.n)) for i in range(self.n))
+        return _pair_table(self.n, self.infimum_mask)
 
     @cached_property
     def join_table(self) -> tuple[tuple[Optional[int], ...], ...]:
-        return tuple(tuple(self.join(i, j) for j in range(self.n)) for i in range(self.n))
+        return _pair_table(self.n, self.supremum_mask)
 
     @cached_property
     def certificate(self) -> "LatticeCert":
@@ -235,7 +279,7 @@ class Poset:
 
     def dual(self) -> "Poset":
         """Same carrier with the order reversed."""
-        return Poset(self.labels, self.up, _validated=True)
+        return Poset._from_rows(self.labels, self.up, self.down)
 
 
 def _mask_arg(parent: Poset, subset: "ElementSet | int") -> int:
@@ -360,29 +404,48 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Pos
     return Poset(labels, down, _validated=True)
 
 
+def _pair_table(
+    n: int, bound: Callable[[int], Optional[int]], *, stop_at_missing: bool = False
+) -> Optional[tuple[tuple[Optional[int], ...], ...]]:
+    """``table[i][j]`` is ``bound`` of the pair {i, j}: each unordered pair
+    is computed once and mirrored, and the bound of {i} is i.  With
+    ``stop_at_missing`` the first pair without a bound returns None."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        row = rows[i]
+        row[i] = i
+        for j in range(i + 1, n):
+            value = bound((1 << i) | (1 << j))
+            if value is None and stop_at_missing:
+                return None
+            row[j] = rows[j][i] = value
+    return tuple(map(tuple, rows))
+
+
 def _certify(p: Poset) -> LatticeCert:
-    is_lattice = True
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            pair = (1 << i) | (1 << j)
-            if p.infimum_mask(pair) is None or p.supremum_mask(pair) is None:
-                is_lattice = False
-                break
-        if not is_lattice:
-            break
+    # A finite lattice has a bottom and a top.  Conversely, in a bounded
+    # finite poset where every pair has a join, the meet of x and y is the
+    # join of their lower bounds (a nonempty set, as it holds the bottom),
+    # so checking joins suffices; it stops at the first missing one.
     bottom, top = p.bottom, p.top
+    join = None
+    if bottom is not None and top is not None:
+        join = _pair_table(p.n, p.supremum_mask, stop_at_missing=True)
+    is_lattice = join is not None
     # On a finite carrier a lattice with bottom and top has all infima and
     # suprema; the equivalence is separately checked against the literal
     # all-subsets definition in the test suite.
-    is_complete = is_lattice and bottom is not None and top is not None
+    is_complete = is_lattice
     is_distributive = False
     if is_lattice:
-        meet, join = p.meet_table, p.join_table
+        p.__dict__["join_table"] = join  # the cached property, already built
+        meet = p.meet_table
+        # the law is symmetric in y and z and trivial when they are equal
         is_distributive = all(
             meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
             for x in range(p.n)
             for y in range(p.n)
-            for z in range(p.n)
+            for z in range(y + 1, p.n)
         )
     return LatticeCert(p, is_lattice, is_complete, is_distributive, bottom, top)
 
@@ -472,14 +535,13 @@ def are_order_isomorphic(a: Poset, b: Poset) -> bool:
     if a.n != b.n:
         return False
 
-    def profile(p: Poset, i: int) -> tuple[int, int]:
-        return (p.down[i].bit_count(), p.up[i].bit_count())
+    def profiles(p: Poset) -> list[tuple[int, int]]:
+        return [(d.bit_count(), u.bit_count()) for d, u in zip(p.down, p.up)]
 
-    if sorted(profile(a, i) for i in range(a.n)) != sorted(profile(b, j) for j in range(b.n)):
+    prof_a, prof_b = profiles(a), profiles(b)
+    if sorted(prof_a) != sorted(prof_b):
         return False
-    candidates = [
-        [j for j in range(b.n) if profile(a, i) == profile(b, j)] for i in range(a.n)
-    ]
+    candidates = [[j for j, pj in enumerate(prof_b) if pi == pj] for pi in prof_a]
     order = sorted(range(a.n), key=lambda i: len(candidates[i]))
     assign: dict[int, int] = {}
     used = [False] * b.n

@@ -41,6 +41,26 @@ def naive_lower_bounds(p: Poset, subset: frozenset[int]) -> frozenset[int]:
     return frozenset(x for x in range(p.n) if all(p.leq(x, s) for s in subset))
 
 
+def members_of(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def mask_from(members: Iterable[int]) -> int:
+    return sum(1 << i for i in set(members))
+
+
+def naive_down_closure(p: Poset, subset: frozenset[int]) -> frozenset[int]:
+    return frozenset(x for x in range(p.n) if any(p.leq(x, s) for s in subset))
+
+
+def naive_up_closure(p: Poset, subset: frozenset[int]) -> frozenset[int]:
+    return frozenset(x for x in range(p.n) if any(p.leq(s, x) for s in subset))
+
+
+def naive_image(mapping: tuple[int, ...], subset: frozenset[int]) -> frozenset[int]:
+    return frozenset(mapping[i] for i in subset)
+
+
 def naive_infimum(p: Poset, subset: frozenset[int]) -> Optional[int]:
     lb = naive_lower_bounds(p, subset)
     for x in lb:

@@ -5,7 +5,8 @@ them all).  The oracle gates in criterion 9 justify the shortcuts used
 elsewhere: principal filter representation, the generator route for the
 filter upper set, the breadth size-bound reduction, and the finite
 complete-homomorphism test, continuity read off neighbourhood tables,
-and the one-pass order and star limits of a filter.
+the one-pass order and star limits of a filter, and the subset tables
+(bounds, closures, images) with the enumerated order rows.
 """
 
 import itertools
@@ -45,6 +46,7 @@ from ordlab import (
 from ordlab.breadth import METHOD_EXHAUSTIVE, METHOD_REDUCTION, has_breadth_at_most, is_irredundant
 from ordlab.catalog import (
     all_lattices,
+    all_posets,
     all_posets_up_to,
     collapse_to_two,
     iso_representatives,
@@ -62,10 +64,21 @@ from ordlab.filters import (
     order_convergence_is_pointlike,
     order_converges,
 )
-from ordlab.morphisms import is_complete_hom_exhaustive, iter_monotone_maps
-from ordlab.order_core import ElementSet
+from ordlab.morphisms import image_table, is_complete_hom_exhaustive, iter_monotone_maps
+from ordlab.order_core import ElementSet, Poset
 
-from oracles import all_filter_families, naive_is_continuous, naive_order_converges, naive_star_converges
+from oracles import (
+    all_filter_families,
+    mask_from,
+    members_of,
+    naive_down_closure,
+    naive_image,
+    naive_is_continuous,
+    naive_order_converges,
+    naive_star_converges,
+    naive_up_closure,
+    naive_upper_bounds,
+)
 
 
 def report(num, description, ok):
@@ -152,20 +165,14 @@ def test_criterion_5_complete_hom_preimages_are_intervals():
 def test_criterion_6_upper_membership_equivalence():
     ok = True
     checked = 0
-    for p in all_posets_up_to(5):
-        for gen in range(1, p.full_mask + 1):
-            f = SetFilter(p, gen)
-            for x in range(p.n):
-                checked += 1
-                ok = ok and upper_iff_downset(f, x)
     rng = Random(2026)
-    for _ in range(500):
-        p = random_poset(rng.randint(2, 5), rng)
+    for p in all_posets_up_to(5) + [random_poset(rng.randint(2, 5), rng) for _ in range(500)]:
+        upper_bounds = p.upper_bounds_table()
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
             for x in range(p.n):
                 checked += 1
-                ok = ok and upper_iff_downset(f, x)
+                ok = ok and upper_iff_downset(f, x, upper_bounds)
     report(6, f"upper-bound membership iff down-set membership ({checked} checks)", ok)
 
 
@@ -306,6 +313,39 @@ def test_criterion_9f_gate_one_limit_per_filter():
         "9f",
         f"order limit and star-limit mask equal the per-point definitions on {filters_checked} filters "
         "(posets <= 4, library lattices <= 8)",
+        ok,
+    )
+
+
+def test_criterion_9g_gate_subset_tables():
+    ok = True
+    posets = masks = maps = 0
+    for n in range(1, 6):
+        for p in all_posets(n):
+            posets += 1
+            # the enumeration hands over its up rows; they must be the transpose
+            p._validate()
+            ok = ok and Poset(p.labels, p.down).up == p.up
+            upper, down_cl, up_cl = p.upper_bounds_table(), p.down_closure_table(), p.up_closure_table()
+            ok = ok and len(upper) == len(down_cl) == len(up_cl) == 1 << n
+            for m in range(1 << n):
+                masks += 1
+                s = members_of(m)
+                ok = ok and upper[m] == mask_from(naive_upper_bounds(p, s))
+                ok = ok and down_cl[m] == mask_from(naive_down_closure(p, s))
+                ok = ok and up_cl[m] == mask_from(naive_up_closure(p, s))
+    for a, b in itertools.product(range(1, 5), repeat=2):
+        for mapping in itertools.product(range(b), repeat=a):
+            maps += 1
+            images = image_table(mapping)
+            ok = ok and len(images) == 1 << a
+            ok = ok and all(images[m] == mask_from(naive_image(mapping, members_of(m))) for m in range(1 << a))
+    ok = ok and (posets, maps) == (4473, 494)
+    report(
+        "9g",
+        f"subset tables (upper bounds, down/up closures) equal per-mask definitions on {posets} posets "
+        f"<= 5 ({masks} masks), enumerated up rows are the transposes, image tables agree on {maps} maps "
+        "between carriers <= 4",
         ok,
     )
 

@@ -6,10 +6,11 @@ import pytest
 
 from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, run_campaign
 from ordlab.catalog import m3
+from ordlab.limits import Limits, default_limits
 from ordlab.order_core import boolean_power, poset_to_dict
 
 
-def run_cli(args, stdin=None, env=None):
+def run_cli(args, stdin=None, env=None, timeout=None):
     import os
 
     full_env = dict(os.environ)
@@ -21,6 +22,7 @@ def run_cli(args, stdin=None, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -198,6 +200,17 @@ class TestCli:
         out = json.loads(res.stdout)
         assert out["classification"] == "complete-hom"
         assert out["continuous"] == {"interval": True, "lower": True, "upper": True}
+
+    def test_env_override_does_not_raise_subset_cap(self, tmp_path, monkeypatch):
+        path = tmp_path / "bool5.json"
+        path.write_text(json.dumps(poset_to_dict(boolean_power(5))))
+        monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "64")
+        assert default_limits() == Limits(max_elements=64, max_subset_elements=20)
+        monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "8")
+        assert default_limits().max_subset_elements == 8
+        res = run_cli(["breadth", str(path)], env={"ORDLAB_MAX_ELEMENTS": "64"}, timeout=60)
+        assert res.returncode == 3
+        assert "subset-enumeration limit 20" in res.stderr
 
     def test_env_override_allows_more(self):
         res = run_cli(["boolean", "7"], env={"ORDLAB_MAX_ELEMENTS": "128"})

@@ -225,7 +225,9 @@ class TestUpperIffDownset:
 
     def test_small_campaign(self):
         for p in all_posets_up_to(4):
+            upper_bounds = p.upper_bounds_table()
             for gen in range(1, p.full_mask + 1):
                 f = SetFilter(p, gen)
                 for x in range(p.n):
                     assert upper_iff_downset(f, x)
+                    assert upper_iff_downset(f, x, upper_bounds)

@@ -15,6 +15,7 @@ from ordlab import (
     classify,
     enumerate_homs,
     image_filter,
+    image_table,
     interval_topology,
     is_continuous,
     lower_topology,
@@ -140,9 +141,11 @@ class TestPreimageIntervals:
                 assert principal.all_interval_or_empty
 
     def test_scan_reports_collapse_failure(self):
-        scan = preimage_scan(collapse_hom())
+        h = collapse_hom()
+        scan = preimage_scan(h)
         assert not scan.all_interval_or_empty
         assert scan.failure_interval == (1, 1)
+        assert scan.failure == preimage_interval_analysis(h, 1, 1)
 
 
 class TestContinuity:
@@ -261,12 +264,13 @@ class TestImageFilterInclusion:
             for b in range(1, 4):
                 dom, cod = chain(a), chain(b)
                 for mapping in itertools.product(range(b), repeat=a):
+                    images = image_table(mapping)
                     for coarse_gen in range(1, dom.full_mask + 1):
                         fine_gen = coarse_gen
                         while fine_gen:
-                            assert check_image_filter_inclusion(
-                                mapping, SetFilter(dom, coarse_gen), SetFilter(dom, fine_gen)
-                            )
+                            coarse, fine = SetFilter(dom, coarse_gen), SetFilter(dom, fine_gen)
+                            assert check_image_filter_inclusion(mapping, coarse, fine)
+                            assert check_image_filter_inclusion(mapping, coarse, fine, images)
                             fine_gen = (fine_gen - 1) & coarse_gen
 
 

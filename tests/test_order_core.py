@@ -191,6 +191,28 @@ class TestCertify:
         for p in pool:
             assert certify_lattice(p).is_complete == is_complete_literal(p)
 
+    def test_early_exit_without_bottom(self):
+        p = random_poset(64, Random(5))
+        assert p.bottom is None
+        assert not certify_lattice(p).is_lattice
+        assert "join_table" not in p.__dict__ and "meet_table" not in p.__dict__
+
+    def test_early_exit_at_first_missing_join(self):
+        # 0 < a, b < c, d < 1: bounded, but a and b have two minimal upper bounds
+        p = build_poset(["0", "a", "b", "c", "d", "1"],
+                        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+        assert (p.bottom, p.top) == (0, 5)
+        assert not certify_lattice(p).is_lattice
+        assert "join_table" not in p.__dict__ and "meet_table" not in p.__dict__
+
+    def test_pair_tables_match_naive_oracle(self):
+        for p in all_posets_up_to(4) + [m3(), boolean_power(3)]:
+            certify_lattice(p)  # seeds the join table on lattices
+            for i, j in itertools.product(range(p.n), repeat=2):
+                pair = frozenset((i, j))
+                assert p.meet_table[i][j] == naive_infimum(p, pair)
+                assert p.join_table[i][j] == naive_supremum(p, pair)
+
     def test_variant_identity_cross_check(self):
         # the variant x ^ (y v z) = (x v y) ^ (x v z) fails whenever bottom != top
         assert not variant_distributive_identity_holds(boolean_power(3))
