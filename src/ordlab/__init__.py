@@ -68,7 +68,6 @@ from .order_core import (
     boolean_power,
     build_poset,
     certify_lattice,
-    is_complete_literal,
     poset_from_dict,
     poset_to_dict,
     product,

@@ -2,9 +2,11 @@
 
 All subcommands print a single JSON document to standard output; errors
 go to standard error.  Exit codes: 0 success, 2 malformed input, 3 limit
-exceeded, 4 counterexample found by a campaign.  ``-`` as a file
-argument reads standard input, and poset arguments also accept library
-names (``M3``, ``2^3``, ``chain4``, ...).
+exceeded, 4 counterexample found by a campaign.  Input preconditions
+raise :class:`MalformedInputError` at this boundary; any other exception
+is an internal error and is not reported as malformed input.  ``-`` as a
+file argument reads standard input, and poset arguments also accept
+library names (``M3``, ``2^3``, ``chain4``, ...).
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_breadth(args) -> int:
     p = _resolve_poset(args.poset)
+    if not certify_lattice(p).is_complete:
+        raise MalformedInputError("breadth is defined on complete lattices")
     report = breadth_mod.compute_breadth(p)
     _emit({"breadth": report.breadth, "witness": list(report.witness.member_labels)})
     return EXIT_OK
@@ -137,6 +141,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_boolean(args) -> int:
+    if args.n < 1:
+        raise MalformedInputError("boolean needs n >= 1")
     _emit(poset_to_dict(boolean_power(args.n)))
     return EXIT_OK
 
@@ -194,6 +200,10 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise MalformedInputError("--limit must be positive")
+    if args.trials < 0:
+        raise MalformedInputError("--trials must be nonnegative")
     spec = CampaignSpec(
         name=args.name,
         size_limit=args.limit if args.limit is not None else DEFAULT_SIZE_LIMITS[args.name],
@@ -273,9 +283,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except LimitExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_LIMIT
-    except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

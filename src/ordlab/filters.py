@@ -84,29 +84,14 @@ def filter_upper(f: SetFilter) -> ElementSet:
 
     Computed as the upper bounds of the generator: a set's upper bounds
     only grow as the set shrinks, and the generator is the smallest
-    member.  The identity is cross-checked against the definitional
-    union in the test suite.
+    member.  The test suite checks the identity against the definitional
+    union over all members.
     """
     return f.parent.upper_bounds(f.generator)
 
 
 def filter_lower(f: SetFilter) -> ElementSet:
     return f.parent.lower_bounds(f.generator)
-
-
-def filter_upper_definitional(f: SetFilter, limits: Limits | None = None) -> ElementSet:
-    """Oracle route: materialize every member and union its upper bounds."""
-    out = 0
-    for member in f.members(limits):
-        out |= f.parent.upper_bounds_mask(member)
-    return ElementSet(f.parent, out)
-
-
-def filter_lower_definitional(f: SetFilter, limits: Limits | None = None) -> ElementSet:
-    out = 0
-    for member in f.members(limits):
-        out |= f.parent.lower_bounds_mask(member)
-    return ElementSet(f.parent, out)
 
 
 def _generator_limit(p: Poset, gen: int) -> Optional[int]:
@@ -223,28 +208,4 @@ def order_convergence_is_pointlike(p: Poset) -> bool:
         point = gen.bit_length() - 1 if not gen & (gen - 1) else None
         if _generator_limit(p, gen) != point:
             return False
-    return True
-
-
-def satisfies_filter_axioms(carrier_size: int, family: Iterable[int]) -> bool:
-    """Literal check of the three filter axioms on an explicit family:
-    no empty member, closed under pairwise intersection, upward closed."""
-    fam = set(family)
-    if not fam or 0 in fam:
-        return False
-    full = (1 << carrier_size) - 1
-    for a in fam:
-        if a < 0 or a & ~full:
-            return False
-        for b in fam:
-            if a & b not in fam:
-                return False
-        free = full & ~a
-        sub = free
-        while True:
-            if a | sub not in fam:
-                return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
     return True

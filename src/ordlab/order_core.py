@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import MalformedInputError
 from .limits import Limits, check_elements, check_subset_elements
@@ -253,11 +253,21 @@ class Poset:
 
     @cached_property
     def meet_table(self) -> tuple[tuple[Optional[int], ...], ...]:
-        return _pair_table(self.n, self.infimum_mask)
+        return _pair_table(self.down)
 
     @cached_property
     def join_table(self) -> tuple[tuple[Optional[int], ...], ...]:
-        return _pair_table(self.n, self.supremum_mask)
+        return _pair_table(self.up)
+
+    @cached_property
+    def interval_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every pair (x, y) with x <= y, by x and then y."""
+        return tuple((x, y) for x in range(self.n) for y in iter_bits(self.up[x]))
+
+    @cached_property
+    def interval_masks(self) -> frozenset[int]:
+        """The masks of the intervals [x, y] with x <= y."""
+        return frozenset(self.up[x] & self.down[y] for x, y in self.interval_pairs)
 
     @cached_property
     def certificate(self) -> "LatticeCert":
@@ -405,21 +415,25 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Pos
 
 
 def _pair_table(
-    n: int, bound: Callable[[int], Optional[int]], *, stop_at_missing: bool = False
+    rows: Sequence[int], *, stop_at_missing: bool = False
 ) -> Optional[tuple[tuple[Optional[int], ...], ...]]:
-    """``table[i][j]`` is ``bound`` of the pair {i, j}: each unordered pair
-    is computed once and mirrored, and the bound of {i} is i.  With
-    ``stop_at_missing`` the first pair without a bound returns None."""
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        row = rows[i]
-        row[i] = i
+    """Meets from the ``down`` rows, joins from the ``up`` rows: the lower
+    bounds ``down[i] & down[j]`` of {i, j} have a greatest element k exactly
+    when they are the row ``down[k]``, so ``table[i][j]`` is the k with
+    ``rows[k] == rows[i] & rows[j]``, or None.  Each unordered pair is looked
+    up once; with ``stop_at_missing`` the first missing bound returns None."""
+    n = len(rows)
+    index = {row: k for k, row in enumerate(rows)}
+    table = [[None] * n for _ in range(n)]
+    for i, row_i in enumerate(rows):
+        out = table[i]
+        out[i] = i
         for j in range(i + 1, n):
-            value = bound((1 << i) | (1 << j))
+            value = index.get(row_i & rows[j])
             if value is None and stop_at_missing:
                 return None
-            row[j] = rows[j][i] = value
-    return tuple(map(tuple, rows))
+            out[j] = table[j][i] = value
+    return tuple(map(tuple, table))
 
 
 def _certify(p: Poset) -> LatticeCert:
@@ -430,22 +444,28 @@ def _certify(p: Poset) -> LatticeCert:
     bottom, top = p.bottom, p.top
     join = None
     if bottom is not None and top is not None:
-        join = _pair_table(p.n, p.supremum_mask, stop_at_missing=True)
+        join = _pair_table(p.up, stop_at_missing=True)
     is_lattice = join is not None
     # On a finite carrier a lattice with bottom and top has all infima and
-    # suprema; the equivalence is separately checked against the literal
-    # all-subsets definition in the test suite.
+    # suprema; the test suite checks the equivalence against the literal
+    # all-subsets definition.
     is_complete = is_lattice
     is_distributive = False
     if is_lattice:
         p.__dict__["join_table"] = join  # the cached property, already built
-        meet = p.meet_table
-        # the law is symmetric in y and z and trivial when they are equal
+        # A finite lattice is distributive exactly when every
+        # join-irreducible j is join-prime: j <= a v b gives j <= a or
+        # j <= b (Birkhoff's representation theorem; Davey and Priestley,
+        # "Introduction to Lattices and Order", ch. 5).  j is
+        # join-irreducible when the elements strictly below it have a
+        # greatest one, i.e. form a principal down-set.
+        down, rows = p.down, set(p.down)
+        irr = sum(1 << j for j, row in enumerate(down) if row ^ (1 << j) in rows)
+        # symmetric in a and b, and it cannot fail when they are comparable
         is_distributive = all(
-            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
-            for x in range(p.n)
-            for y in range(p.n)
-            for z in range(y + 1, p.n)
+            not irr & down[join[a][b]] & ~(down[a] | down[b])
+            for a in range(p.n)
+            for b in range(a + 1, p.n)
         )
     return LatticeCert(p, is_lattice, is_complete, is_distributive, bottom, top)
 
@@ -453,16 +473,6 @@ def _certify(p: Poset) -> LatticeCert:
 def certify_lattice(p: Poset) -> LatticeCert:
     """Exhaustively computed lattice certificate (cached per poset)."""
     return p.certificate
-
-
-def is_complete_literal(p: Poset, limits: Limits | None = None) -> bool:
-    """All-subsets completeness check: every subset (empty included) has
-    an infimum and a supremum.  Exponential; oracle use only."""
-    check_subset_elements(p.n, limits, "literal completeness check")
-    for mask in range(1 << p.n):
-        if p.infimum_mask(mask) is None or p.supremum_mask(mask) is None:
-            return False
-    return True
 
 
 def variant_distributive_identity_holds(p: Poset) -> bool:

@@ -3,11 +3,13 @@
 Everything here is deliberately primitive: subsets are frozensets of
 indices, bounds are found by scanning with scalar ``leq`` queries, and
 families are enumerated exhaustively.  These routes share no code with
-the bitmask implementations they check.  The exceptions are the
-per-point convergence definitions and the closed-family continuity
-check, which run the package's bound queries and open-family
-materialization (themselves gated against the routes above) to check
-the one-pass limit and neighborhood-table shortcuts.
+the bitmask implementations they check.  The exceptions are the literal
+all-subsets routes (completeness, complete homs, filter upper/lower
+sets), the per-point convergence definitions, the closed-family
+continuity check and the triple distributive law, which run the
+package's bound queries, pair tables and open-family materialization
+(themselves gated against the routes above) to check the shortcuts
+built on them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from typing import Iterable, Optional
 
 from ordlab.filters import SetFilter, super_filters
-from ordlab.order_core import Poset
+from ordlab.order_core import ElementSet, Poset
 from ordlab.topology import FiniteTopology
 
 
@@ -244,3 +246,111 @@ def naive_is_continuous(mapping: tuple[int, ...], t_dom: FiniteTopology, t_cod: 
         if not t_dom.is_closed(pre):
             return False
     return True
+
+
+def is_complete_literal(p: Poset) -> bool:
+    """All-subsets completeness: every subset (empty included) has an
+    infimum and a supremum."""
+    return all(
+        p.infimum_mask(mask) is not None and p.supremum_mask(mask) is not None
+        for mask in range(1 << p.n)
+    )
+
+
+def is_complete_hom_exhaustive(mapping, dom: Poset, cod: Poset) -> bool:
+    """Literal definition: f(inf S) = inf f(S) and f(sup S) = sup f(S)
+    for every subset S, the empty one included."""
+    # small subsets first so violations surface quickly
+    for mask in sorted(range(1 << dom.n), key=int.bit_count):
+        image = 0
+        for i in range(dom.n):
+            if (mask >> i) & 1:
+                image |= 1 << mapping[i]
+        inf_d = dom.infimum_mask(mask)
+        if inf_d is None or mapping[inf_d] != cod.infimum_mask(image):
+            return False
+        sup_d = dom.supremum_mask(mask)
+        if sup_d is None or mapping[sup_d] != cod.supremum_mask(image):
+            return False
+    return True
+
+
+def filter_upper_definitional(f: SetFilter) -> ElementSet:
+    """Materialize every member of the filter and union its upper bounds."""
+    out = 0
+    for member in f.members():
+        out |= f.parent.upper_bounds_mask(member)
+    return ElementSet(f.parent, out)
+
+
+def filter_lower_definitional(f: SetFilter) -> ElementSet:
+    out = 0
+    for member in f.members():
+        out |= f.parent.lower_bounds_mask(member)
+    return ElementSet(f.parent, out)
+
+
+def satisfies_filter_axioms(carrier_size: int, family: Iterable[int]) -> bool:
+    """Literal check of the three filter axioms on an explicit family:
+    no empty member, closed under pairwise intersection, upward closed."""
+    fam = set(family)
+    if not fam or 0 in fam:
+        return False
+    full = (1 << carrier_size) - 1
+    for a in fam:
+        if a < 0 or a & ~full:
+            return False
+        for b in fam:
+            if a & b not in fam:
+                return False
+        free = full & ~a
+        sub = free
+        while True:
+            if a | sub not in fam:
+                return False
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return True
+
+
+def naive_preimage_scan(mapping: tuple[int, ...], dom: Poset, cod: Poset, principal_only: bool = False):
+    """Per-interval definition of the preimage scan.
+
+    Walks the codomain intervals in the scan's order (every [x, y] by x
+    and then y, or [bottom, x] for all x and then [x, top] for all x),
+    takes the preimage as the union of the fibres over the interval and
+    compares it with the box between its infimum and supremum.  Returns
+    ``(intervals_checked, failure_interval, failure)`` with ``failure``
+    the ``(kind, low, high, preimage, missing)`` of the first preimage
+    that is neither empty nor an interval, or None.
+    """
+    if principal_only:
+        pairs = [(cod.bottom, x) for x in range(cod.n)] + [(x, cod.top) for x in range(cod.n)]
+    else:
+        pairs = [(x, y) for x in range(cod.n) for y in range(cod.n) if cod.leq(x, y)]
+    fibres = [frozenset(i for i in range(dom.n) if mapping[i] == v) for v in range(cod.n)]
+    shapes: dict[frozenset[int], Optional[tuple]] = {}  # preimage -> failure or None
+    for checked, (x, y) in enumerate(pairs, 1):
+        pre = frozenset().union(*(fibres[v] for v in range(cod.n) if cod.leq(x, v) and cod.leq(v, y)))
+        if pre and pre not in shapes:
+            low, high = naive_infimum(dom, pre), naive_supremum(dom, pre)
+            failure = ("non_interval", low, high, pre, None)
+            if low is not None and high is not None:
+                box = frozenset(z for z in range(dom.n) if dom.leq(low, z) and dom.leq(z, high))
+                failure = None if box == pre else ("non_interval", low, high, pre, min(box - pre))
+            shapes[pre] = failure
+        if pre and shapes[pre] is not None:
+            return checked, (x, y), shapes[pre]
+    return len(pairs), None, None
+
+
+def naive_is_distributive(p: Poset) -> bool:
+    """The literal law x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z) for all triples."""
+    meet, join = p.meet_table, p.join_table
+    return all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        for x in range(p.n)
+        for y in range(p.n)
+        for z in range(p.n)
+    )

@@ -5,8 +5,10 @@ them all).  The oracle gates in criterion 9 justify the shortcuts used
 elsewhere: principal filter representation, the generator route for the
 filter upper set, the breadth size-bound reduction, and the finite
 complete-homomorphism test, continuity read off neighbourhood tables,
-the one-pass order and star limits of a filter, and the subset tables
-(bounds, closures, images) with the enumerated order rows.
+the one-pass order and star limits of a filter, the subset tables
+(bounds, closures, images) with the enumerated order rows, and the
+pruned hom search, the preimage scan by lookup and distributivity by
+join-primes.
 """
 
 import itertools
@@ -53,28 +55,27 @@ from ordlab.catalog import (
     library_lattices,
     library_posets,
     m3,
+    random_lattice,
     random_poset,
     two,
 )
-from ordlab.filters import (
-    filter_lower,
-    filter_lower_definitional,
-    filter_upper,
-    filter_upper_definitional,
-    order_convergence_is_pointlike,
-    order_converges,
-)
-from ordlab.morphisms import image_table, is_complete_hom_exhaustive, iter_monotone_maps
-from ordlab.order_core import ElementSet, Poset
+from ordlab.filters import filter_lower, filter_upper, order_convergence_is_pointlike, order_converges
+from ordlab.morphisms import _search, image_table, iter_monotone_maps
+from ordlab.order_core import ElementSet, Poset, certify_lattice
 
 from oracles import (
     all_filter_families,
+    filter_lower_definitional,
+    filter_upper_definitional,
+    is_complete_hom_exhaustive,
     mask_from,
     members_of,
     naive_down_closure,
     naive_image,
     naive_is_continuous,
+    naive_is_distributive,
     naive_order_converges,
+    naive_preimage_scan,
     naive_star_converges,
     naive_up_closure,
     naive_upper_bounds,
@@ -346,6 +347,88 @@ def test_criterion_9g_gate_subset_tables():
         f"subset tables (upper bounds, down/up closures) equal per-mask definitions on {posets} posets "
         f"<= 5 ({masks} masks), enumerated up rows are the transposes, image tables agree on {maps} maps "
         "between carriers <= 4",
+        ok,
+    )
+
+
+def _gate_9h_lattices():
+    """Library lattices with up to five elements and seeded random ones."""
+    return [p for _, p in library_lattices(5)] + [random_lattice(4 + i % 2, 4100 + i) for i in range(6)]
+
+
+def test_criterion_9h_a_gate_pruned_hom_search():
+    pool = _gate_9h_lattices()
+    ok = True
+    maps_checked = homs = 0
+    for dom in pool:
+        for cod in pool:
+            by_level = {level: set() for level in Classification}
+            for mapping in itertools.product(range(cod.n), repeat=dom.n):
+                maps_checked += 1
+                by_level[classify(mapping, dom, cod).classification].add(mapping)
+            at_least = {
+                level: set().union(*(by_level[k] for k in Classification if k >= level)) for level in by_level
+            }
+            for level in (Classification.LATTICE_HOM, Classification.COMPLETE_HOM):
+                found = [h.mapping for h in enumerate_homs(dom, cod, level)]
+                ok = ok and len(found) == len(set(found)) and set(found) == at_least[level]
+                homs += len(found)
+            # the pruned search itself yields only lattice homs, so nothing is classified in vain
+            pruned = list(_search(dom, cod, [cod.full_mask] * dom.n, True))
+            ok = ok and len(pruned) == len(set(pruned)) and set(pruned) == at_least[Classification.LATTICE_HOM]
+            monotone = list(iter_monotone_maps(dom, cod))
+            ok = ok and len(monotone) == len(set(monotone))
+            ok = ok and set(monotone) == at_least[Classification.ORDER_PRESERVING]
+    report(
+        "9h(a)",
+        f"pruned hom search yields exactly the brute-force lattice homs and enumerate_homs equals "
+        f"brute-force classification at lattice-hom and complete-hom level, monotone search equals "
+        f"the monotone maps ({maps_checked} maps, {homs} homs, "
+        f"{len(pool)} lattices <= 5)",
+        ok,
+    )
+
+
+def test_criterion_9h_b_gate_preimage_scan_by_lookup():
+    pool = _gate_9h_lattices()
+    homs = [classify(m, dom, cod) for dom in pool for cod in pool for m in iter_monotone_maps(dom, cod)]
+    homs.append(collapse_to_two())
+    ok = True
+    failures = 0
+    for h in homs:
+        for principal in (False, True):
+            scan = preimage_scan(h, principal_only=principal)
+            checked, interval, failure = naive_preimage_scan(h.mapping, h.domain, h.codomain, principal)
+            ok = ok and scan.intervals_checked == checked and scan.failure_interval == interval
+            ok = ok and scan.all_interval_or_empty == (failure is None)
+            if failure is not None:
+                failures += 1
+                rep = scan.failure
+                got = (rep.kind, rep.low, rep.high, frozenset(rep.preimage.members), rep.missing)
+                ok = ok and got == failure
+    ok = ok and failures > 0
+    report(
+        "9h(b)",
+        f"preimage scan by lookup equals the per-interval definition on {len(homs)} monotone maps "
+        f"(full and principal scans, {failures} failing)",
+        ok,
+    )
+
+
+def test_criterion_9h_c_gate_join_prime_distributivity():
+    pool = [p for n in range(1, 7) for p in all_lattices(n)]
+    pool += [boolean_power(6), product([boolean_power(3), boolean_power(3)]), chain(64)]
+    ok = len(pool) == 6815 + 3
+    non_distributive = 0
+    for p in pool:
+        fast = certify_lattice(p).is_distributive
+        ok = ok and fast == naive_is_distributive(p)
+        non_distributive += not fast
+    ok = ok and non_distributive > 0
+    report(
+        "9h(c)",
+        f"join-prime distributivity equals the triple law on {len(pool)} lattices "
+        f"(all labelled lattices <= 6, 2^6, 2^3x2^3, chain64; {non_distributive} not distributive)",
         ok,
     )
 

@@ -228,3 +228,29 @@ class TestCli:
     def test_unknown_campaign_exit_2(self):
         res = run_cli(["campaign", "bogus"])
         assert res.returncode == 2
+
+    def test_input_preconditions_exit_2(self, tmp_path):
+        antichain = tmp_path / "antichain.json"
+        antichain.write_text(json.dumps({"labels": ["x", "y"], "covers": []}))
+        hom = tmp_path / "hom.json"
+        hom.write_text(json.dumps({"domain": str(antichain), "codomain": "2", "map": {"x": "0", "y": "1"}}))
+        for args in (
+            ["campaign", "hausdorff", "--limit", "0"],
+            ["campaign", "hausdorff", "--trials", "-1"],
+            ["breadth", str(antichain)],
+            ["hom", str(hom)],
+            ["boolean", "0"],
+        ):
+            res = run_cli(args)
+            assert res.returncode == 2, args
+            assert res.stderr.startswith("error: "), args
+
+    def test_internal_value_error_is_not_malformed_input(self, monkeypatch, capsys):
+        import ordlab.cli as cli
+
+        def broken(p):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "certify_lattice", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            cli.main(["check", "M3"])

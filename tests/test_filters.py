@@ -19,16 +19,18 @@ from ordlab import (
     upper_iff_downset,
 )
 from ordlab.catalog import all_lattices, all_posets_up_to, iso_representatives, library_posets
-from ordlab.filters import (
-    convergence_points,
-    filter_lower_definitional,
-    filter_upper_definitional,
-    order_convergence_is_pointlike,
-    satisfies_filter_axioms,
-)
+from ordlab.filters import convergence_points, order_convergence_is_pointlike
 
 from conftest import seeded_posets
-from oracles import all_filter_families, naive_filter_lower, naive_filter_upper, naive_filter_members
+from oracles import (
+    all_filter_families,
+    filter_lower_definitional,
+    filter_upper_definitional,
+    naive_filter_lower,
+    naive_filter_members,
+    naive_filter_upper,
+    satisfies_filter_axioms,
+)
 
 
 class TestConstruction:

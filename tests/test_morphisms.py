@@ -29,10 +29,10 @@ from ordlab.catalog import all_lattices, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
 from ordlab.filters import order_convergence_is_pointlike
 from ordlab.limits import Limits
-from ordlab.morphisms import hom_from_dict, hom_to_dict, is_complete_hom_exhaustive, iter_monotone_maps
+from ordlab.morphisms import hom_from_dict, hom_to_dict, iter_monotone_maps
 from ordlab.topology import from_closed_subbasis
 
-from oracles import naive_is_complete_hom
+from oracles import is_complete_hom_exhaustive, naive_is_complete_hom
 
 
 def collapse_hom():
@@ -59,9 +59,8 @@ class TestClassify:
     def test_exhaustive_route_agrees(self):
         for (_, L), (_, M) in itertools.product(library_lattices(4), repeat=2):
             for mapping in itertools.product(range(M.n), repeat=L.n):
-                fast = classify(mapping, L, M).classification
-                slow = classify(mapping, L, M, exhaustive=True).classification
-                assert fast == slow
+                fast = classify(mapping, L, M).classification == Classification.COMPLETE_HOM
+                assert fast == is_complete_hom_exhaustive(mapping, L, M)
 
     def test_exhaustive_route_matches_naive_oracle(self):
         L, M = boolean_power(2), chain(3)
@@ -102,6 +101,14 @@ class TestEnumerateHoms:
                 if all(M.leq(m[i], m[j]) for i in range(L.n) for j in range(L.n) if L.leq(i, j))
             }
             assert set(iter_monotone_maps(L, M)) == brute
+
+    def test_rejects_non_lattice_at_every_level(self):
+        p = build_poset(["x", "y"], [])
+        for level in Classification:
+            with pytest.raises(ValueError, match="lattices on both sides"):
+                enumerate_homs(p, two(), level)
+            with pytest.raises(ValueError, match="lattices on both sides"):
+                enumerate_homs(two(), p, level)
 
     def test_limit_guard(self):
         with pytest.raises(LimitExceededError):

@@ -12,7 +12,6 @@ from ordlab import (
     build_poset,
     certify_lattice,
     chain,
-    is_complete_literal,
     m3,
     poset_from_dict,
     poset_to_dict,
@@ -24,7 +23,7 @@ from ordlab.errors import LimitExceededError
 from ordlab.limits import Limits
 
 from conftest import seeded_posets
-from oracles import naive_infimum, naive_supremum, naive_transitive_closure
+from oracles import is_complete_literal, naive_infimum, naive_supremum, naive_transitive_closure
 
 
 def subsets_of(p):
