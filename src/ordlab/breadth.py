@@ -5,24 +5,21 @@ already the infimum of at most n of its elements.  Subsets here are
 nonempty subsets of the carrier (the empty set is harmless either way:
 its infimum, the top, is achieved by the empty subfamily).
 
-Two routes compute the bound: the literal definition over every subset
-("exhaustive") and the size-bound reduction that only inspects subsets
-of size n+1 ("size-bound-reduction").  The reduction is the default and
-is validated against the literal route on every lattice with up to six
-elements by the oracle gate in the test suite.
+The bound is decided by the size-bound reduction, which only inspects
+subsets of size n+1: if every (n+1)-subset has an n-subset with the
+same infimum, any larger subset can drop members one at a time without
+changing its infimum until n are left.  The oracle gate in the test
+suite checks it against the literal definition over every subset on
+every lattice with up to six elements.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .limits import Limits, check_subset_elements
 from .order_core import ElementSet, Poset, iter_bits, mask_of
-
-METHOD_EXHAUSTIVE = "exhaustive"
-METHOD_REDUCTION = "size-bound-reduction"
 
 
 class BreadthCheck(NamedTuple):
@@ -30,12 +27,10 @@ class BreadthCheck(NamedTuple):
     counterexample: Optional[ElementSet]
 
 
-@dataclass(frozen=True)
-class BreadthReport:
+class BreadthReport(NamedTuple):
     lattice: Poset
     breadth: int
     witness: ElementSet
-    method: str
 
 
 def _require_complete_lattice(lattice: Poset) -> None:
@@ -44,48 +39,23 @@ def _require_complete_lattice(lattice: Poset) -> None:
         raise ValueError("breadth is defined on complete lattices")
 
 
-def _has_small_same_inf_subset(lattice: Poset, subset: int, n: int) -> bool:
-    target = lattice.infimum_mask(subset)
-    if subset.bit_count() <= n:
-        return True
-    members = list(iter_bits(subset))
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(members, size):
-            if lattice.infimum_mask(mask_of(combo)) == target:
-                return True
-    return False
-
-
-def has_breadth_at_most(
-    lattice: Poset,
-    n: int,
-    *,
-    method: str = METHOD_REDUCTION,
-    limits: Limits | None = None,
-) -> BreadthCheck:
-    """Decide breadth <= n, returning a violating subset on failure."""
+def has_breadth_at_most(lattice: Poset, n: int, *, limits: Limits | None = None) -> BreadthCheck:
+    """Decide breadth <= n, returning a violating (n+1)-subset on failure."""
     _require_complete_lattice(lattice)
     if n < 1:
         raise ValueError("breadth bound must be positive")
     check_subset_elements(lattice.n, limits, "breadth check")
-    if method == METHOD_EXHAUSTIVE:
-        for subset in range(1, lattice.full_mask + 1):
-            if not _has_small_same_inf_subset(lattice, subset, n):
-                return BreadthCheck(False, ElementSet(lattice, subset))
-        return BreadthCheck(True, None)
-    if method == METHOD_REDUCTION:
-        for combo in itertools.combinations(range(lattice.n), n + 1):
-            subset = mask_of(combo)
-            target = lattice.infimum_mask(subset)
-            reducible = False
-            for drop in combo:
-                if lattice.infimum_mask(subset & ~(1 << drop)) == target:
-                    reducible = True
-                    break
-            if not reducible:
-                return BreadthCheck(False, ElementSet(lattice, subset))
-        return BreadthCheck(True, None)
-    raise ValueError(f"unknown method {method!r}")
+    for combo in itertools.combinations(range(lattice.n), n + 1):
+        subset = mask_of(combo)
+        target = lattice.infimum_mask(subset)
+        reducible = False
+        for drop in combo:
+            if lattice.infimum_mask(subset & ~(1 << drop)) == target:
+                reducible = True
+                break
+        if not reducible:
+            return BreadthCheck(False, ElementSet(lattice, subset))
+    return BreadthCheck(True, None)
 
 
 def is_irredundant(lattice: Poset, subset: ElementSet | int) -> bool:
@@ -117,9 +87,7 @@ def _minimal_same_inf_subset(lattice: Poset, subset: int) -> int:
     return subset
 
 
-def compute_breadth(
-    lattice: Poset, *, method: str = METHOD_REDUCTION, limits: Limits | None = None
-) -> BreadthReport:
+def compute_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthReport:
     """Least n with breadth <= n, plus an irredundant witness of that size.
 
     The one-element lattice is degenerate: its breadth is 1 but no
@@ -130,7 +98,7 @@ def compute_breadth(
     last_violation: Optional[ElementSet] = None
     n = 1
     while True:
-        holds, violation = has_breadth_at_most(lattice, n, method=method, limits=limits)
+        holds, violation = has_breadth_at_most(lattice, n, limits=limits)
         if holds:
             break
         last_violation = violation
@@ -144,18 +112,16 @@ def compute_breadth(
     witness = ElementSet(lattice, witness_mask)
     if witness_mask and not is_irredundant(lattice, witness_mask):
         raise AssertionError("internal error: computed witness is redundant")
-    return BreadthReport(lattice, n, witness, method)
+    return BreadthReport(lattice, n, witness)
 
 
-def compute_dual_breadth(
-    lattice: Poset, *, method: str = METHOD_REDUCTION, limits: Limits | None = None
-) -> BreadthReport:
+def compute_dual_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthReport:
     """Breadth of the order dual (suprema in the original lattice).
 
     Provided as separate plumbing; it is not the breadth itself, though
     the two agree on self-dual lattices.
     """
-    return compute_breadth(lattice.dual(), method=method, limits=limits)
+    return compute_breadth(lattice.dual(), limits=limits)
 
 
 def coatom(n: int, m: int) -> int:

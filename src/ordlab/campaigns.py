@@ -9,9 +9,8 @@ loudly with a re-checkable witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import breadth as breadth_mod
 from . import filters as filters_mod
@@ -28,7 +27,7 @@ from .catalog import (
     two,
 )
 from .limits import Limits
-from .order_core import ElementSet, Poset, boolean_power, poset_to_dict, product
+from .order_core import ElementSet, Poset, Record, boolean_power, poset_to_dict, product
 
 CAMPAIGN_NAMES = (
     "breadth-2n",
@@ -53,20 +52,20 @@ DEFAULT_SIZE_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    name: str
-    size_limit: int
-    trials: int = 0
-    seed: int = 0
+class CampaignSpec(Record):
+    __slots__ = _fields = ("name", "size_limit", "trials", "seed")
 
-    def __post_init__(self) -> None:
-        if self.name not in CAMPAIGN_NAMES:
-            raise ValueError(f"unknown campaign {self.name!r}")
-        if self.size_limit < 1:
+    def __init__(self, name: str, size_limit: int, trials: int = 0, seed: int = 0) -> None:
+        if name not in CAMPAIGN_NAMES:
+            raise ValueError(f"unknown campaign {name!r}")
+        if size_limit < 1:
             raise ValueError("size limit must be positive")
-        if self.trials < 0:
+        if trials < 0:
             raise ValueError("trials must be nonnegative")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "size_limit", size_limit)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
     def to_dict(self) -> dict:
         return {
@@ -77,8 +76,7 @@ class CampaignSpec:
         }
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     spec: CampaignSpec
     instances_checked: int
     status: str  # "pass" | "counterexample"

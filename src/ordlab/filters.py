@@ -9,20 +9,24 @@ the definitional family for oracle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInputError
 from .limits import Limits, check_subset_elements
-from .order_core import ElementSet, Poset
+from .order_core import ElementSet, Poset, Record
 
 
-@dataclass(frozen=True)
-class SetFilter:
+class SetFilter(Record):
     """The filter of all supersets of ``generator`` on ``parent``'s carrier."""
 
-    parent: Poset
-    generator: int
+    __slots__ = _fields = ("parent", "generator")
+
+    def __init__(self, parent: Poset, generator: int) -> None:
+        # sweeps build hundreds of thousands of filters: the slot setters
+        # bound below are cheaper than object.__setattr__
+        _set_parent(self, parent)
+        _set_generator(self, generator)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.generator == 0:
@@ -49,6 +53,9 @@ class SetFilter:
                 break
             sub = (sub - free) & free
         return out
+
+
+_set_parent, _set_generator = SetFilter.parent.__set__, SetFilter.generator.__set__
 
 
 def filter_from_labels(parent: Poset, labels: Iterable[str]) -> SetFilter:
@@ -95,6 +102,9 @@ def filter_lower(f: SetFilter) -> ElementSet:
 
 
 def _generator_limit(p: Poset, gen: int) -> Optional[int]:
+    if not gen & (gen - 1):
+        # a point filter {x}: in every poset inf(up x) = sup(down x) = x
+        return gen.bit_length() - 1
     x = p.infimum_mask(p.upper_bounds_mask(gen))
     if x is None or x != p.supremum_mask(p.lower_bounds_mask(gen)):
         return None

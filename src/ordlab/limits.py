@@ -13,7 +13,7 @@ built.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LimitExceededError, MalformedInputError
 
@@ -23,8 +23,7 @@ DEFAULT_MAX_ELEMENTS = 64
 ENV_MAX_ELEMENTS = "ORDLAB_MAX_ELEMENTS"
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_elements: int = DEFAULT_MAX_ELEMENTS
     max_subset_elements: int = DEFAULT_MAX_SUBSET_ELEMENTS
     max_maps: int = 10_000_000

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import MalformedInputError
 from .filters import SetFilter, order_limit, star_limit_mask
 from .limits import Limits, check_maps
-from .order_core import ElementSet, Poset, iter_bits, subset_union_table
+from .order_core import ElementSet, Poset, Record, iter_bits, subset_union_table
 from .topology import FiniteTopology
 
 
@@ -34,14 +33,19 @@ class Classification(enum.IntEnum):
         return self.name.lower().replace("_", "-")
 
 
-@dataclass(frozen=True)
-class LatticeHom:
+class LatticeHom(Record):
     """A total map between two lattices with its computed classification."""
 
-    domain: Poset
-    codomain: Poset
-    mapping: tuple[int, ...]
-    classification: Classification
+    _fields = ("domain", "codomain", "mapping", "classification")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached tables
+
+    def __init__(
+        self, domain: Poset, codomain: Poset, mapping: tuple[int, ...], classification: Classification
+    ) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "classification", classification)
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -219,8 +223,7 @@ def enumerate_homs(
     return out
 
 
-@dataclass(frozen=True)
-class PreimageIntervalReport:
+class PreimageIntervalReport(NamedTuple):
     """Outcome of analyzing the preimage of one codomain interval."""
 
     kind: str  # "empty" | "interval" | "non_interval"
@@ -256,8 +259,7 @@ def preimage_interval_analysis(h: LatticeHom, x: int, y: int) -> PreimageInterva
     return PreimageIntervalReport(kind, low, high, ElementSet(dom, pre), missing)
 
 
-@dataclass(frozen=True)
-class PreimageScan:
+class PreimageScan(NamedTuple):
     all_interval_or_empty: bool
     intervals_checked: int
     failure: Optional[PreimageIntervalReport]
@@ -342,23 +344,25 @@ def image_filter(f: MapLike, flt: SetFilter, codomain: Poset | None = None) -> S
     return SetFilter(codomain, image)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     passed: bool
     checked: int
     witness: Optional[dict]
 
 
-def check_image_convergence(h: LatticeHom, *, singleton_only: bool = False) -> CheckReport:
-    """For every filter F and point x with F order-convergent to x,
-    verify that the image filter order-converges to f(x).
+def _limit_sweep(
+    h: LatticeHom, singleton_only: bool, limits_of: Callable[[SetFilter], int], what: str
+) -> CheckReport:
+    """For every filter F and point x in ``limits_of(F)``, the mask of the
+    points F converges to, verify that f(x) is in ``limits_of`` of the
+    image filter; one check per (F, x).
 
     ``singleton_only`` restricts the sweep to point-generated filters;
     callers enable it after confirming, for the domain at hand, that
     order-convergent filters are exactly the point-generated ones.
     """
     if h.classification != Classification.COMPLETE_HOM:
-        raise ValueError("image-convergence check needs a complete homomorphism")
+        raise ValueError(f"{what} check needs a complete homomorphism")
     dom = h.domain
     checked = 0
     generators = (
@@ -366,17 +370,30 @@ def check_image_convergence(h: LatticeHom, *, singleton_only: bool = False) -> C
     )
     for gen in generators:
         f = SetFilter(dom, gen)
-        x = order_limit(f)
-        if x is None:
+        points = limits_of(f)
+        if not points:
             continue
-        checked += 1
-        if order_limit(image_filter(h, f)) != h.mapping[x]:
-            witness = {
-                "generator": list(ElementSet(dom, gen).member_labels),
-                "point": dom.labels[x],
-            }
-            return CheckReport(False, checked, witness)
+        image_points = limits_of(image_filter(h, f))
+        for x in iter_bits(points):
+            checked += 1
+            if not (image_points >> h.mapping[x]) & 1:
+                witness = {
+                    "generator": list(ElementSet(dom, gen).member_labels),
+                    "point": dom.labels[x],
+                }
+                return CheckReport(False, checked, witness)
     return CheckReport(True, checked, None)
+
+
+def _order_limit_mask(f: SetFilter) -> int:
+    x = order_limit(f)
+    return 0 if x is None else 1 << x
+
+
+def check_image_convergence(h: LatticeHom, *, singleton_only: bool = False) -> CheckReport:
+    """For every filter F and point x with F order-convergent to x,
+    verify that the image filter order-converges to f(x)."""
+    return _limit_sweep(h, singleton_only, _order_limit_mask, "image-convergence")
 
 
 def image_table(f: MapLike, limits: Limits | None = None) -> list[int]:
@@ -407,28 +424,7 @@ def check_image_filter_inclusion(
 def check_star_preservation(h: LatticeHom, *, singleton_only: bool = False) -> CheckReport:
     """For every filter F and point x with F star-convergent to x,
     verify the image filter star-converges to f(x)."""
-    if h.classification != Classification.COMPLETE_HOM:
-        raise ValueError("star-preservation check needs a complete homomorphism")
-    dom = h.domain
-    checked = 0
-    generators = (
-        [1 << x for x in range(dom.n)] if singleton_only else range(1, dom.full_mask + 1)
-    )
-    for gen in generators:
-        f = SetFilter(dom, gen)
-        points = star_limit_mask(f)
-        if not points:
-            continue
-        image_points = star_limit_mask(image_filter(h, f))
-        for x in iter_bits(points):
-            checked += 1
-            if not (image_points >> h.mapping[x]) & 1:
-                witness = {
-                    "generator": list(ElementSet(dom, gen).member_labels),
-                    "point": dom.labels[x],
-                }
-                return CheckReport(False, checked, witness)
-    return CheckReport(True, checked, None)
+    return _limit_sweep(h, singleton_only, star_limit_mask, "star-preservation")
 
 
 def hom_to_dict(h: LatticeHom) -> dict:

@@ -12,9 +12,8 @@ across concurrent enumeration campaigns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import MalformedInputError
 from .limits import Limits, check_elements, check_subset_elements
@@ -303,16 +302,56 @@ def _mask_arg(parent: Poset, subset: "ElementSet | int") -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class ElementSet:
+class Record:
+    """Base of the immutable value classes that validate their fields or
+    cache derived tables.
+
+    A subclass lists its fields in ``_fields`` (its ``__slots__``, plus
+    ``__dict__`` when it has cached properties) and sets them in
+    ``__init__`` through ``object.__setattr__``; afterwards assigning or
+    deleting an attribute raises :class:`AttributeError`.  Equality and
+    the hash are by the fields, between instances of the same class.
+    Plain records are :class:`typing.NamedTuple` classes instead.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._key()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ElementSet(Record):
     """A subset of a poset's carrier, stored as a bitmask."""
 
-    parent: Poset
-    mask: int
+    __slots__ = _fields = ("parent", "mask")
 
-    def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask & ~self.parent.full_mask:
+    def __init__(self, parent: Poset, mask: int) -> None:
+        if mask < 0 or mask & ~parent.full_mask:
             raise ValueError("member indices out of range")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_indices(cls, parent: Poset, indices: Iterable[int]) -> "ElementSet":
@@ -343,8 +382,7 @@ class ElementSet:
         return f"ElementSet({{{', '.join(self.member_labels)}}})"
 
 
-@dataclass(frozen=True)
-class LatticeCert:
+class LatticeCert(NamedTuple):
     """Result of certifying a poset's lattice structure."""
 
     poset: Poset

@@ -13,37 +13,36 @@ is cross-checked against a brute-force oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .limits import Limits, check_elements, check_subset_elements
-from .order_core import Poset, iter_bits
+from .order_core import Poset, Record, iter_bits
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(Record):
     """A topology on ``{0..carrier_size-1}`` as minimal neighborhoods.
 
     ``min_nbhd[p]`` is the intersection of all open sets containing p.
     Two topologies on the same carrier are equal iff these tables are
-    equal, so dataclass equality is genuine set-family equality.
+    equal, so equality of the two fields is genuine set-family equality.
     """
 
-    carrier_size: int
-    min_nbhd: tuple[int, ...]
+    _fields = ("carrier_size", "min_nbhd")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached open family
 
-    def __post_init__(self) -> None:
-        n = self.carrier_size
-        full = (1 << n) - 1
-        if len(self.min_nbhd) != n:
+    def __init__(self, carrier_size: int, min_nbhd: tuple[int, ...]) -> None:
+        full = (1 << carrier_size) - 1
+        if len(min_nbhd) != carrier_size:
             raise ValueError("neighborhood table size mismatch")
-        for p, nb in enumerate(self.min_nbhd):
+        for p, nb in enumerate(min_nbhd):
             if nb & ~full or not (nb >> p) & 1:
                 raise ValueError("invalid minimal neighborhood")
             for q in iter_bits(nb):
-                if self.min_nbhd[q] & ~nb:
+                if min_nbhd[q] & ~nb:
                     raise ValueError("neighborhood table not closed under the topology")
+        object.__setattr__(self, "carrier_size", carrier_size)
+        object.__setattr__(self, "min_nbhd", min_nbhd)
 
     @property
     def full_mask(self) -> int:

@@ -5,7 +5,7 @@ indices, bounds are found by scanning with scalar ``leq`` queries, and
 families are enumerated exhaustively.  These routes share no code with
 the bitmask implementations they check.  The exceptions are the literal
 all-subsets routes (completeness, complete homs, filter upper/lower
-sets), the per-point convergence definitions, the closed-family
+sets, breadth), the per-point convergence definitions, the closed-family
 continuity check and the triple distributive law, which run the
 package's bound queries, pair tables and open-family materialization
 (themselves gated against the routes above) to check the shortcuts
@@ -18,7 +18,7 @@ import itertools
 from typing import Iterable, Optional
 
 from ordlab.filters import SetFilter, super_filters
-from ordlab.order_core import ElementSet, Poset
+from ordlab.order_core import ElementSet, Poset, iter_bits, mask_of
 from ordlab.topology import FiniteTopology
 
 
@@ -273,6 +273,30 @@ def is_complete_hom_exhaustive(mapping, dom: Poset, cod: Poset) -> bool:
         if sup_d is None or mapping[sup_d] != cod.supremum_mask(image):
             return False
     return True
+
+
+def has_breadth_at_most_literal(p: Poset, n: int) -> bool:
+    """Literal breadth definition: every nonempty subset has at most n
+    members with the same infimum."""
+    for subset in range(1, p.full_mask + 1):
+        if subset.bit_count() <= n:
+            continue
+        target = p.infimum_mask(subset)
+        members = list(iter_bits(subset))
+        if not any(
+            p.infimum_mask(mask_of(combo)) == target
+            for size in range(1, n + 1)
+            for combo in itertools.combinations(members, size)
+        ):
+            return False
+    return True
+
+
+def breadth_literal(p: Poset) -> int:
+    n = 1
+    while not has_breadth_at_most_literal(p, n):
+        n += 1
+    return n
 
 
 def filter_upper_definitional(f: SetFilter) -> ElementSet:

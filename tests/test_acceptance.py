@@ -45,7 +45,7 @@ from ordlab import (
     upper_iff_downset,
     upper_topology,
 )
-from ordlab.breadth import METHOD_EXHAUSTIVE, METHOD_REDUCTION, has_breadth_at_most, is_irredundant
+from ordlab.breadth import has_breadth_at_most, is_irredundant
 from ordlab.catalog import (
     all_lattices,
     all_posets,
@@ -67,6 +67,7 @@ from oracles import (
     all_filter_families,
     filter_lower_definitional,
     filter_upper_definitional,
+    has_breadth_at_most_literal,
     is_complete_hom_exhaustive,
     mask_from,
     members_of,
@@ -249,9 +250,7 @@ def test_criterion_9c_gate_breadth_reduction():
     ok = len(reps) == 25
     for lattice in reps:
         for n in range(1, lattice.n + 1):
-            full = has_breadth_at_most(lattice, n, method=METHOD_EXHAUSTIVE)
-            reduced = has_breadth_at_most(lattice, n, method=METHOD_REDUCTION)
-            ok = ok and full.holds == reduced.holds
+            ok = ok and has_breadth_at_most(lattice, n).holds == has_breadth_at_most_literal(lattice, n)
     report("9c", f"breadth size-bound reduction agrees with the definition on {len(reps)} lattice classes (<= 6)", ok)
 
 
@@ -299,21 +298,22 @@ def test_criterion_9e_gate_continuity_from_neighbourhood_tables():
 def test_criterion_9f_gate_one_limit_per_filter():
     pool = all_posets_up_to(4) + [p for _, p in library_lattices(8)]
     ok = True
-    filters_checked = 0
+    filters_checked = singletons = 0
     for p in pool:
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
             filters_checked += 1
+            singletons += not gen & (gen - 1)
             limit = order_limit(f)
             star = star_limit_mask(f)
             for x in range(p.n):
                 ok = ok and (limit == x) == naive_order_converges(f, x)
                 ok = ok and bool((star >> x) & 1) == naive_star_converges(f, x)
-    ok = ok and filters_checked == 4785
+    ok = ok and (filters_checked, singletons) == (4785, 1029)
     report(
         "9f",
         f"order limit and star-limit mask equal the per-point definitions on {filters_checked} filters "
-        "(posets <= 4, library lattices <= 8)",
+        f"({singletons} point filters; posets <= 4, library lattices <= 8)",
         ok,
     )
 

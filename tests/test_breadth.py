@@ -14,12 +14,11 @@ from ordlab import (
     n5,
     build_poset,
 )
-from ordlab.breadth import METHOD_EXHAUSTIVE, METHOD_REDUCTION
 from ordlab.catalog import all_lattices, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
 from ordlab.limits import Limits
 
-from oracles import naive_breadth, naive_has_breadth_at_most
+from oracles import breadth_literal, has_breadth_at_most_literal, naive_breadth, naive_has_breadth_at_most
 
 
 class TestHasBreadthAtMost:
@@ -40,9 +39,7 @@ class TestHasBreadthAtMost:
     def test_methods_agree_small(self):
         for _, p in library_lattices(6):
             for n in range(1, p.n + 1):
-                full = has_breadth_at_most(p, n, method=METHOD_EXHAUSTIVE)
-                reduced = has_breadth_at_most(p, n, method=METHOD_REDUCTION)
-                assert full.holds == reduced.holds
+                assert has_breadth_at_most(p, n).holds == has_breadth_at_most_literal(p, n)
 
     def test_monotone_in_the_bound(self):
         for _, p in library_lattices(6):
@@ -98,9 +95,7 @@ class TestComputeBreadth:
     def test_methods_agree_on_representatives(self):
         reps = iso_representatives([l for n in range(1, 6) for l in all_lattices(n)])
         for p in reps:
-            a = compute_breadth(p, method=METHOD_EXHAUSTIVE)
-            b = compute_breadth(p, method=METHOD_REDUCTION)
-            assert a.breadth == b.breadth
+            assert compute_breadth(p).breadth == breadth_literal(p)
 
     def test_witness_is_reverified(self):
         for _, p in library_lattices(6):
