@@ -19,7 +19,7 @@ import itertools
 from typing import NamedTuple, Optional
 
 from .limits import Limits, check_subset_elements
-from .order_core import ElementSet, Poset, iter_bits, mask_of
+from .order_core import ElementSet, Poset, mask_of
 
 
 class BreadthCheck(NamedTuple):
@@ -74,19 +74,6 @@ def is_irredundant(lattice: Poset, subset: ElementSet | int) -> bool:
     return True
 
 
-def _minimal_same_inf_subset(lattice: Poset, subset: int) -> int:
-    """Smallest subset of ``subset`` with the same infimum; it is
-    irredundant because nothing smaller achieves the infimum."""
-    target = lattice.infimum_mask(subset)
-    members = list(iter_bits(subset))
-    for size in range(0, len(members) + 1):
-        for combo in itertools.combinations(members, size):
-            mask = mask_of(combo)
-            if lattice.infimum_mask(mask) == target:
-                return mask
-    return subset
-
-
 def compute_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthReport:
     """Least n with breadth <= n, plus an irredundant witness of that size.
 
@@ -104,7 +91,9 @@ def compute_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthR
         last_violation = violation
         n += 1
     if last_violation is not None:
-        witness_mask = _minimal_same_inf_subset(lattice, last_violation.mask)
+        # no single drop keeps the violation's infimum, so no proper
+        # subset does either: every set between the two would share it
+        witness_mask = last_violation.mask
     elif lattice.n >= 2:
         witness_mask = 1 << lattice.bottom
     else:

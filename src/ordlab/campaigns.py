@@ -5,12 +5,20 @@ library (chains, bounded antichains, n-bit vector lattices, M3, N5,
 products) plus optional seeded random instances.  Campaigns are expected
 to pass; a counterexample signals an implementation bug and is surfaced
 loudly with a re-checkable witness.
+
+One table, :data:`CAMPAIGNS`, describes every campaign and one loop,
+:func:`run_campaign`, runs it.  The sources and checks look their
+library functions up through the module at call time, so replacing a
+module attribute (a test double, a tracing wrapper) reaches every
+campaign.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from random import Random
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import breadth as breadth_mod
 from . import filters as filters_mod
@@ -26,30 +34,9 @@ from .catalog import (
     random_poset,
     two,
 )
+from .errors import MalformedInputError
 from .limits import Limits
 from .order_core import ElementSet, Poset, Record, boolean_power, poset_to_dict, product
-
-CAMPAIGN_NAMES = (
-    "breadth-2n",
-    "fact-1-1",
-    "hausdorff",
-    "lemma-2",
-    "lemma-3",
-    "product-lemma",
-    "prop-2-1",
-    "star-preservation",
-)
-
-DEFAULT_SIZE_LIMITS = {
-    "breadth-2n": 16,
-    "fact-1-1": 5,
-    "hausdorff": 8,
-    "lemma-2": 5,
-    "lemma-3": 4,
-    "product-lemma": 64,
-    "prop-2-1": 6,
-    "star-preservation": 5,
-}
 
 
 class CampaignSpec(Record):
@@ -91,24 +78,20 @@ class CampaignResult(NamedTuple):
         }
 
 
-def _random_posets(spec: CampaignSpec, max_size: int) -> list[Poset]:
+def _random_posets(spec: CampaignSpec) -> list[Poset]:
     rng = Random(spec.seed)
-    hi = max(2, min(spec.size_limit, max_size))
+    hi = max(2, spec.size_limit)
     return [random_poset(rng.randint(2, hi), rng) for _ in range(spec.trials)]
 
 
-def _random_lattices(spec: CampaignSpec, max_size: int) -> list[Poset]:
-    hi = max(2, min(spec.size_limit, max_size))
-    out = []
-    for i in range(spec.trials):
-        size = 2 + (spec.seed + i) % (hi - 1) if hi > 2 else 2
-        out.append(random_lattice(size, spec.seed + i))
-    return out
+def _random_lattices(spec: CampaignSpec) -> list[Poset]:
+    span = max(1, spec.size_limit - 1)
+    return [random_lattice(2 + (spec.seed + i) % span, spec.seed + i) for i in range(spec.trials)]
 
 
 def _lattice_pool(spec: CampaignSpec) -> list[Poset]:
     pool = [p for _, p in library_lattices(spec.size_limit)]
-    pool.extend(_random_lattices(spec, spec.size_limit))
+    pool.extend(_random_lattices(spec))
     return pool
 
 
@@ -118,188 +101,197 @@ def _poset_witness(p: Poset, **extra) -> dict:
     return doc
 
 
-def _run_breadth_2n(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    checked = 0
-    n = 1
-    while (1 << n) <= spec.size_limit and n <= 4:
-        lattice = boolean_power(n, limits)
-        report = breadth_mod.compute_breadth(lattice, limits=limits)
-        checked += 1
-        family = breadth_mod.coatom_family(n)
-        family_set = ElementSet.from_indices(lattice, family)
-        ok = (
-            report.breadth == n
-            and breadth_mod.is_irredundant(lattice, report.witness)
-            and breadth_mod.is_irredundant(lattice, family_set)
-            and lattice.infimum(family_set) == lattice.bottom
-        )
-        if not ok:
-            return checked, _poset_witness(
-                lattice,
-                check="breadth",
-                expected=n,
-                computed=report.breadth,
-                witness=list(report.witness.member_labels),
-            )
-        n += 1
-    return checked, None
+# -- instance sources: (spec, limits) -> instances ---------------------------
 
 
-def _run_fact_1_1(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    pool = all_posets_up_to(min(spec.size_limit, 5))
-    pool.extend(_random_posets(spec, 8))
-    checked = 0
-    for p in pool:
-        upper_bounds = p.upper_bounds_table(limits)
-        for gen in range(1, p.full_mask + 1):
-            f = filters_mod.SetFilter(p, gen)
-            for x in range(p.n):
-                checked += 1
-                if not filters_mod.upper_iff_downset(f, x, upper_bounds):
-                    return checked, _poset_witness(
-                        p,
-                        check="upper-iff-downset",
-                        generator=list(ElementSet(p, gen).member_labels),
-                        point=p.labels[x],
-                    )
-    return checked, None
-
-
-def _run_hausdorff(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    cap = min(spec.size_limit, 8)
-    pool = [p for _, p in library_posets(cap)]
-    pool.extend(_random_posets(spec, cap))
-    checked = 0
-    for p in pool:
-        t = topo.interval_topology(p)
-        checked += 1
-        if not (topo.is_discrete(t) and topo.is_hausdorff(t)):
-            return checked, _poset_witness(p, check="interval-topology-discrete")
-    return checked, None
+def _complete_homs(spec: CampaignSpec, limits: Limits | None, with_topologies: bool = False):
+    """``(hom, t_dom, t_cod)`` for every complete hom between two pool
+    lattices; the interval topologies of its ends are built once per
+    lattice when asked for, else None."""
+    pool = _lattice_pool(spec)
+    tops = [topo.interval_topology(p) if with_topologies else None for p in pool]
+    for dom, t_dom in zip(pool, tops):
+        for cod, t_cod in zip(pool, tops):
+            for hom in morph.enumerate_homs(dom, cod, morph.Classification.COMPLETE_HOM, limits):
+                yield hom, t_dom, t_cod
 
 
 _PRODUCT_FACTORS: tuple[Callable[[], Poset], ...] = (two, lambda: chain(3), lambda: boolean_power(2), m3)
 
 
-def _run_product_lemma(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    import itertools
-
-    factories = list(_PRODUCT_FACTORS)
-    checked = 0
+def _product_factors(spec: CampaignSpec, limits: Limits | None):
     for arity in (2, 3):
-        for combo in itertools.combinations_with_replacement(range(len(factories)), arity):
-            factors = [factories[i]() for i in combo]
-            size = 1
-            for f in factors:
-                size *= f.n
-            if size > spec.size_limit:
-                continue
-            prod = product(factors, limits)
-            lhs = topo.interval_topology(prod)
-            rhs = topo.product_topology([topo.interval_topology(f) for f in factors], limits)
-            checked += 1
-            if not topo.topologies_equal(lhs, rhs):
-                return checked, _poset_witness(prod, check="interval-vs-product-topology")
-    return checked, None
+        for combo in itertools.combinations_with_replacement(range(len(_PRODUCT_FACTORS)), arity):
+            factors = [_PRODUCT_FACTORS[i]() for i in combo]
+            if math.prod(f.n for f in factors) <= spec.size_limit:
+                yield factors
 
 
-def _run_prop_2_1(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    pool = _lattice_pool(spec)
-    checked = 0
-    for dom in pool:
-        t_dom = topo.interval_topology(dom)
-        for cod in pool:
-            t_cod = topo.interval_topology(cod)
-            for hom in morph.enumerate_homs(dom, cod, morph.Classification.COMPLETE_HOM, limits):
-                checked += 1
-                scan = morph.preimage_scan(hom)
-                principal = morph.preimage_scan(hom, principal_only=True)
-                continuous = morph.is_continuous(hom, t_dom, t_cod, limits)
-                if not (scan.all_interval_or_empty and principal.all_interval_or_empty and continuous):
-                    return checked, {
-                        "check": "preimage-intervals-and-continuity",
-                        "hom": morph.hom_to_dict(hom),
-                        "failure_interval": scan.failure_interval or principal.failure_interval,
-                    }
-    return checked, None
-
-
-def _run_lemma_2(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    return _run_hom_filter_check(spec, limits, morph.check_image_convergence, "image-order-convergence")
-
-
-def _run_star_preservation(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    return _run_hom_filter_check(spec, limits, morph.check_star_preservation, "image-star-convergence")
-
-
-def _run_hom_filter_check(
-    spec: CampaignSpec, limits: Limits | None, check, check_name: str
-) -> tuple[int, Optional[dict]]:
-    pool = _lattice_pool(spec)
-    pointlike: dict[int, bool] = {}
-    checked = 0
-    for i, dom in enumerate(pool):
-        if i not in pointlike:
-            pointlike[i] = filters_mod.order_convergence_is_pointlike(dom)
-        for cod in pool:
-            for hom in morph.enumerate_homs(dom, cod, morph.Classification.COMPLETE_HOM, limits):
-                checked += 1
-                report = check(hom, singleton_only=pointlike[i])
-                if not report.passed:
-                    return checked, {
-                        "check": check_name,
-                        "hom": morph.hom_to_dict(hom),
-                        "witness": report.witness,
-                    }
-    return checked, None
-
-
-def _run_lemma_3(spec: CampaignSpec, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    import itertools
-
-    cap = min(spec.size_limit, 4)
-    carriers = [chain(k) for k in range(1, cap + 1)]
-    carriers.extend(_random_posets(spec, cap))
-    checked = 0
+def _maps_between_carriers(spec: CampaignSpec, limits: Limits | None):
+    carriers = [chain(k) for k in range(1, spec.size_limit + 1)]
+    carriers.extend(_random_posets(spec))
     for dom in carriers:
         for cod in carriers:
             for mapping in itertools.product(range(cod.n), repeat=dom.n):
-                images = morph.image_table(mapping, limits)
-                for gen_coarse in range(1, dom.full_mask + 1):
-                    coarse = filters_mod.SetFilter(dom, gen_coarse)
-                    gen_fine = gen_coarse
-                    while gen_fine:
-                        fine = filters_mod.SetFilter(dom, gen_fine)
-                        checked += 1
-                        if not morph.check_image_filter_inclusion(mapping, coarse, fine, images):
-                            return checked, {
-                                "check": "image-filter-inclusion",
-                                "domain": poset_to_dict(dom),
-                                "codomain": poset_to_dict(cod),
-                                "map": list(mapping),
-                                "coarse_generator": list(ElementSet(dom, gen_coarse).member_labels),
-                                "fine_generator": list(ElementSet(dom, gen_fine).member_labels),
-                            }
-                        gen_fine = (gen_fine - 1) & gen_coarse
+                yield dom, cod, mapping
+
+
+# -- checks: (instance, limits) -> (checks run, witness or None) -------------
+
+
+def _check_breadth_2n(n: int, limits: Limits | None) -> tuple[int, Optional[dict]]:
+    lattice = boolean_power(n, limits)
+    report = breadth_mod.compute_breadth(lattice, limits=limits)
+    family_set = ElementSet.from_indices(lattice, breadth_mod.coatom_family(n))
+    if (
+        report.breadth == n
+        and breadth_mod.is_irredundant(lattice, report.witness)
+        and breadth_mod.is_irredundant(lattice, family_set)
+        and lattice.infimum(family_set) == lattice.bottom
+    ):
+        return 1, None
+    return 1, _poset_witness(
+        lattice,
+        check="breadth",
+        expected=n,
+        computed=report.breadth,
+        witness=list(report.witness.member_labels),
+    )
+
+
+def _check_fact_1_1(p: Poset, limits: Limits | None) -> tuple[int, Optional[dict]]:
+    upper_bounds = p.upper_bounds_table(limits)
+    checked = 0
+    for gen in range(1, p.full_mask + 1):
+        f = filters_mod.SetFilter(p, gen)
+        for x in range(p.n):
+            checked += 1
+            if not filters_mod.upper_iff_downset(f, x, upper_bounds):
+                return checked, _poset_witness(
+                    p,
+                    check="upper-iff-downset",
+                    generator=list(ElementSet(p, gen).member_labels),
+                    point=p.labels[x],
+                )
     return checked, None
 
 
-_RUNNERS = {
-    "breadth-2n": _run_breadth_2n,
-    "fact-1-1": _run_fact_1_1,
-    "hausdorff": _run_hausdorff,
-    "lemma-2": _run_lemma_2,
-    "lemma-3": _run_lemma_3,
-    "product-lemma": _run_product_lemma,
-    "prop-2-1": _run_prop_2_1,
-    "star-preservation": _run_star_preservation,
+def _check_hausdorff(p: Poset, limits: Limits | None) -> tuple[int, Optional[dict]]:
+    t = topo.interval_topology(p)
+    if topo.is_discrete(t) and topo.is_hausdorff(t):
+        return 1, None
+    return 1, _poset_witness(p, check="interval-topology-discrete")
+
+
+def _check_product_lemma(factors: list[Poset], limits: Limits | None) -> tuple[int, Optional[dict]]:
+    prod = product(factors, limits)
+    lhs = topo.interval_topology(prod)
+    rhs = topo.product_topology([topo.interval_topology(f) for f in factors], limits)
+    if topo.topologies_equal(lhs, rhs):
+        return 1, None
+    return 1, _poset_witness(prod, check="interval-vs-product-topology")
+
+
+def _check_prop_2_1(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+    hom, t_dom, t_cod = instance
+    scan = morph.preimage_scan(hom)
+    principal = morph.preimage_scan(hom, principal_only=True)
+    continuous = morph.is_continuous(hom, t_dom, t_cod, limits)
+    if scan.all_interval_or_empty and principal.all_interval_or_empty and continuous:
+        return 1, None
+    return 1, {
+        "check": "preimage-intervals-and-continuity",
+        "hom": morph.hom_to_dict(hom),
+        "failure_interval": scan.failure_interval or principal.failure_interval,
+    }
+
+
+def _limits_preserved(report, check: str, hom) -> tuple[int, Optional[dict]]:
+    # The reports sweep point filters only: on a finite lattice exactly
+    # those converge, for order and star limits alike (acceptance gate 7).
+    if report.passed:
+        return 1, None
+    return 1, {"check": check, "hom": morph.hom_to_dict(hom), "witness": report.witness}
+
+
+def _check_lemma_2(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+    hom = instance[0]
+    report = morph.check_image_convergence(hom, singleton_only=True)
+    return _limits_preserved(report, "image-order-convergence", hom)
+
+
+def _check_star_preservation(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+    hom = instance[0]
+    report = morph.check_star_preservation(hom, singleton_only=True)
+    return _limits_preserved(report, "image-star-convergence", hom)
+
+
+def _check_lemma_3(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+    dom, cod, mapping = instance
+    images = morph.image_table(mapping, limits)
+    checked = 0
+    for gen_coarse in range(1, dom.full_mask + 1):
+        coarse = filters_mod.SetFilter(dom, gen_coarse)
+        gen_fine = gen_coarse
+        while gen_fine:
+            fine = filters_mod.SetFilter(dom, gen_fine)
+            checked += 1
+            if not morph.check_image_filter_inclusion(mapping, coarse, fine, images):
+                return checked, {
+                    "check": "image-filter-inclusion",
+                    "domain": poset_to_dict(dom),
+                    "codomain": poset_to_dict(cod),
+                    "map": list(mapping),
+                    "coarse_generator": list(ElementSet(dom, gen_coarse).member_labels),
+                    "fine_generator": list(ElementSet(dom, gen_fine).member_labels),
+                }
+            gen_fine = (gen_fine - 1) & gen_coarse
+    return checked, None
+
+
+class Campaign(NamedTuple):
+    default_limit: int
+    cap: Optional[int]  # largest accepted size limit; None: only the resource guards apply
+    instances: Callable[[CampaignSpec, Optional[Limits]], Iterable]
+    check: Callable[[object, Optional[Limits]], tuple[int, Optional[dict]]]
+
+
+CAMPAIGNS = {
+    # the exponents n with 2^n <= the limit
+    "breadth-2n": Campaign(
+        16, 16, lambda spec, limits: range(1, spec.size_limit.bit_length()), _check_breadth_2n
+    ),
+    "fact-1-1": Campaign(
+        5, 5, lambda spec, limits: all_posets_up_to(spec.size_limit) + _random_posets(spec), _check_fact_1_1
+    ),
+    "hausdorff": Campaign(
+        8, 64, lambda spec, limits: [p for _, p in library_posets(spec.size_limit)] + _random_posets(spec),
+        _check_hausdorff,
+    ),
+    "lemma-2": Campaign(5, None, _complete_homs, _check_lemma_2),
+    "lemma-3": Campaign(4, 5, _maps_between_carriers, _check_lemma_3),
+    "product-lemma": Campaign(64, 64, _product_factors, _check_product_lemma),
+    "prop-2-1": Campaign(6, None, lambda spec, limits: _complete_homs(spec, limits, True), _check_prop_2_1),
+    "star-preservation": Campaign(5, None, _complete_homs, _check_star_preservation),
 }
+
+CAMPAIGN_NAMES = tuple(CAMPAIGNS)
 
 
 def run_campaign(spec: CampaignSpec, limits: Limits | None = None) -> CampaignResult:
-    """Run the named campaign; pass or first counterexample with witness."""
-    runner = _RUNNERS[spec.name]
-    checked, witness = runner(spec, limits)
-    if witness is None:
-        return CampaignResult(spec, checked, "pass", None)
-    return CampaignResult(spec, checked, "counterexample", witness)
+    """Run the named campaign; pass or first counterexample with witness.
+
+    A size limit above the campaign's cap is rejected, never clamped.
+    """
+    campaign = CAMPAIGNS[spec.name]
+    if campaign.cap is not None and spec.size_limit > campaign.cap:
+        raise MalformedInputError(
+            f"campaign {spec.name}: size limit {spec.size_limit} is above its cap {campaign.cap}"
+        )
+    checked = 0
+    for instance in campaign.instances(spec, limits):
+        runs, witness = campaign.check(instance, limits)
+        checked += runs
+        if witness is not None:
+            return CampaignResult(spec, checked, "counterexample", witness)
+    return CampaignResult(spec, checked, "pass", None)

@@ -20,7 +20,7 @@ from . import breadth as breadth_mod
 from . import filters as filters_mod
 from . import morphisms as morph
 from . import topology as topo
-from .campaigns import CAMPAIGN_NAMES, DEFAULT_SIZE_LIMITS, CampaignSpec, run_campaign
+from .campaigns import CAMPAIGN_NAMES, CAMPAIGNS, CampaignSpec, run_campaign
 from .catalog import named_poset, poset_names
 from .errors import LimitExceededError, MalformedInputError
 from .limits import default_limits
@@ -206,7 +206,7 @@ def _cmd_campaign(args) -> int:
         raise MalformedInputError("--trials must be nonnegative")
     spec = CampaignSpec(
         name=args.name,
-        size_limit=args.limit if args.limit is not None else DEFAULT_SIZE_LIMITS[args.name],
+        size_limit=args.limit if args.limit is not None else CAMPAIGNS[args.name].default_limit,
         trials=args.trials,
         seed=args.seed,
     )
@@ -263,7 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_campaign = sub.add_parser("campaign", help="run a verification campaign")
     p_campaign.add_argument("name", choices=CAMPAIGN_NAMES)
-    p_campaign.add_argument("--limit", type=int, default=None)
+    p_campaign.add_argument(
+        "--limit",
+        type=int,
+        default=None,
+        help="instance size limit; the default and the largest accepted value (the cap) are per campaign",
+    )
     p_campaign.add_argument("--trials", type=int, default=0)
     p_campaign.add_argument("--seed", type=int, default=0)
     p_campaign.set_defaults(func=_cmd_campaign)

@@ -357,9 +357,11 @@ def _limit_sweep(
     points F converges to, verify that f(x) is in ``limits_of`` of the
     image filter; one check per (F, x).
 
-    ``singleton_only`` restricts the sweep to point-generated filters;
-    callers enable it after confirming, for the domain at hand, that
-    order-convergent filters are exactly the point-generated ones.
+    ``singleton_only`` restricts the sweep to point-generated filters.
+    On a finite lattice those are exactly the convergent filters (∧G <=
+    g <= ∨G for g in G, and the upper and lower bounds of G meet and
+    join to ∨G and ∧G), so the campaigns always enable it; acceptance
+    gate 7 asserts the law on the lattices of their pools.
     """
     if h.classification != Classification.COMPLETE_HOM:
         raise ValueError(f"{what} check needs a complete homomorphism")

@@ -46,6 +46,7 @@ from ordlab import (
     upper_topology,
 )
 from ordlab.breadth import has_breadth_at_most, is_irredundant
+from ordlab.campaigns import CAMPAIGNS, CampaignSpec, _lattice_pool
 from ordlab.catalog import (
     all_lattices,
     all_posets,
@@ -182,6 +183,20 @@ def test_criterion_7_convergence_preserved_by_complete_homs():
     pool = [p for _, p in library_lattices(5)]
     ok = True
     homs = 0
+    # the hom campaigns sweep point filters only, by the degeneracy law:
+    # assert it for order and star limits on every lattice of their
+    # pools, at the default limits and at --trials 10, on seeds 0 and 7
+    pooled = 0
+    for name in ("lemma-2", "prop-2-1", "star-preservation"):
+        for trials in (0, 10):
+            for seed in (0, 7):
+                spec = CampaignSpec(name, CAMPAIGNS[name].default_limit, trials, seed)
+                for p in _lattice_pool(spec):
+                    pooled += 1
+                    ok = ok and order_convergence_is_pointlike(p)
+                    for gen in range(1, p.full_mask + 1):
+                        point = gen if not gen & (gen - 1) else 0
+                        ok = ok and star_limit_mask(SetFilter(p, gen)) == point
     # the degeneracy law, asserted exhaustively on the same instance family
     for p in pool:
         ok = ok and order_convergence_is_pointlike(p)
@@ -196,7 +211,12 @@ def test_criterion_7_convergence_preserved_by_complete_homs():
                 homs += 1
                 ok = ok and check_image_convergence(hom).passed
                 ok = ok and check_star_preservation(hom).passed
-    report(7, f"order and star convergence preserved by {homs} complete homs", ok)
+    report(
+        7,
+        f"order and star convergence preserved by {homs} complete homs; "
+        f"convergence pointlike on {pooled} hom-campaign pool lattices",
+        ok,
+    )
 
 
 def test_criterion_8_image_filters_respect_inclusion():
