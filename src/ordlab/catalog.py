@@ -86,15 +86,6 @@ _NAMED = {
 }
 
 
-def collapse_to_two():
-    """Stored order-preserving non-homomorphism: the 2-bit vector lattice
-    onto the chain 2, bottom to 0 and the other three elements to 1.  Its
-    preimage of [1, 1] is not an interval."""
-    from .morphisms import classify
-
-    return classify([0, 1, 1, 1], boolean_power(2), two())
-
-
 def named_poset(name: str) -> Poset:
     try:
         factory = _NAMED[name]

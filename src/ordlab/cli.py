@@ -269,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="instance size limit; the default and the largest accepted value (the cap) are per campaign",
     )
-    p_campaign.add_argument("--trials", type=int, default=0)
+    p_campaign.add_argument(
+        "--trials", type=int, default=0, help="seeded random instances, drawn from --seed (breadth-2n and "
+        "product-lemma draw none and only echo --trials and --seed)"
+    )
     p_campaign.add_argument("--seed", type=int, default=0)
     p_campaign.set_defaults(func=_cmd_campaign)
 

@@ -191,19 +191,29 @@ def star_converges(f: SetFilter, x: int, *, literal_tail: bool = False) -> bool:
 
 
 def upper_iff_downset(f: SetFilter, x: int, upper_bounds: Optional[Sequence[int]] = None) -> bool:
-    """Check the equivalence: x bounds the filter from above iff the
-    principal down-set of x is a member.  Returns whether the two sides
-    agree (they always should).
-
-    The upper side is read from ``upper_bounds``, the poset's
-    :meth:`~ordlab.order_core.Poset.upper_bounds_table`; a sweep over
-    many filters of one poset builds it once and passes it.  Without it
-    the table is built for this call (under the subset cap).
-    """
+    """Whether the two sides of Fact 1.1 agree (they always should): x
+    bounds f from above iff the down-set of x is a member of f.  The upper
+    side is read from ``upper_bounds``, the poset's ``upper_bounds_table()``,
+    built for this call (under the subset cap) when not given."""
     p, gen = f.parent, f.generator
     if upper_bounds is None:
         upper_bounds = p.upper_bounds_table()
     return bool((upper_bounds[gen] >> x) & 1) == (p.down[x] & gen == gen)
+
+
+def downset_member_table(p: Poset, limits: Limits | None = None) -> list[int]:
+    """``table[m]`` is the set of points x whose down-set is a member of
+    the filter generated by m, scattered from the subsets of each
+    ``down[x]``: ``table == p.upper_bounds_table()`` is Fact 1.1 at once."""
+    check_subset_elements(p.n, limits, "down-set member table")
+    table = [0] * (p.full_mask + 1)
+    table[0] = p.full_mask  # the empty set lies in every down-set
+    for x, row in enumerate(p.down):
+        bit, sub = 1 << x, row
+        while sub:
+            table[sub] |= bit
+            sub = (sub - 1) & row
+    return table
 
 
 def convergence_points(f: SetFilter) -> list[int]:

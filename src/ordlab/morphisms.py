@@ -410,10 +410,8 @@ def check_image_filter_inclusion(
     """Given nested filters (fine contains coarse), verify the image of
     the fine one contains the image of the coarse one.
 
-    The images are read from ``images``, the map's :func:`image_table`;
-    a sweep over many filter pairs of one map builds it once and passes
-    it.  Without it the table is built for this call (under the subset
-    cap).
+    The images are read from ``images``, the map's :func:`image_table`,
+    when given; else the table is built for this call (under the subset cap).
     """
     fine_gen, coarse_gen = fine.generator, coarse.generator
     if fine_gen & ~coarse_gen:

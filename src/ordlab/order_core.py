@@ -151,10 +151,6 @@ class Poset:
         """Principal down-set of ``x``: everything below-or-equal to it."""
         return ElementSet(self, self.down[x])
 
-    def up_set(self, x: int) -> "ElementSet":
-        """Principal up-set of ``x``: everything above-or-equal to it."""
-        return ElementSet(self, self.up[x])
-
     def is_down_set(self, subset: "ElementSet | int") -> bool:
         """True iff the subset is closed under going down."""
         mask = _mask_arg(self, subset)

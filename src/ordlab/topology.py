@@ -51,9 +51,6 @@ class FiniteTopology(Record):
     def is_open(self, mask: int) -> bool:
         return all(not self.min_nbhd[p] & ~mask for p in iter_bits(mask))
 
-    def is_closed(self, mask: int) -> bool:
-        return self.is_open(self.full_mask & ~mask)
-
     def opens(self, limits: Limits | None = None) -> tuple[int, ...]:
         """Materialize the whole open family (small carriers only)."""
         check_subset_elements(self.carrier_size, limits, "open-family materialization")

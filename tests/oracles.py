@@ -17,8 +17,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-from ordlab.filters import SetFilter, super_filters
-from ordlab.order_core import ElementSet, Poset, iter_bits, mask_of
+from ordlab.catalog import two
+from ordlab.filters import SetFilter, super_filters, upper_iff_downset
+from ordlab.morphisms import check_image_filter_inclusion, classify
+from ordlab.order_core import ElementSet, Poset, boolean_power, iter_bits, mask_of
 from ordlab.topology import FiniteTopology
 
 
@@ -243,7 +245,7 @@ def naive_is_continuous(mapping: tuple[int, ...], t_dom: FiniteTopology, t_cod: 
         for i, v in enumerate(mapping):
             if (closed >> v) & 1:
                 pre |= 1 << i
-        if not t_dom.is_closed(pre):
+        if not t_dom.is_open(t_dom.full_mask & ~pre):
             return False
     return True
 
@@ -378,3 +380,38 @@ def naive_is_distributive(p: Poset) -> bool:
         for y in range(p.n)
         for z in range(p.n)
     )
+
+
+def collapse_to_two():
+    """Stored order-preserving non-homomorphism: the 2-bit vector lattice
+    onto the chain 2, bottom to 0 and the other three elements to 1.  Its
+    preimage of [1, 1] is not an interval."""
+    return classify([0, 1, 1, 1], boolean_power(2), two())
+
+
+def per_pair_fact_1_1(p: Poset, upper_bounds: list[int]) -> tuple[int, Optional[tuple[int, int]]]:
+    """Fact 1.1 one (generator, point) pair at a time, generator-major:
+    the pairs checked and the first failing ``(generator, point)``."""
+    checked = 0
+    for gen in range(1, p.full_mask + 1):
+        f = SetFilter(p, gen)
+        for x in range(p.n):
+            checked += 1
+            if not upper_iff_downset(f, x, upper_bounds):
+                return checked, (gen, x)
+    return checked, None
+
+
+def per_pair_lemma_3(dom: Poset, mapping, images: list[int]) -> tuple[int, Optional[tuple[int, int]]]:
+    """Lemma 3 one nested filter pair at a time, each coarse generator with
+    its subsets in decreasing order: the pairs checked and the first
+    failing ``(coarse, fine)``."""
+    checked = 0
+    for coarse in range(1, dom.full_mask + 1):
+        fine = coarse
+        while fine:
+            checked += 1
+            if not check_image_filter_inclusion(mapping, SetFilter(dom, coarse), SetFilter(dom, fine), images):
+                return checked, (coarse, fine)
+            fine = (fine - 1) & coarse
+    return checked, None

@@ -8,7 +8,7 @@ complete-homomorphism test, continuity read off neighbourhood tables,
 the one-pass order and star limits of a filter, the subset tables
 (bounds, closures, images) with the enumerated order rows, and the
 pruned hom search, the preimage scan by lookup and distributivity by
-join-primes.
+join-primes, and the whole-table fact-1-1 and lemma-3 campaign checks.
 """
 
 import itertools
@@ -45,13 +45,14 @@ from ordlab import (
     upper_iff_downset,
     upper_topology,
 )
+from ordlab import filters as filters_mod
+from ordlab import morphisms as morph_mod
 from ordlab.breadth import has_breadth_at_most, is_irredundant
-from ordlab.campaigns import CAMPAIGNS, CampaignSpec, _lattice_pool
+from ordlab.campaigns import CAMPAIGNS, CampaignSpec, _check_fact_1_1, _check_lemma_3, _lattice_pool
 from ordlab.catalog import (
     all_lattices,
     all_posets,
     all_posets_up_to,
-    collapse_to_two,
     iso_representatives,
     library_lattices,
     library_posets,
@@ -62,10 +63,11 @@ from ordlab.catalog import (
 )
 from ordlab.filters import filter_lower, filter_upper, order_convergence_is_pointlike, order_converges
 from ordlab.morphisms import _search, image_table, iter_monotone_maps
-from ordlab.order_core import ElementSet, Poset, certify_lattice
+from ordlab.order_core import ElementSet, Poset, certify_lattice, poset_to_dict
 
 from oracles import (
     all_filter_families,
+    collapse_to_two,
     filter_lower_definitional,
     filter_upper_definitional,
     has_breadth_at_most_literal,
@@ -81,6 +83,8 @@ from oracles import (
     naive_star_converges,
     naive_up_closure,
     naive_upper_bounds,
+    per_pair_fact_1_1,
+    per_pair_lemma_3,
 )
 
 
@@ -449,6 +453,99 @@ def test_criterion_9h_c_gate_join_prime_distributivity():
         "9h(c)",
         f"join-prime distributivity equals the triple law on {len(pool)} lattices "
         f"(all labelled lattices <= 6, 2^6, 2^3x2^3, chain64; {non_distributive} not distributive)",
+        ok,
+    )
+
+
+def _labels(p, mask):
+    return [p.labels[i] for i in range(p.n) if mask >> i & 1]
+
+
+def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
+    """The whole-table fact-1-1 and lemma-3 checks against the per-pair
+    loops, on the real tables and on tables with seeded flipped bits (the
+    same bits flipped in the table the per-pair loop reads), comparing
+    the verdict, the pairs checked and the witness."""
+    rng = Random(909)
+    flips = {"bits": ()}
+
+    def flipping(real):
+        def table(*args, **kwargs):
+            out = real(*args, **kwargs)
+            for entry, bit in flips["bits"]:
+                out[entry] ^= 1 << bit
+            return out
+
+        return table
+
+    monkeypatch.setattr(filters_mod, "downset_member_table", flipping(filters_mod.downset_member_table))
+    monkeypatch.setattr(morph_mod, "image_table", flipping(morph_mod.image_table))
+
+    def spoils(entries, bits, count):
+        """No flips, then ``count`` seeded sets of 1-3 (entry, bit) flips."""
+        return [()] + [
+            [(rng.randrange(1, entries), rng.randrange(bits)) for _ in range(rng.randint(1, 3))]
+            for _ in range(count)
+        ]
+
+    ok = True
+    posets = runs = failing = 0
+    for p in all_posets_up_to(5) + [random_poset(6, rng) for _ in range(30)]:
+        posets += 1
+        for bits in spoils(p.full_mask + 1, p.n, 1):
+            runs += 1
+            upper = p.upper_bounds_table()
+            for gen, x in bits:
+                upper[gen] ^= 1 << x
+            checked, first = per_pair_fact_1_1(p, upper)
+            flips["bits"] = bits
+            witness = None
+            if first is not None:
+                failing += 1
+                gen, x = first
+                witness = {
+                    "poset": poset_to_dict(p),
+                    "check": "upper-iff-downset",
+                    "generator": _labels(p, gen),
+                    "point": p.labels[x],
+                }
+            ok = ok and _check_fact_1_1(p, None) == (checked, witness)
+            flips["bits"] = ()
+    ok = ok and failing > 0
+    maps = map_runs = map_failing = 0
+    for a, b in itertools.product(range(1, 5), repeat=2):
+        dom, cod = chain(a), chain(b)
+        for mapping in itertools.product(range(b), repeat=a):
+            maps += 1
+            # b + 1 bits: a spoiled image may name a point outside the codomain
+            for bits in spoils(1 << a, b + 1, 2):
+                map_runs += 1
+                images = image_table(mapping)
+                for entry, bit in bits:
+                    images[entry] ^= 1 << bit
+                checked, first = per_pair_lemma_3(dom, mapping, images)
+                flips["bits"] = bits
+                witness = None
+                if first is not None:
+                    map_failing += 1
+                    coarse, fine = first
+                    witness = {
+                        "check": "image-filter-inclusion",
+                        "domain": poset_to_dict(dom),
+                        "codomain": poset_to_dict(cod),
+                        "map": list(mapping),
+                        "coarse_generator": _labels(dom, coarse),
+                        "fine_generator": _labels(dom, fine),
+                    }
+                ok = ok and _check_lemma_3((dom, cod, mapping), None) == (checked, witness)
+                flips["bits"] = ()
+    ok = ok and map_failing > 0 and (posets, maps) == (4473 + 30, 494)
+    report(
+        "9j",
+        f"table fact-1-1 equals the per-pair upper_iff_downset loop on {posets} posets (<= 5, 30 of 6; "
+        f"{runs} runs, {failing} on spoiled tables failing), table lemma-3 equals the per-pair "
+        f"check_image_filter_inclusion loop on {maps} maps between carriers <= 4 ({map_runs} runs, "
+        f"{map_failing} failing)",
         ok,
     )
 

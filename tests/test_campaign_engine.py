@@ -3,7 +3,10 @@ counterexample channel of every campaign.
 
 The stdout digests and the forced-counterexample results were recorded
 on the per-campaign runners that the one-table engine replaced, so they
-pin byte-identical behaviour across that rewrite.
+pin byte-identical behaviour across that rewrite.  The fact-1-1 and
+lemma-3 checks compare whole tables, so their rows spoil a table instead
+of one per-pair result; fact-1-1 keeps its pin, lemma-3's is new (see
+its row).
 """
 
 import hashlib
@@ -65,7 +68,7 @@ def test_campaign_stdout_golden(capsys, args, exit_code, digest):
     assert _sha(out) == digest
 
 
-CAPS = {"breadth-2n": 16, "fact-1-1": 5, "hausdorff": 64, "lemma-3": 5, "product-lemma": 64}
+CAPS = {"breadth-2n": 16, "fact-1-1": 6, "hausdorff": 64, "lemma-3": 5, "product-lemma": 64}
 
 
 @pytest.mark.parametrize("name, cap", sorted(CAPS.items()))
@@ -85,6 +88,15 @@ def test_hausdorff_runs_at_its_cap(capsys):
     assert doc["instances_checked"] == 40
 
 
+def test_fact_1_1_runs_at_its_cap(capsys):
+    # every labelled poset on up to 6 points: 669,363 + 49,148,694 pairs
+    code, out, _ = _campaign(capsys, "fact-1-1 --limit 6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["instances_checked"] == 49_818_057
+
+
 def test_hom_campaigns_keep_the_candidate_map_bound(capsys):
     code, out, err = _campaign(capsys, "prop-2-1 --limit 8")
     assert code == 3
@@ -96,6 +108,17 @@ def _spoil_report(report):
     return report._replace(passed=False, witness={"forced": True})
 
 
+def _flip(entry, bit):
+    """Spoil a subset table: toggle one bit of one entry (on a copy)."""
+
+    def spoil(table):
+        table = list(table)
+        table[entry] ^= 1 << bit
+        return table
+
+    return spoil
+
+
 # (campaign, size limit, module, attribute its check calls, failing call,
 #  how that call's result is spoiled, instances checked, witness keys,
 #  sha256 of the witness JSON)
@@ -103,7 +126,10 @@ COUNTEREXAMPLES = [
     ("breadth-2n", 16, breadth_mod, "compute_breadth", 3, lambda r: r._replace(breadth=r.breadth + 1), 3,
      ["check", "computed", "expected", "poset", "witness"],
      "94740543e01169358cf6eb13e4b93c8e85f8fde730335f35a9c18bebe8cf9c0e"),
-    ("fact-1-1", 5, filters_mod, "upper_iff_downset", 1000, lambda r: not r, 1000,
+    # the 1,000th (generator, point) pair is generator 0b1011, point 1 of
+    # the 33rd poset; flipping that bit of its down-set table makes it the
+    # first mismatch
+    ("fact-1-1", 5, filters_mod, "downset_member_table", 33, _flip(0b1011, 1), 1000,
      ["check", "generator", "point", "poset"],
      "6b4d03c55fc1f81308ac302b155811fc1527efd36b189d4aadba4ed173294f41"),
     ("hausdorff", 8, topo, "is_hausdorff", 5, lambda r: False, 5,
@@ -112,9 +138,15 @@ COUNTEREXAMPLES = [
     ("lemma-2", 5, morph, "check_image_convergence", 100, _spoil_report, 100,
      ["check", "hom", "witness"],
      "7eebf7457cfe150563b13d91cd1d9ec98a02fd5ea7b66efd5b1dc5ba63778708"),
-    ("lemma-3", 4, morph, "check_image_filter_inclusion", 5000, lambda r: not r, 5000,
+    # the 208th map, (0, 2, 1, 1), with point 0 dropped from the image of
+    # its whole domain: the first failing pair is (0b1111, 0b1101), the
+    # 4,996th.  No spoiled table keeps the old pin, the pair (0b1111, 0b1001)
+    # at 5,000: the image of 0b1001 must then leave that of 0b1111, and so
+    # the image of 0b1101 either leaves it too, failing at 4,996, or fails
+    # the earlier pair (0b1101, 0b1001).
+    ("lemma-3", 4, morph, "image_table", 208, _flip(0b1111, 0), 4996,
      ["check", "coarse_generator", "codomain", "domain", "fine_generator", "map"],
-     "b8657f8225e0785369c74c6809c496cfde8c9354d2a926d62ab3e6ed7f5286c4"),
+     "d7dfe9c96e099795100f8c4b2097f9d0d85d389a349ebff4392d48397a386ce0"),
     ("product-lemma", 64, topo, "topologies_equal", 7, lambda r: False, 7,
      ["check", "poset"],
      "a37b9849add8fcc99766fddabcc4b72835955417acd8ac30eaa035572c254bb7"),
