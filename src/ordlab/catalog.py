@@ -3,8 +3,9 @@
 The named library covers the structures every campaign iterates over:
 chains, bounded antichains (M_k diamonds), the n-bit vector lattices,
 M3, N5, and a few products.  ``all_posets`` enumerates every labeled
-poset on a small carrier; ``random_poset``/``random_lattice`` produce
-seeded deterministic samples.
+poset on a small carrier and ``all_lattices`` keeps those that pass the
+lattice test on the order rows, without building certificates;
+``random_poset``/``random_lattice`` produce seeded deterministic samples.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from random import Random
 from typing import Iterable, Optional
 
 from .errors import OrdlabError
+from .limits import default_limits
 from .order_core import (
     Poset,
+    _is_lattice,
     are_order_isomorphic,
     boolean_power,
     build_poset,
@@ -138,31 +141,32 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     if n == 1:
         return (Poset._from_rows(labels, (1,), (1,)),)
     out = []
+    make = Poset._from_rows
+    limits = default_limits()
     z_bit = 1 << (n - 1)
     for base in all_posets(n - 1):
-        down_closure = base.down_closure_table()
-        up_closure = base.up_closure_table()
-        upper_bounds = base.upper_bounds_table()
+        down_closure = base.down_closure_table(limits)
+        up_closure = base.up_closure_table(limits)
+        upper_bounds = base.upper_bounds_table(limits)
         down_sets = [m for m, c in enumerate(down_closure) if c == m]
-        up_sets = [m for m, c in enumerate(up_closure) if c == m]
-        # the old elements gain z in their down rows when they lie above z
-        # (in u) and in their up rows when they lie below it (in d)
-        down_rows = {
-            u: tuple(row | z_bit if (u >> i) & 1 else row for i, row in enumerate(base.down))
-            for u in up_sets
-        }
-        fitting: dict[int, list[int]] = {}  # allowed mask -> the up-sets inside it
+        # each up-set u with the down rows it gives: the old elements gain z
+        # in their down rows when they lie above z (in u) and in their up
+        # rows when they lie below it (in d)
+        up_sets = [
+            (u, tuple([r | z_bit if (u >> i) & 1 else r for i, r in enumerate(base.down)]), (u | z_bit,))
+            for u, c in enumerate(up_closure)
+            if c == u
+        ]
+        fitting: dict[int, list[tuple]] = {}  # allowed mask -> the up-sets inside it
         for d in down_sets:
             # everything above the new element must be above all of d
             allowed = upper_bounds[d] & ~d
             ups = fitting.get(allowed)
             if ups is None:
-                ups = fitting[allowed] = [u for u in up_sets if not u & ~allowed]
-            up_rows = tuple(row | z_bit if (d >> i) & 1 else row for i, row in enumerate(base.up))
+                ups = fitting[allowed] = [(rows, z_up) for u, rows, z_up in up_sets if not u & ~allowed]
+            up_rows = tuple([r | z_bit if (d >> i) & 1 else r for i, r in enumerate(base.up)])
             z_down = (d | z_bit,)
-            out.extend(
-                [Poset._from_rows(labels, down_rows[u] + z_down, up_rows + (u | z_bit,)) for u in ups]
-            )
+            out += [make(labels, rows + z_down, up_rows + z_up) for rows, z_up in ups]
     return tuple(out)
 
 
@@ -175,15 +179,11 @@ def all_posets_up_to(n: int) -> list[Poset]:
 
 @lru_cache(maxsize=None)
 def all_lattices(n: int) -> tuple[Poset, ...]:
-    """Every labeled lattice on carrier {0..n-1}."""
-    # A lattice has a bottom and a top.  Reading the rows directly, not the
-    # cached ``bottom``/``top``, keeps an instance dict off the posets
-    # without them (about 95% of them for n = 6).
-    return tuple(
-        p
-        for p in all_posets(n)
-        if p.full_mask in p.up and p.full_mask in p.down and p.certificate.is_lattice
-    )
+    """Every labeled lattice on carrier {0..n-1}: the posets that are
+    bounded and where every pair's upper bounds ``up[i] & up[j]`` are an up
+    row (``order_core._is_lattice``).  No certificate is built or cached;
+    ``certificate`` is computed on first access, as on any poset."""
+    return tuple([p for p in all_posets(n) if _is_lattice(p.down, p.up)])
 
 
 def iso_representatives(posets: Iterable[Poset]) -> list[Poset]:

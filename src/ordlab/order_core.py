@@ -4,7 +4,9 @@ Elements are integer indices ``0..n-1`` carrying distinct display labels.
 The order relation is stored as per-element bitmasks: ``down[i]`` is the
 set of elements below-or-equal to ``i`` and ``up[i]`` the set above it.
 Every subset of the carrier is a plain int bitmask at this level;
-:class:`ElementSet` wraps a mask for the public API.  All values are
+:class:`ElementSet` wraps a mask for the public API.  Lattice-ness is
+read off the rows alone (:func:`_is_lattice`); the full certificate is
+built on first access to ``Poset.certificate``.  All values are
 immutable and all operations are pure, so posets can be shared freely
 across concurrent enumeration campaigns.
 """
@@ -448,14 +450,12 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Pos
     return Poset(labels, down, _validated=True)
 
 
-def _pair_table(
-    rows: Sequence[int], *, stop_at_missing: bool = False
-) -> Optional[tuple[tuple[Optional[int], ...], ...]]:
+def _pair_table(rows: Sequence[int]) -> tuple[tuple[Optional[int], ...], ...]:
     """Meets from the ``down`` rows, joins from the ``up`` rows: the lower
     bounds ``down[i] & down[j]`` of {i, j} have a greatest element k exactly
     when they are the row ``down[k]``, so ``table[i][j]`` is the k with
     ``rows[k] == rows[i] & rows[j]``, or None.  Each unordered pair is looked
-    up once; with ``stop_at_missing`` the first missing bound returns None."""
+    up once."""
     n = len(rows)
     index = {row: k for k, row in enumerate(rows)}
     table = [[None] * n for _ in range(n)]
@@ -463,30 +463,36 @@ def _pair_table(
         out = table[i]
         out[i] = i
         for j in range(i + 1, n):
-            value = index.get(row_i & rows[j])
-            if value is None and stop_at_missing:
-                return None
-            out[j] = table[j][i] = value
+            out[j] = table[j][i] = index.get(row_i & rows[j])
     return tuple(map(tuple, table))
 
 
+def _is_lattice(down: Sequence[int], up: Sequence[int]) -> bool:
+    """Lattice test on the order rows: a finite poset is a lattice when it
+    has a bottom (a full ``up`` row), a top (a full ``down`` row) and a join
+    for every pair, i.e. the upper bounds ``up[i] & up[j]`` are a row
+    ``up[k]``; the meet of x and y is then the join of their lower bounds.
+    Comparable pairs always pass, so testing every pair costs nothing extra."""
+    full = (1 << len(up)) - 1
+    if full not in up or full not in down:
+        return False
+    rows = set(up)
+    for i, row in enumerate(up):
+        for other in up[i + 1:]:
+            if row & other not in rows:
+                return False
+    return True
+
+
 def _certify(p: Poset) -> LatticeCert:
-    # A finite lattice has a bottom and a top.  Conversely, in a bounded
-    # finite poset where every pair has a join, the meet of x and y is the
-    # join of their lower bounds (a nonempty set, as it holds the bottom),
-    # so checking joins suffices; it stops at the first missing one.
-    bottom, top = p.bottom, p.top
-    join = None
-    if bottom is not None and top is not None:
-        join = _pair_table(p.up, stop_at_missing=True)
-    is_lattice = join is not None
+    is_lattice = _is_lattice(p.down, p.up)
     # On a finite carrier a lattice with bottom and top has all infima and
     # suprema; the test suite checks the equivalence against the literal
     # all-subsets definition.
     is_complete = is_lattice
     is_distributive = False
     if is_lattice:
-        p.__dict__["join_table"] = join  # the cached property, already built
+        join = p.join_table
         # A finite lattice is distributive exactly when every
         # join-irreducible j is join-prime: j <= a v b gives j <= a or
         # j <= b (Birkhoff's representation theorem; Davey and Priestley,
@@ -501,11 +507,12 @@ def _certify(p: Poset) -> LatticeCert:
             for a in range(p.n)
             for b in range(a + 1, p.n)
         )
-    return LatticeCert(p, is_lattice, is_complete, is_distributive, bottom, top)
+    return LatticeCert(p, is_lattice, is_complete, is_distributive, p.bottom, p.top)
 
 
 def certify_lattice(p: Poset) -> LatticeCert:
-    """Exhaustively computed lattice certificate (cached per poset)."""
+    """Lattice certificate, computed on first access and cached on the
+    poset; its ``is_lattice`` is :func:`_is_lattice` on the rows."""
     return p.certificate
 
 
@@ -589,20 +596,22 @@ def are_order_isomorphic(a: Poset, b: Poset) -> bool:
     order = sorted(range(a.n), key=lambda i: len(candidates[i]))
     assign: dict[int, int] = {}
     used = [False] * b.n
+    a_down, a_up, b_down, b_up = a.down, a.up, b.down, b.up
 
     def extend(pos: int) -> bool:
         if pos == a.n:
             return True
         i = order[pos]
+        down_i, up_i = a_down[i], a_up[i]
         for j in candidates[i]:
             if used[j]:
                 continue
-            ok = True
+            # i <= i2 iff bit i2 of up[i], i2 <= i iff bit i2 of down[i]
+            down_j, up_j = b_down[j], b_up[j]
             for i2, j2 in assign.items():
-                if a.leq(i, i2) != b.leq(j, j2) or a.leq(i2, i) != b.leq(j2, j):
-                    ok = False
+                if (up_i >> i2 ^ up_j >> j2) & 1 or (down_i >> i2 ^ down_j >> j2) & 1:
                     break
-            if ok:
+            else:
                 assign[i] = j
                 used[j] = True
                 if extend(pos + 1):

@@ -415,3 +415,37 @@ def per_pair_lemma_3(dom: Poset, mapping, images: list[int]) -> tuple[int, Optio
                 return checked, (coarse, fine)
             fine = (fine - 1) & coarse
     return checked, None
+
+
+def is_lattice_literal(p: Poset) -> bool:
+    """Every pair of elements has a supremum and an infimum: a least
+    element among its upper bounds and a greatest among its lower bounds,
+    found by scanning a table of scalar ``leq`` queries."""
+    elems = range(p.n)
+    leq = [[p.leq(x, y) for y in elems] for x in elems]
+    for i, j in itertools.combinations(elems, 2):
+        upper = [x for x in elems if leq[i][x] and leq[j][x]]
+        lower = [x for x in elems if leq[x][i] and leq[x][j]]
+        if not any(all(leq[x][y] for y in upper) for x in upper):
+            return False
+        if not any(all(leq[y][x] for y in lower) for x in lower):
+            return False
+    return True
+
+
+def relabelings(p: Poset) -> frozenset[frozenset[tuple[int, int]]]:
+    """The order relation of p carried along every permutation of its
+    carrier, as sets of ``(i, j)`` pairs with i <= j."""
+    rel = [(i, j) for i in range(p.n) for j in range(p.n) if p.leq(i, j)]
+    return frozenset(
+        frozenset((perm[i], perm[j]) for i, j in rel) for perm in itertools.permutations(range(p.n))
+    )
+
+
+def are_isomorphic_brute_force(a: Poset, b: Poset, relabelings_of_a) -> bool:
+    """a and b are order-isomorphic iff some permutation carries a's
+    relation onto b's; ``relabelings_of_a`` is :func:`relabelings` of a."""
+    if a.n != b.n:
+        return False
+    rel_b = frozenset((i, j) for i in range(b.n) for j in range(b.n) if b.leq(i, j))
+    return rel_b in relabelings_of_a

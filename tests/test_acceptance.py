@@ -8,9 +8,12 @@ complete-homomorphism test, continuity read off neighbourhood tables,
 the one-pass order and star limits of a filter, the subset tables
 (bounds, closures, images) with the enumerated order rows, and the
 pruned hom search, the preimage scan by lookup and distributivity by
-join-primes, and the whole-table fact-1-1 and lemma-3 campaign checks.
+join-primes, the whole-table fact-1-1 and lemma-3 campaign checks, and
+the lattice census (the lattice test on the order rows, the bit-level
+isomorphism test and the enumeration order).
 """
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -63,15 +66,24 @@ from ordlab.catalog import (
 )
 from ordlab.filters import filter_lower, filter_upper, order_convergence_is_pointlike, order_converges
 from ordlab.morphisms import _search, image_table, iter_monotone_maps
-from ordlab.order_core import ElementSet, Poset, certify_lattice, poset_to_dict
+from ordlab.order_core import (
+    ElementSet,
+    Poset,
+    _is_lattice,
+    are_order_isomorphic,
+    certify_lattice,
+    poset_to_dict,
+)
 
 from oracles import (
     all_filter_families,
+    are_isomorphic_brute_force,
     collapse_to_two,
     filter_lower_definitional,
     filter_upper_definitional,
     has_breadth_at_most_literal,
     is_complete_hom_exhaustive,
+    is_lattice_literal,
     mask_from,
     members_of,
     naive_down_closure,
@@ -85,6 +97,7 @@ from oracles import (
     naive_upper_bounds,
     per_pair_fact_1_1,
     per_pair_lemma_3,
+    relabelings,
 )
 
 
@@ -546,6 +559,68 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
         f"{runs} runs, {failing} on spoiled tables failing), table lemma-3 equals the per-pair "
         f"check_image_filter_inclusion loop on {maps} maps between carriers <= 4 ({map_runs} runs, "
         f"{map_failing} failing)",
+        ok,
+    )
+
+
+def _rows_digest(posets):
+    h = hashlib.sha256()
+    for p in posets:
+        h.update(repr((p.labels, p.down, p.up)).encode())
+    return h.hexdigest()
+
+
+# the census order, which the exhaustive campaigns and their pinned
+# outputs follow; recorded on the per-poset certificate route
+ALL_POSETS_1_TO_6_SHA256 = "6b252ef1734d70a3ede6af24963e81ccc09c7529df06eb271a2032e573e889ed"
+LATTICE_CLASSES_6_SHA256 = "f8a39bad2ea08b977706b3e946fedf5ef696070beabea7b646bf756fe670c321"
+
+
+def test_criterion_9k_gate_lattice_census():
+    ok = True
+    bounded = [p for p in all_posets(6) if p.full_mask in p.up and p.full_mask in p.down]
+    pool = all_posets_up_to(5) + bounded
+    lattices = 0
+    for p in pool:
+        literal = is_lattice_literal(p)
+        ok = ok and _is_lattice(p.down, p.up) == literal == certify_lattice(p).is_lattice
+        lattices += literal
+    ok = ok and (len(bounded), lattices) == (6570, 1 + 2 + 6 + 36 + 380 + 6390)
+
+    # plus non-isomorphic pairs with equal (down, up) count profiles on 6 and
+    # 7 points, where a test of the up rows alone, or of the down rows
+    # alone, finds a bijection
+    small = all_posets_up_to(4) + [
+        Poset([str(i) for i in range(len(down))], down)
+        for down in (
+            (1, 3, 4, 12, 29, 36),
+            (1, 2, 5, 15, 18, 34),
+            (1, 2, 5, 8, 26, 42, 65),
+            (1, 2, 7, 8, 26, 40, 65),
+        )
+    ]
+    pairs = isomorphic = 0
+    for a in small:
+        perms = relabelings(a)
+        for b in small:
+            pairs += 1
+            fast = are_order_isomorphic(a, b)
+            ok = ok and fast == are_isomorphic_brute_force(a, b, perms)
+            isomorphic += fast
+    # 242 posets in 1 + 2 + 5 + 16 classes; a class of k labelled posets gives
+    # k^2 isomorphic pairs: 1 on one point, 1 + 4 on two, 91 on three, 3,957
+    # on four; each of the four larger posets is isomorphic only to itself
+    ok = ok and (pairs, isomorphic) == (246 * 246, 4054 + 4)
+
+    ok = ok and _rows_digest(p for n in range(1, 7) for p in all_posets(n)) == ALL_POSETS_1_TO_6_SHA256
+    ok = ok and _rows_digest(iso_representatives(all_lattices(6))) == LATTICE_CLASSES_6_SHA256
+    report(
+        "9k",
+        f"row lattice test and certificate equal the pairwise sup/inf definition on {len(pool)} posets "
+        f"(<= 5 and the 6,570 bounded ones on 6; {lattices} lattices), bit-level isomorphism equals "
+        f"brute-force permutation on {pairs} pairs of posets <= 4 and four on 6-7 points "
+        f"({isomorphic} isomorphic), and "
+        "all_posets(1..6) rows and the 6-point lattice representatives match their pinned digests",
         ok,
     )
 

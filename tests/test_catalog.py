@@ -86,7 +86,7 @@ class TestAllPosets:
             assert len(all_posets(n)) == brute_force_labeled_posets(n)
 
     def test_known_counts(self):
-        assert [len(all_posets(n)) for n in range(1, 6)] == [1, 3, 19, 219, 4231]
+        assert [len(all_posets(n)) for n in range(1, 7)] == [1, 3, 19, 219, 4231, 130023]
 
     def test_all_valid_and_distinct(self):
         seen = set()
@@ -96,11 +96,12 @@ class TestAllPosets:
             seen.add(p.down)
 
     def test_lattice_counts(self):
-        assert [len(all_lattices(n)) for n in range(1, 6)] == [1, 2, 6, 36, 380]
+        assert [len(all_lattices(n)) for n in range(1, 7)] == [1, 2, 6, 36, 380, 6390]
 
     def test_iso_class_counts(self):
         assert [len(iso_representatives(all_posets(n))) for n in range(1, 6)] == [1, 2, 5, 16, 63]
-        assert len(iso_representatives(all_lattices(5))) == 5
+        # unlabelled lattices, OEIS A006966
+        assert [len(iso_representatives(all_lattices(n))) for n in range(1, 7)] == [1, 1, 1, 2, 5, 15]
 
 
 class TestRandomPoset:
