@@ -61,7 +61,6 @@ from .morphisms import (
     preimage_scan,
 )
 from .order_core import (
-    ElementSet,
     LatticeCert,
     Poset,
     are_order_isomorphic,

@@ -19,18 +19,18 @@ import itertools
 from typing import NamedTuple, Optional
 
 from .limits import Limits, check_subset_elements
-from .order_core import ElementSet, Poset, mask_of
+from .order_core import Poset, _mask_arg, mask_of
 
 
 class BreadthCheck(NamedTuple):
     holds: bool
-    counterexample: Optional[ElementSet]
+    counterexample: Optional[int]
 
 
 class BreadthReport(NamedTuple):
     lattice: Poset
     breadth: int
-    witness: ElementSet
+    witness: int
 
 
 def _require_complete_lattice(lattice: Poset) -> None:
@@ -54,13 +54,13 @@ def has_breadth_at_most(lattice: Poset, n: int, *, limits: Limits | None = None)
                 reducible = True
                 break
         if not reducible:
-            return BreadthCheck(False, ElementSet(lattice, subset))
+            return BreadthCheck(False, subset)
     return BreadthCheck(True, None)
 
 
-def is_irredundant(lattice: Poset, subset: ElementSet | int) -> bool:
+def is_irredundant(lattice: Poset, mask: int) -> bool:
     """No proper subset (the empty one included) has the same infimum."""
-    mask = subset.mask if isinstance(subset, ElementSet) else int(subset)
+    mask = _mask_arg(lattice, mask)
     if mask == 0:
         return True
     target = lattice.infimum_mask(mask)
@@ -82,7 +82,7 @@ def compute_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthR
     top), so the witness is the empty set there.
     """
     _require_complete_lattice(lattice)
-    last_violation: Optional[ElementSet] = None
+    last_violation: Optional[int] = None
     n = 1
     while True:
         holds, violation = has_breadth_at_most(lattice, n, limits=limits)
@@ -93,13 +93,12 @@ def compute_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthR
     if last_violation is not None:
         # no single drop keeps the violation's infimum, so no proper
         # subset does either: every set between the two would share it
-        witness_mask = last_violation.mask
+        witness = last_violation
     elif lattice.n >= 2:
-        witness_mask = 1 << lattice.bottom
+        witness = 1 << lattice.bottom
     else:
-        witness_mask = 0
-    witness = ElementSet(lattice, witness_mask)
-    if witness_mask and not is_irredundant(lattice, witness_mask):
+        witness = 0
+    if witness and not is_irredundant(lattice, witness):
         raise AssertionError("internal error: computed witness is redundant")
     return BreadthReport(lattice, n, witness)
 

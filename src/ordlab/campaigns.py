@@ -36,7 +36,7 @@ from .catalog import (
 )
 from .errors import MalformedInputError
 from .limits import Limits, default_limits
-from .order_core import ElementSet, Poset, Record, boolean_power, poset_to_dict, product
+from .order_core import Poset, Record, boolean_power, mask_of, poset_to_dict, product
 
 
 class CampaignSpec(Record):
@@ -80,13 +80,15 @@ class CampaignResult(NamedTuple):
 
 def _random_posets(spec: CampaignSpec) -> list[Poset]:
     rng = Random(spec.seed)
-    hi = max(2, spec.size_limit)
-    return [random_poset(rng.randint(2, hi), rng) for _ in range(spec.trials)]
+    limit = spec.size_limit
+    return [random_poset(rng.randint(min(2, limit), limit), rng) for _ in range(spec.trials)]
 
 
 def _random_lattices(spec: CampaignSpec) -> list[Poset]:
-    span = max(1, spec.size_limit - 1)
-    return [random_lattice(2 + (spec.seed + i) % span, spec.seed + i) for i in range(spec.trials)]
+    # none at limit 1: the one 1-element lattice is in the library pool
+    span = spec.size_limit - 1
+    trials = spec.trials if span else 0
+    return [random_lattice(2 + (spec.seed + i) % span, spec.seed + i) for i in range(trials)]
 
 
 def _lattice_pool(spec: CampaignSpec) -> list[Poset]:
@@ -142,12 +144,12 @@ def _maps_between_carriers(spec: CampaignSpec, limits: Limits | None):
 def _check_breadth_2n(n: int, limits: Limits | None) -> tuple[int, Optional[dict]]:
     lattice = boolean_power(n, limits)
     report = breadth_mod.compute_breadth(lattice, limits=limits)
-    family_set = ElementSet.from_indices(lattice, breadth_mod.coatom_family(n))
+    family = mask_of(breadth_mod.coatom_family(n))
     if (
         report.breadth == n
         and breadth_mod.is_irredundant(lattice, report.witness)
-        and breadth_mod.is_irredundant(lattice, family_set)
-        and lattice.infimum(family_set) == lattice.bottom
+        and breadth_mod.is_irredundant(lattice, family)
+        and lattice.infimum(family) == lattice.bottom
     ):
         return 1, None
     return 1, _poset_witness(
@@ -155,7 +157,7 @@ def _check_breadth_2n(n: int, limits: Limits | None) -> tuple[int, Optional[dict
         check="breadth",
         expected=n,
         computed=report.breadth,
-        witness=list(report.witness.member_labels),
+        witness=lattice.labels_of(report.witness),
     )
 
 
@@ -170,7 +172,7 @@ def _check_fact_1_1(p: Poset, limits: Limits | None) -> tuple[int, Optional[dict
     diff = upper[gen] ^ downs[gen]
     x = (diff & -diff).bit_length() - 1
     return (gen - 1) * p.n + x + 1, _poset_witness(
-        p, check="upper-iff-downset", generator=list(ElementSet(p, gen).member_labels), point=p.labels[x]
+        p, check="upper-iff-downset", generator=p.labels_of(gen), point=p.labels[x]
     )
 
 
@@ -247,8 +249,8 @@ def _check_lemma_3(instance, limits: Limits | None) -> tuple[int, Optional[dict]
                     "domain": poset_to_dict(dom),
                     "codomain": poset_to_dict(cod),
                     "map": list(mapping),
-                    "coarse_generator": list(ElementSet(dom, coarse).member_labels),
-                    "fine_generator": list(ElementSet(dom, fine).member_labels),
+                    "coarse_generator": dom.labels_of(coarse),
+                    "fine_generator": dom.labels_of(fine),
                 }
     return 3**dom.n - 2**dom.n, None
 

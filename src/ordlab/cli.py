@@ -28,7 +28,6 @@ from .order_core import (
     Poset,
     boolean_power,
     certify_lattice,
-    iter_bits,
     poset_from_dict,
     poset_to_dict,
     product,
@@ -102,7 +101,7 @@ def _cmd_breadth(args) -> int:
     if not certify_lattice(p).is_complete:
         raise MalformedInputError("breadth is defined on complete lattices")
     report = breadth_mod.compute_breadth(p)
-    _emit({"breadth": report.breadth, "witness": list(report.witness.member_labels)})
+    _emit({"breadth": report.breadth, "witness": p.labels_of(report.witness)})
     return EXIT_OK
 
 
@@ -147,7 +146,7 @@ def _cmd_boolean(args) -> int:
     return EXIT_OK
 
 
-def _scan_doc(scan: morph.PreimageScan, cod: Poset) -> dict:
+def _scan_doc(scan: morph.PreimageScan, hom: morph.LatticeHom) -> dict:
     doc = {
         "all_interval_or_empty": scan.all_interval_or_empty,
         "intervals_checked": scan.intervals_checked,
@@ -155,8 +154,8 @@ def _scan_doc(scan: morph.PreimageScan, cod: Poset) -> dict:
     if scan.failure is not None:
         x, y = scan.failure_interval
         doc["failure"] = {
-            "interval": [cod.labels[x], cod.labels[y]],
-            "preimage": list(scan.failure.preimage.member_labels),
+            "interval": [hom.codomain.labels[x], hom.codomain.labels[y]],
+            "preimage": hom.domain.labels_of(scan.failure.preimage),
         }
     return doc
 
@@ -168,10 +167,8 @@ def _cmd_hom(args) -> int:
         continuity[kind] = morph.is_continuous(hom, make(hom.domain), make(hom.codomain))
     doc = {
         "classification": hom.classification.render(),
-        "interval_preimages": _scan_doc(morph.preimage_scan(hom), hom.codomain),
-        "principal_preimages": _scan_doc(
-            morph.preimage_scan(hom, principal_only=True), hom.codomain
-        ),
+        "interval_preimages": _scan_doc(morph.preimage_scan(hom), hom),
+        "principal_preimages": _scan_doc(morph.preimage_scan(hom, principal_only=True), hom),
         "continuous": continuity,
     }
     _emit(doc)
@@ -188,11 +185,11 @@ def _cmd_converge(args) -> int:
         sys.stderr.write(
             "warning: poset is not a complete lattice; convergence is false wherever a bound is missing\n"
         )
-    doc: dict = {"mode": args.mode, "generator": list(f.generator_set.member_labels)}
+    doc: dict = {"mode": args.mode, "generator": p.labels_of(f.generator)}
     if args.mode == "order":
         doc["limits"] = [p.labels[x] for x in filters_mod.convergence_points(f)]
     else:
-        doc["limits"] = [p.labels[x] for x in iter_bits(filters_mod.star_limit_mask(f))]
+        doc["limits"] = p.labels_of(filters_mod.star_limit_mask(f))
         # the literal-tail reading is order convergence of f itself
         doc["limits_literal_tail"] = [p.labels[x] for x in filters_mod.convergence_points(f)]
     _emit(doc)

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInputError
 from .limits import Limits, check_subset_elements
-from .order_core import ElementSet, Poset, Record
+from .order_core import Poset, Record
 
 
 class SetFilter(Record):
@@ -33,10 +33,6 @@ class SetFilter(Record):
             raise MalformedInputError("filter generator must be nonempty")
         if self.generator < 0 or self.generator & ~self.parent.full_mask:
             raise MalformedInputError("filter generator out of range")
-
-    @property
-    def generator_set(self) -> ElementSet:
-        return ElementSet(self.parent, self.generator)
 
     def __contains__(self, mask: int) -> bool:
         return mask & self.generator == self.generator
@@ -59,18 +55,17 @@ _set_parent, _set_generator = SetFilter.parent.__set__, SetFilter.generator.__se
 
 
 def filter_from_labels(parent: Poset, labels: Iterable[str]) -> SetFilter:
-    return SetFilter(parent, ElementSet.from_labels(parent, labels).mask)
+    return SetFilter(parent, parent.mask_of_labels(labels))
 
 
-def filter_from_base(parent: Poset, base_sets: Iterable[ElementSet | int]) -> SetFilter:
+def filter_from_base(parent: Poset, base_sets: Iterable[int]) -> SetFilter:
     """Filter generated by a base: all sets containing the base's intersection.
 
     Every base set must be nonempty and the total intersection must be
     nonempty, otherwise the generated family would contain the empty set.
     """
     masks = []
-    for b in base_sets:
-        mask = b.mask if isinstance(b, ElementSet) else int(b)
+    for mask in base_sets:
         if mask == 0:
             raise MalformedInputError("filter base contains an empty set")
         if mask < 0 or mask & ~parent.full_mask:
@@ -86,7 +81,7 @@ def filter_from_base(parent: Poset, base_sets: Iterable[ElementSet | int]) -> Se
     return SetFilter(parent, gen)
 
 
-def filter_upper(f: SetFilter) -> ElementSet:
+def filter_upper(f: SetFilter) -> int:
     """Union over all members of their upper-bound sets.
 
     Computed as the upper bounds of the generator: a set's upper bounds
@@ -94,11 +89,11 @@ def filter_upper(f: SetFilter) -> ElementSet:
     member.  The test suite checks the identity against the definitional
     union over all members.
     """
-    return f.parent.upper_bounds(f.generator)
+    return f.parent.upper_bounds_mask(f.generator)
 
 
-def filter_lower(f: SetFilter) -> ElementSet:
-    return f.parent.lower_bounds(f.generator)
+def filter_lower(f: SetFilter) -> int:
+    return f.parent.lower_bounds_mask(f.generator)
 
 
 def _generator_limit(p: Poset, gen: int) -> Optional[int]:

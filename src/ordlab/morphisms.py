@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 from .errors import MalformedInputError
 from .filters import SetFilter, order_limit, star_limit_mask
 from .limits import Limits, check_maps
-from .order_core import ElementSet, Poset, Record, iter_bits, subset_union_table
+from .order_core import Poset, Record, iter_bits, subset_union_table
 from .topology import FiniteTopology
 
 
@@ -188,11 +188,6 @@ def _search(domain: Poset, codomain: Poset, pins: list[int], lattice_hom: bool) 
             pos += 1
 
 
-def iter_monotone_maps(domain: Poset, codomain: Poset) -> Iterator[tuple[int, ...]]:
-    """Generate every order-preserving map by backtracking."""
-    return _search(domain, codomain, [codomain.full_mask] * domain.n, False)
-
-
 def enumerate_homs(
     domain: Poset,
     codomain: Poset,
@@ -229,7 +224,7 @@ class PreimageIntervalReport(NamedTuple):
     kind: str  # "empty" | "interval" | "non_interval"
     low: Optional[int]
     high: Optional[int]
-    preimage: ElementSet
+    preimage: int
     missing: Optional[int]  # witness in [low, high] outside the preimage
 
 
@@ -256,7 +251,7 @@ def preimage_interval_analysis(h: LatticeHom, x: int, y: int) -> PreimageInterva
                 missing = (gap & -gap).bit_length() - 1
             else:
                 kind = "interval"
-    return PreimageIntervalReport(kind, low, high, ElementSet(dom, pre), missing)
+    return PreimageIntervalReport(kind, low, high, pre, missing)
 
 
 class PreimageScan(NamedTuple):
@@ -379,10 +374,7 @@ def _limit_sweep(
         for x in iter_bits(points):
             checked += 1
             if not (image_points >> h.mapping[x]) & 1:
-                witness = {
-                    "generator": list(ElementSet(dom, gen).member_labels),
-                    "point": dom.labels[x],
-                }
+                witness = {"generator": dom.labels_of(gen), "point": dom.labels[x]}
                 return CheckReport(False, checked, witness)
     return CheckReport(True, checked, None)
 

@@ -3,8 +3,8 @@
 Elements are integer indices ``0..n-1`` carrying distinct display labels.
 The order relation is stored as per-element bitmasks: ``down[i]`` is the
 set of elements below-or-equal to ``i`` and ``up[i]`` the set above it.
-Every subset of the carrier is a plain int bitmask at this level;
-:class:`ElementSet` wraps a mask for the public API.  Lattice-ness is
+Every subset of the carrier, in the public API too, is a plain int
+bitmask; :meth:`Poset.labels_of` renders one.  Lattice-ness is
 read off the rows alone (:func:`_is_lattice`); the full certificate is
 built on first access to ``Poset.certificate``.  All values are
 immutable and all operations are pure, so posets can be shared freely
@@ -126,6 +126,13 @@ class Poset:
     def elements(self) -> range:
         return range(self.n)
 
+    def labels_of(self, mask: int) -> list[str]:
+        """The labels of the members of ``mask``, in index order."""
+        return [self.labels[i] for i in iter_bits(mask)]
+
+    def mask_of_labels(self, labels: Iterable[str]) -> int:
+        return mask_of(self.index_of(lab) for lab in labels)
+
     def index_of(self, label: str) -> int:
         try:
             return self._label_index[label]
@@ -149,13 +156,9 @@ class Poset:
 
     # -- down-sets and bounds ------------------------------------------
 
-    def down_set(self, x: int) -> "ElementSet":
-        """Principal down-set of ``x``: everything below-or-equal to it."""
-        return ElementSet(self, self.down[x])
-
-    def is_down_set(self, subset: "ElementSet | int") -> bool:
+    def is_down_set(self, mask: int) -> bool:
         """True iff the subset is closed under going down."""
-        mask = _mask_arg(self, subset)
+        mask = _mask_arg(self, mask)
         for i in iter_bits(mask):
             if self.down[i] & ~mask:
                 return False
@@ -195,12 +198,12 @@ class Poset:
         """``table[m]`` is the up-set generated by m."""
         return subset_union_table(self.up, limits, "up-closure table")
 
-    def upper_bounds(self, subset: "ElementSet | int") -> "ElementSet":
+    def upper_bounds(self, mask: int) -> int:
         """Elements above every member of the subset; the carrier when empty."""
-        return ElementSet(self, self.upper_bounds_mask(_mask_arg(self, subset)))
+        return self.upper_bounds_mask(_mask_arg(self, mask))
 
-    def lower_bounds(self, subset: "ElementSet | int") -> "ElementSet":
-        return ElementSet(self, self.lower_bounds_mask(_mask_arg(self, subset)))
+    def lower_bounds(self, mask: int) -> int:
+        return self.lower_bounds_mask(_mask_arg(self, mask))
 
     def infimum_mask(self, mask: int) -> Optional[int]:
         lb = self.lower_bounds_mask(mask)
@@ -226,13 +229,13 @@ class Poset:
             rest ^= low
         return None
 
-    def infimum(self, subset: "ElementSet | int") -> Optional[int]:
+    def infimum(self, mask: int) -> Optional[int]:
         """Largest lower bound, or None when absent.  inf(empty) is the top."""
-        return self.infimum_mask(_mask_arg(self, subset))
+        return self.infimum_mask(_mask_arg(self, mask))
 
-    def supremum(self, subset: "ElementSet | int") -> Optional[int]:
+    def supremum(self, mask: int) -> Optional[int]:
         """Least upper bound, or None when absent.  sup(empty) is the bottom."""
-        return self.supremum_mask(_mask_arg(self, subset))
+        return self.supremum_mask(_mask_arg(self, mask))
 
     def meet(self, i: int, j: int) -> Optional[int]:
         return self.infimum_mask((1 << i) | (1 << j))
@@ -273,7 +276,8 @@ class Poset:
     # -- structure ------------------------------------------------------
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j) with i strictly below j and nothing between."""
+        """Cover pairs (i, j) with i strictly below j and nothing between,
+        sorted: i ascends, and j ascends through ``iter_bits``."""
         out = []
         for i in range(self.n):
             strict_up = self.up[i] & ~(1 << i)
@@ -281,7 +285,6 @@ class Poset:
                 between = self.down[j] & strict_up & ~(1 << j)
                 if not between:
                     out.append((i, j))
-        out.sort()
         return out
 
     def dual(self) -> "Poset":
@@ -289,12 +292,7 @@ class Poset:
         return Poset._from_rows(self.labels, self.up, self.down)
 
 
-def _mask_arg(parent: Poset, subset: "ElementSet | int") -> int:
-    if isinstance(subset, ElementSet):
-        if subset.parent is not parent and subset.parent != parent:
-            raise ValueError("subset belongs to a different poset")
-        return subset.mask
-    mask = int(subset)
+def _mask_arg(parent: Poset, mask: int) -> int:
     if mask < 0 or mask & ~parent.full_mask:
         raise ValueError("subset mask out of range")
     return mask
@@ -338,46 +336,6 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class ElementSet(Record):
-    """A subset of a poset's carrier, stored as a bitmask."""
-
-    __slots__ = _fields = ("parent", "mask")
-
-    def __init__(self, parent: Poset, mask: int) -> None:
-        if mask < 0 or mask & ~parent.full_mask:
-            raise ValueError("member indices out of range")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def from_indices(cls, parent: Poset, indices: Iterable[int]) -> "ElementSet":
-        return cls(parent, mask_of(indices))
-
-    @classmethod
-    def from_labels(cls, parent: Poset, labels: Iterable[str]) -> "ElementSet":
-        return cls(parent, mask_of(parent.index_of(lab) for lab in labels))
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
-
-    @property
-    def member_labels(self) -> tuple[str, ...]:
-        return tuple(self.parent.labels[i] for i in iter_bits(self.mask))
-
-    def __contains__(self, i: int) -> bool:
-        return bool((self.mask >> i) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __repr__(self) -> str:
-        return f"ElementSet({{{', '.join(self.member_labels)}}})"
 
 
 class LatticeCert(NamedTuple):

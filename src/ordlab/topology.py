@@ -92,20 +92,14 @@ def from_closed_subbasis(carrier_size: int, closed_sets: Iterable[int]) -> Finit
 
 
 def from_open_subbasis(carrier_size: int, open_sets: Iterable[int]) -> FiniteTopology:
-    """Topology generated by the listed sets as an open subbasis."""
+    """Topology generated by the listed sets as an open subbasis: the one
+    their complements generate as a closed subbasis."""
     full = (1 << carrier_size) - 1
     sets = list(open_sets)
     for u in sets:
         if u < 0 or u & ~full:
             raise ValueError("open set out of carrier range")
-    table = []
-    for p in range(carrier_size):
-        nb = full
-        for u in sets:
-            if (u >> p) & 1:
-                nb &= u
-        table.append(nb)
-    return FiniteTopology(carrier_size, tuple(table))
+    return from_closed_subbasis(carrier_size, [full & ~u for u in sets])
 
 
 def interval_topology(p: Poset) -> FiniteTopology:

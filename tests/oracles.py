@@ -9,18 +9,20 @@ sets, breadth), the per-point convergence definitions, the closed-family
 continuity check and the triple distributive law, which run the
 package's bound queries, pair tables and open-family materialization
 (themselves gated against the routes above) to check the shortcuts
-built on them.
+built on them; and :func:`iter_monotone_maps`, the package's hom search
+without its meet and join pruning, which the tests check against every
+map of the candidate space.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ordlab.catalog import two
 from ordlab.filters import SetFilter, super_filters, upper_iff_downset
-from ordlab.morphisms import check_image_filter_inclusion, classify
-from ordlab.order_core import ElementSet, Poset, boolean_power, iter_bits, mask_of
+from ordlab.morphisms import _search, check_image_filter_inclusion, classify
+from ordlab.order_core import Poset, boolean_power, iter_bits, mask_of
 from ordlab.topology import FiniteTopology
 
 
@@ -301,19 +303,19 @@ def breadth_literal(p: Poset) -> int:
     return n
 
 
-def filter_upper_definitional(f: SetFilter) -> ElementSet:
+def filter_upper_definitional(f: SetFilter) -> int:
     """Materialize every member of the filter and union its upper bounds."""
     out = 0
     for member in f.members():
         out |= f.parent.upper_bounds_mask(member)
-    return ElementSet(f.parent, out)
+    return out
 
 
-def filter_lower_definitional(f: SetFilter) -> ElementSet:
+def filter_lower_definitional(f: SetFilter) -> int:
     out = 0
     for member in f.members():
         out |= f.parent.lower_bounds_mask(member)
-    return ElementSet(f.parent, out)
+    return out
 
 
 def satisfies_filter_axioms(carrier_size: int, family: Iterable[int]) -> bool:
@@ -387,6 +389,12 @@ def collapse_to_two():
     onto the chain 2, bottom to 0 and the other three elements to 1.  Its
     preimage of [1, 1] is not an interval."""
     return classify([0, 1, 1, 1], boolean_power(2), two())
+
+
+def iter_monotone_maps(domain: Poset, codomain: Poset) -> Iterator[tuple[int, ...]]:
+    """Every order-preserving map, from the hom search with no pins and
+    no meet or join constraints."""
+    return _search(domain, codomain, [codomain.full_mask] * domain.n, False)
 
 
 def per_pair_fact_1_1(p: Poset, upper_bounds: list[int]) -> tuple[int, Optional[tuple[int, int]]]:

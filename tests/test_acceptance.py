@@ -65,13 +65,13 @@ from ordlab.catalog import (
     two,
 )
 from ordlab.filters import filter_lower, filter_upper, order_convergence_is_pointlike, order_converges
-from ordlab.morphisms import _search, image_table, iter_monotone_maps
+from ordlab.morphisms import _search, image_table
 from ordlab.order_core import (
-    ElementSet,
     Poset,
     _is_lattice,
     are_order_isomorphic,
     certify_lattice,
+    mask_of,
     poset_to_dict,
 )
 
@@ -84,6 +84,7 @@ from oracles import (
     has_breadth_at_most_literal,
     is_complete_hom_exhaustive,
     is_lattice_literal,
+    iter_monotone_maps,
     mask_from,
     members_of,
     naive_down_closure,
@@ -113,7 +114,7 @@ def test_criterion_1_breadth_of_boolean_powers():
     for n in range(1, 5):
         lattice = boolean_power(n)
         rep = compute_breadth(lattice)
-        family = ElementSet.from_indices(lattice, coatom_family(n))
+        family = mask_of(coatom_family(n))
         ok = ok and rep.breadth == n
         ok = ok and is_irredundant(lattice, rep.witness)
         ok = ok and is_irredundant(lattice, family)
@@ -277,8 +278,8 @@ def test_criterion_9b_gate_upper_set_via_generator():
     for p in pool:
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
-            ok = ok and filter_upper(f).mask == filter_upper_definitional(f).mask
-            ok = ok and filter_lower(f).mask == filter_lower_definitional(f).mask
+            ok = ok and filter_upper(f) == filter_upper_definitional(f)
+            ok = ok and filter_lower(f) == filter_lower_definitional(f)
     report("9b", "filter upper/lower sets: generator route equals definitional union", ok)
 
 
@@ -441,7 +442,7 @@ def test_criterion_9h_b_gate_preimage_scan_by_lookup():
             if failure is not None:
                 failures += 1
                 rep = scan.failure
-                got = (rep.kind, rep.low, rep.high, frozenset(rep.preimage.members), rep.missing)
+                got = (rep.kind, rep.low, rep.high, members_of(rep.preimage), rep.missing)
                 ok = ok and got == failure
     ok = ok and failures > 0
     report(

@@ -1,7 +1,6 @@
 import pytest
 
 from ordlab import (
-    ElementSet,
     boolean_power,
     chain,
     coatom,
@@ -17,6 +16,7 @@ from ordlab import (
 from ordlab.catalog import all_lattices, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
 from ordlab.limits import Limits
+from ordlab.order_core import mask_of
 
 from oracles import breadth_literal, has_breadth_at_most_literal, naive_breadth, naive_has_breadth_at_most
 
@@ -29,7 +29,7 @@ class TestHasBreadthAtMost:
     def test_cube_needs_three(self):
         check = has_breadth_at_most(boolean_power(3), 2)
         assert not check.holds
-        assert check.counterexample.member_labels == ("011", "101", "110")
+        assert boolean_power(3).labels_of(check.counterexample) == ["011", "101", "110"]
 
     def test_bound_at_carrier_size_always_holds(self):
         for p in (m3(), n5(), boolean_power(2)):
@@ -76,17 +76,17 @@ class TestComputeBreadth:
         for k in (2, 4, 6):
             report = compute_breadth(chain(k))
             assert report.breadth == 1
-            assert report.witness.member_labels == ("0",)
+            assert report.lattice.labels_of(report.witness) == ["0"]
 
     def test_m3(self):
         report = compute_breadth(m3())
         assert report.breadth == 2
-        assert report.witness.member_labels == ("a", "b")
+        assert report.lattice.labels_of(report.witness) == ["a", "b"]
 
     def test_singleton_lattice_degenerate(self):
         report = compute_breadth(chain(1))
         assert report.breadth == 1
-        assert len(report.witness) == 0
+        assert report.witness == 0
 
     def test_matches_naive_oracle(self):
         for p in (chain(3), m3(), n5(), boolean_power(2), chain(5)):
@@ -100,9 +100,9 @@ class TestComputeBreadth:
     def test_witness_is_reverified(self):
         for _, p in library_lattices(6):
             report = compute_breadth(p)
-            if len(report.witness):
+            if report.witness:
                 assert is_irredundant(p, report.witness)
-                assert len(report.witness) == report.breadth
+                assert report.witness.bit_count() == report.breadth
 
 
 class TestCoatoms:
@@ -116,7 +116,7 @@ class TestCoatoms:
     def test_family_meets_to_bottom(self):
         for n in range(1, 5):
             bn = boolean_power(n)
-            fam = ElementSet.from_indices(bn, coatom_family(n))
+            fam = mask_of(coatom_family(n))
             assert bn.infimum(fam) == bn.bottom
             assert is_irredundant(bn, fam)
 
@@ -144,3 +144,8 @@ class TestIrredundance:
         p = chain(3)
         assert not is_irredundant(p, 0b100)
         assert is_irredundant(p, 0b001)
+
+    def test_mask_out_of_range(self):
+        for mask in (-1, 0b1000):
+            with pytest.raises(ValueError, match="out of range"):
+                is_irredundant(chain(3), mask)

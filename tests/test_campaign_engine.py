@@ -6,7 +6,8 @@ on the per-campaign runners that the one-table engine replaced, so they
 pin byte-identical behaviour across that rewrite.  The fact-1-1 and
 lemma-3 checks compare whole tables, so their rows spoil a table instead
 of one per-pair result; fact-1-1 keeps its pin, lemma-3's is new (see
-its row).
+its row).  The two limit-1 rows with random trials pin random instances
+held to the limit (one element each).
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from ordlab import cli
 from ordlab import filters as filters_mod
 from ordlab import morphisms as morph
 from ordlab import topology as topo
-from ordlab.campaigns import CampaignSpec, run_campaign
+from ordlab.campaigns import CampaignSpec, _random_lattices, _random_posets, run_campaign
 
 
 def _sha(text: str) -> str:
@@ -51,11 +52,11 @@ GOLDEN = [
     ("product-lemma --limit 20 --trials 2 --seed 1", 0, "df29175a8aafd31b05d9799d3770e299baca118f930a457f6b0b8a8cf83094a0"),
     ("prop-2-1 --trials 10", 0, "2639c468c0038cba6a541e8c05599e114012f937c8277554ba717f17dd781c1e"),
     ("star-preservation --limit 6 --trials 4 --seed 11", 0, "620fca7fa362187a5ddd43dae243cb24c4688ad29ea8bed80c60532a5e059518"),
-    # the smallest limits, where random instances still have two elements
-    ("fact-1-1 --limit 1 --trials 3 --seed 4", 0, "a44c456ee5cfcb9e2ecd1f2aee81885e037235b81b5bb3730f13b4a2d110219c"),
+    # the smallest limits; at limit 1 the random posets have one element
+    ("fact-1-1 --limit 1 --trials 3 --seed 4", 0, "b25703ff2d5950de7bfc5f61b4f88dbcb9f196ff325ee56825411102f6bdb75a"),
     ("hausdorff --limit 2 --trials 3 --seed 4", 0, "c1655262ffec269bab0d2cfc416fc1fd91a28084ec58f030dd48c9583985247e"),
     ("lemma-2 --limit 2 --trials 3 --seed 1", 0, "7cd183280b91a6b3730cf2ffd85ccf37f9db66ca2d118fc12ce6523c918adde1"),
-    ("lemma-3 --limit 1 --trials 2", 0, "7cccd97d92c481ea96d89924fe8336431f9ec30897e46b2ff5dab78fd89debc3"),
+    ("lemma-3 --limit 1 --trials 2", 0, "b11a07a3596fb66fcedbb3c9070021d5eb737f4cb8a6a1634c26a78811671dfb"),
     # the hom search's candidate-map bound (exit 3, nothing on stdout)
     ("prop-2-1 --limit 8", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
@@ -95,6 +96,17 @@ def test_fact_1_1_runs_at_its_cap(capsys):
     doc = json.loads(out)
     assert doc["status"] == "pass"
     assert doc["instances_checked"] == 49_818_057
+
+
+def test_random_instances_respect_the_limit():
+    # none of the random lattices at limit 1: the one 1-element lattice is
+    # in the library pool
+    for limit in range(1, 7):
+        for seed in range(10):
+            spec = CampaignSpec("lemma-2", limit, trials=4, seed=seed)
+            posets, lattices = _random_posets(spec), _random_lattices(spec)
+            assert len(posets) == 4 and len(lattices) == (0 if limit == 1 else 4)
+            assert all(p.n <= limit for p in posets + lattices)
 
 
 def test_hom_campaigns_keep_the_candidate_map_bound(capsys):

@@ -94,6 +94,9 @@ class TestAllPosets:
             Poset(p.labels, p.down)  # re-validate the axioms
             assert p.down not in seen
             seen.add(p.down)
+        # covers() comes out sorted (i ascending, then j through iter_bits)
+        for n in range(1, 6):
+            assert all(p.covers() == sorted(p.covers()) for p in all_posets(n))
 
     def test_lattice_counts(self):
         assert [len(all_lattices(n)) for n in range(1, 7)] == [1, 2, 6, 36, 380, 6390]

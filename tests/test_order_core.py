@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ordlab import (
-    ElementSet,
     MalformedInputError,
     are_order_isomorphic,
     boolean_power,
@@ -81,18 +80,19 @@ class TestBuildPoset:
 
 
 class TestDownSetsAndBounds:
+    # the principal down-set of x is the row down[x]
     def test_down_set_chain(self):
         c = chain(3)
-        assert c.down_set(1).members == (0, 1)
+        assert c.down[1] == 0b011
 
     def test_down_set_atom(self):
         b2 = boolean_power(2)
         a = b2.index_of("01")
-        assert b2.down_set(a).member_labels == ("00", "01")
+        assert b2.labels_of(b2.down[a]) == ["00", "01"]
 
     def test_down_set_top_is_carrier(self):
         for p in (chain(4), boolean_power(3), m3()):
-            assert p.down_set(p.top).mask == p.full_mask
+            assert p.down[p.top] == p.full_mask
 
     def test_is_down_set(self):
         c = chain(3)
@@ -102,12 +102,26 @@ class TestDownSetsAndBounds:
 
     def test_upper_bounds_examples(self):
         b2 = boolean_power(2)
-        atoms = ElementSet.from_labels(b2, ["01", "10"])
-        assert b2.upper_bounds(atoms).member_labels == ("11",)
-        assert b2.upper_bounds(0).mask == b2.full_mask
-        assert b2.lower_bounds(0).mask == b2.full_mask
+        atoms = b2.mask_of_labels(["01", "10"])
+        assert b2.labels_of(b2.upper_bounds(atoms)) == ["11"]
+        assert b2.upper_bounds(0) == b2.full_mask
+        assert b2.lower_bounds(0) == b2.full_mask
         c = chain(3)
-        assert c.upper_bounds(0b101).members == (2,)
+        assert c.upper_bounds(0b101) == 0b100
+
+    def test_masks_out_of_range_rejected(self):
+        p = m3()
+        for method in (p.is_down_set, p.upper_bounds, p.lower_bounds, p.infimum, p.supremum):
+            for mask in (-1, 1 << p.n):
+                with pytest.raises(ValueError, match="out of range"):
+                    method(mask)
+
+    def test_labels_of_and_mask_of_labels(self):
+        p = m3()
+        assert p.labels_of(0) == [] and p.mask_of_labels([]) == 0
+        for mask in subsets_of(p):
+            assert p.mask_of_labels(p.labels_of(mask)) == mask
+        assert p.labels_of(p.mask_of_labels(["c", "a"])) == ["a", "c"]
 
     def test_bounds_antitone(self):
         p = m3()
@@ -128,7 +142,7 @@ class TestDownSetsAndBounds:
 class TestInfimum:
     def test_coatom_family_meets_to_bottom(self):
         b3 = boolean_power(3)
-        fam = ElementSet.from_labels(b3, ["011", "101", "110"])
+        fam = b3.mask_of_labels(["011", "101", "110"])
         assert b3.infimum(fam) == b3.bottom
 
     def test_empty_set_conventions(self):
@@ -333,7 +347,7 @@ class TestValidation:
 
     def test_unknown_label(self):
         with pytest.raises(MalformedInputError, match="unknown label"):
-            ElementSet.from_labels(chain(2), ["nope"])
+            chain(2).mask_of_labels(["nope"])
 
 
 class TestDual:

@@ -33,7 +33,7 @@ from ordlab.morphisms import (
     preimage_interval_analysis,
     preimage_scan,
 )
-from ordlab.order_core import ElementSet, LatticeCert
+from ordlab.order_core import LatticeCert
 from ordlab.topology import FiniteTopology, interval_topology
 
 # the fields each record had as a frozen dataclass, in order
@@ -47,7 +47,6 @@ FIELDS = {
     CheckReport: ("passed", "checked", "witness"),
     LatticeCert: ("poset", "is_lattice", "is_complete", "is_distributive", "bottom", "top"),
     SetFilter: ("parent", "generator"),
-    ElementSet: ("parent", "mask"),
     LatticeHom: ("domain", "codomain", "mapping", "classification"),
     FiniteTopology: ("carrier_size", "min_nbhd"),
 }
@@ -79,7 +78,6 @@ def _examples():
         CheckReport: (lambda: CheckReport(True, 3, None), CheckReport(True, 4, None)),
         LatticeCert: (lambda: m3().certificate, chain(3).certificate),
         SetFilter: (lambda: SetFilter(m3(), 0b110), SetFilter(m3(), 0b100)),
-        ElementSet: (lambda: ElementSet(m3(), 0b110), ElementSet(m3(), 0b100)),
         LatticeHom: (_hom, classify([0, 0, 1], chain(3), chain(2))),
         FiniteTopology: (lambda: interval_topology(m3()), interval_topology(chain(3))),
     }
@@ -89,7 +87,7 @@ EXAMPLES = _examples()
 
 
 def test_every_record_type_is_covered():
-    assert set(EXAMPLES) == set(FIELDS) and len(FIELDS) == 12
+    assert set(EXAMPLES) == set(FIELDS) and len(FIELDS) == 11
 
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
@@ -134,8 +132,6 @@ def test_constructor_signatures_and_validation():
         SetFilter(m3(), 0)
     with pytest.raises(MalformedInputError, match="out of range"):
         SetFilter(m3(), 1 << 5)
-    with pytest.raises(ValueError, match="out of range"):
-        ElementSet(m3(), -1)
     with pytest.raises(ValueError, match="not closed"):
         FiniteTopology(3, (0b011, 0b110, 0b100))
 

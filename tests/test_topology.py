@@ -52,13 +52,18 @@ class TestFromClosedSubbasis:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             from_closed_subbasis(2, [0b100])
+        for bad in (0b100, -1):
+            with pytest.raises(ValueError, match="open set out of carrier range"):
+                from_open_subbasis(2, [bad])
 
     @given(st.integers(1, 2), st.data())
     def test_matches_brute_force_exhaustively(self, carrier, data):
         full = (1 << carrier) - 1
         closed = data.draw(st.lists(st.integers(0, full), max_size=4))
-        got = from_closed_subbasis(carrier, closed).opens()
-        assert got == brute_force_closed_generation(carrier, closed)
+        expected = brute_force_closed_generation(carrier, closed)
+        assert from_closed_subbasis(carrier, closed).opens() == expected
+        # the complements generate the same topology as an open subbasis
+        assert from_open_subbasis(carrier, [full & ~c for c in closed]).opens() == expected
 
     def test_matches_brute_force_seeded(self):
         rng = Random(404)
@@ -66,8 +71,9 @@ class TestFromClosedSubbasis:
             full = (1 << carrier) - 1
             for _ in range(12 if carrier == 3 else 4):
                 closed = [rng.randint(0, full) for _ in range(rng.randint(0, 4))]
-                got = from_closed_subbasis(carrier, closed).opens()
-                assert got == brute_force_closed_generation(carrier, closed)
+                expected = brute_force_closed_generation(carrier, closed)
+                assert from_closed_subbasis(carrier, closed).opens() == expected
+                assert from_open_subbasis(carrier, [full & ~c for c in closed]).opens() == expected
 
     @given(st.integers(1, 7), st.data())
     def test_output_is_a_topology(self, carrier, data):
