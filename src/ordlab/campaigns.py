@@ -114,7 +114,7 @@ def _complete_homs(spec: CampaignSpec, limits: Limits | None, with_topologies: b
     tops = [topo.interval_topology(p) if with_topologies else None for p in pool]
     for dom, t_dom in zip(pool, tops):
         for cod, t_cod in zip(pool, tops):
-            for hom in morph.enumerate_homs(dom, cod, morph.Classification.COMPLETE_HOM, limits):
+            for hom in morph.enumerate_homs(dom, cod, limits):
                 yield hom, t_dom, t_cod
 
 
@@ -193,22 +193,19 @@ def _check_product_lemma(factors: list[Poset], limits: Limits | None) -> tuple[i
 
 
 def _check_prop_2_1(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+    # the full scan covers the principal intervals [bottom, x] and [x, top]
     hom, t_dom, t_cod = instance
     scan = morph.preimage_scan(hom)
-    principal = morph.preimage_scan(hom, principal_only=True)
-    continuous = morph.is_continuous(hom, t_dom, t_cod, limits)
-    if scan.all_interval_or_empty and principal.all_interval_or_empty and continuous:
+    if scan.all_interval_or_empty and morph.is_continuous(hom, t_dom, t_cod):
         return 1, None
     return 1, {
         "check": "preimage-intervals-and-continuity",
         "hom": morph.hom_to_dict(hom),
-        "failure_interval": scan.failure_interval or principal.failure_interval,
+        "failure_interval": scan.failure_interval,
     }
 
 
 def _limits_preserved(report, check: str, hom) -> tuple[int, Optional[dict]]:
-    # The reports sweep point filters only: on a finite lattice exactly
-    # those converge, for order and star limits alike (acceptance gate 7).
     if report.passed:
         return 1, None
     return 1, {"check": check, "hom": morph.hom_to_dict(hom), "witness": report.witness}
@@ -216,13 +213,13 @@ def _limits_preserved(report, check: str, hom) -> tuple[int, Optional[dict]]:
 
 def _check_lemma_2(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
     hom = instance[0]
-    report = morph.check_image_convergence(hom, singleton_only=True)
+    report = morph.check_image_convergence(hom)
     return _limits_preserved(report, "image-order-convergence", hom)
 
 
 def _check_star_preservation(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
     hom = instance[0]
-    report = morph.check_star_preservation(hom, singleton_only=True)
+    report = morph.check_star_preservation(hom)
     return _limits_preserved(report, "image-star-convergence", hom)
 
 

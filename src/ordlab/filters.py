@@ -171,17 +171,9 @@ def star_limit_mask(f: SetFilter) -> int:
     return star
 
 
-def star_converges(f: SetFilter, x: int, *, literal_tail: bool = False) -> bool:
+def star_converges(f: SetFilter, x: int) -> bool:
     """Star-convergence: every super-filter has a further super-filter
-    that order-converges to x (read from :func:`star_limit_mask`).
-
-    With ``literal_tail=True`` the final clause instead asks that the
-    original filter order-converges to x (the weaker reading in which
-    the inner existential is satisfied trivially); both readings are
-    reported by the CLI.
-    """
-    if literal_tail:
-        return order_converges(f, x)
+    that order-converges to x (read from :func:`star_limit_mask`)."""
     return bool((star_limit_mask(f) >> x) & 1)
 
 

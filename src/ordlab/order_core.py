@@ -292,7 +292,9 @@ class Poset:
         return Poset._from_rows(self.labels, self.up, self.down)
 
 
-def _mask_arg(parent: Poset, mask: int) -> int:
+def _mask_arg(parent, mask: int) -> int:
+    """``mask`` when it lies in the carrier of ``parent`` (a poset or a
+    topology: anything with a ``full_mask``), else ValueError."""
     if mask < 0 or mask & ~parent.full_mask:
         raise ValueError("subset mask out of range")
     return mask

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .limits import Limits, check_elements, check_subset_elements
-from .order_core import Poset, Record, iter_bits
+from .order_core import Poset, Record, _mask_arg, iter_bits
 
 
 class FiniteTopology(Record):
@@ -49,7 +49,7 @@ class FiniteTopology(Record):
         return (1 << self.carrier_size) - 1
 
     def is_open(self, mask: int) -> bool:
-        return all(not self.min_nbhd[p] & ~mask for p in iter_bits(mask))
+        return all(not self.min_nbhd[p] & ~mask for p in iter_bits(_mask_arg(self, mask)))
 
     def opens(self, limits: Limits | None = None) -> tuple[int, ...]:
         """Materialize the whole open family (small carriers only)."""

@@ -5,23 +5,22 @@ indices, bounds are found by scanning with scalar ``leq`` queries, and
 families are enumerated exhaustively.  These routes share no code with
 the bitmask implementations they check.  The exceptions are the literal
 all-subsets routes (completeness, complete homs, filter upper/lower
-sets, breadth), the per-point convergence definitions, the closed-family
-continuity check and the triple distributive law, which run the
-package's bound queries, pair tables and open-family materialization
-(themselves gated against the routes above) to check the shortcuts
-built on them; and :func:`iter_monotone_maps`, the package's hom search
-without its meet and join pruning, which the tests check against every
-map of the candidate space.
+sets, breadth), the per-point convergence definitions, the convergence
+sweep over every filter (:func:`all_filter_limit_sweep`), the
+closed-family continuity check and the triple distributive law, which
+run the package's bound queries, limits, pair tables and open-family
+materialization (themselves gated against the routes above) to check
+the shortcuts built on them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ordlab.catalog import two
 from ordlab.filters import SetFilter, super_filters, upper_iff_downset
-from ordlab.morphisms import _search, check_image_filter_inclusion, classify
+from ordlab.morphisms import CheckReport, LatticeHom, check_image_filter_inclusion, classify, image_filter
 from ordlab.order_core import Poset, boolean_power, iter_bits, mask_of
 from ordlab.topology import FiniteTopology
 
@@ -392,9 +391,48 @@ def collapse_to_two():
 
 
 def iter_monotone_maps(domain: Poset, codomain: Poset) -> Iterator[tuple[int, ...]]:
-    """Every order-preserving map, from the hom search with no pins and
-    no meet or join constraints."""
-    return _search(domain, codomain, [codomain.full_mask] * domain.n, False)
+    """Every order-preserving map, by plain backtracking: the domain
+    elements are assigned in order of down-set size (a linear extension),
+    each to every value above the values of the elements below it, read
+    from scalar ``leq`` queries."""
+    n = domain.n
+    order = sorted(range(n), key=lambda x: sum(domain.leq(y, x) for y in range(n)))
+    below = [[y for y in range(n) if y != x and domain.leq(y, x)] for x in range(n)]
+    leq = [[codomain.leq(u, v) for v in range(codomain.n)] for u in range(codomain.n)]
+    values = [0] * n
+
+    def extend(pos: int) -> Iterator[tuple[int, ...]]:
+        if pos == n:
+            yield tuple(values)
+            return
+        x = order[pos]
+        for v in range(codomain.n):
+            if all(leq[values[y]][v] for y in below[x]):
+                values[x] = v
+                yield from extend(pos + 1)
+
+    return extend(0)
+
+
+def all_filter_limit_sweep(h: LatticeHom, limits_of: Callable[[SetFilter], int]) -> CheckReport:
+    """The convergence sweep over every filter of the domain, not only the
+    point filters: for each generator in increasing order and each point x
+    in ``limits_of`` of its filter, f(x) must be in ``limits_of`` of the
+    image filter.  One check per (filter, point), first failure as witness."""
+    dom = h.domain
+    checked = 0
+    for gen in range(1, dom.full_mask + 1):
+        f = SetFilter(dom, gen)
+        points = limits_of(f)
+        if not points:
+            continue
+        image_points = limits_of(image_filter(h, f))
+        for x in iter_bits(points):
+            checked += 1
+            if not (image_points >> h.mapping[x]) & 1:
+                witness = {"generator": dom.labels_of(gen), "point": dom.labels[x]}
+                return CheckReport(False, checked, witness)
+    return CheckReport(True, checked, None)
 
 
 def per_pair_fact_1_1(p: Poset, upper_bounds: list[int]) -> tuple[int, Optional[tuple[int, int]]]:

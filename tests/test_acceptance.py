@@ -7,17 +7,21 @@ filter upper set, the breadth size-bound reduction, and the finite
 complete-homomorphism test, continuity read off neighbourhood tables,
 the one-pass order and star limits of a filter, the subset tables
 (bounds, closures, images) with the enumerated order rows, and the
-pruned hom search, the preimage scan by lookup and distributivity by
-join-primes, the whole-table fact-1-1 and lemma-3 campaign checks, and
-the lattice census (the lattice test on the order rows, the bit-level
-isomorphism test and the enumeration order).
+pruned hom search, the preimage scan by lookup, the complete homs taken
+from the search unclassified and distributivity by join-primes, the
+whole-table fact-1-1 and lemma-3 campaign checks, and the lattice
+census (the lattice test on the order rows, the bit-level isomorphism
+test and the enumeration order).
 """
 
+import __future__
 import hashlib
+import inspect
 import itertools
 import json
 import subprocess
 import sys
+import textwrap
 import time
 from random import Random
 
@@ -65,7 +69,7 @@ from ordlab.catalog import (
     two,
 )
 from ordlab.filters import filter_lower, filter_upper, order_convergence_is_pointlike, order_converges
-from ordlab.morphisms import _search, image_table
+from ordlab.morphisms import _order_limit_mask, _search, image_table
 from ordlab.order_core import (
     Poset,
     _is_lattice,
@@ -77,6 +81,7 @@ from ordlab.order_core import (
 
 from oracles import (
     all_filter_families,
+    all_filter_limit_sweep,
     are_isomorphic_brute_force,
     collapse_to_two,
     filter_lower_definitional,
@@ -173,7 +178,7 @@ def test_criterion_5_complete_hom_preimages_are_intervals():
     ok = True
     for dom in pool:
         for cod in pool:
-            for hom in enumerate_homs(dom, cod, Classification.COMPLETE_HOM):
+            for hom in enumerate_homs(dom, cod):
                 homs += 1
                 scan = preimage_scan(hom)
                 ok = ok and scan.all_interval_or_empty
@@ -201,9 +206,10 @@ def test_criterion_7_convergence_preserved_by_complete_homs():
     pool = [p for _, p in library_lattices(5)]
     ok = True
     homs = 0
-    # the hom campaigns sweep point filters only, by the degeneracy law:
-    # assert it for order and star limits on every lattice of their
-    # pools, at the default limits and at --trials 10, on seeds 0 and 7
+    # the convergence checks sweep point filters only, by the degeneracy
+    # law: assert it for order and star limits on every lattice of the hom
+    # campaigns' pools, at the default limits and at --trials 10, on seeds
+    # 0 and 7, and compare the checks with the sweep over every filter
     pooled = 0
     for name in ("lemma-2", "prop-2-1", "star-preservation"):
         for trials in (0, 10):
@@ -225,14 +231,18 @@ def test_criterion_7_convergence_preserved_by_complete_homs():
                 ok = ok and order_converges(f, x) == (gen == 1 << x)
     for dom in pool:
         for cod in pool:
-            for hom in enumerate_homs(dom, cod, Classification.COMPLETE_HOM):
+            for hom in enumerate_homs(dom, cod):
                 homs += 1
-                ok = ok and check_image_convergence(hom).passed
-                ok = ok and check_star_preservation(hom).passed
+                for check, limits_of in (
+                    (check_image_convergence, _order_limit_mask),
+                    (check_star_preservation, star_limit_mask),
+                ):
+                    swept = check(hom)
+                    ok = ok and swept.passed and swept == all_filter_limit_sweep(hom, limits_of)
     report(
         7,
-        f"order and star convergence preserved by {homs} complete homs; "
-        f"convergence pointlike on {pooled} hom-campaign pool lattices",
+        f"order and star convergence preserved by {homs} complete homs, point-filter sweeps equal to "
+        f"the all-filter sweeps; convergence pointlike on {pooled} hom-campaign pool lattices",
         ok,
     )
 
@@ -407,22 +417,20 @@ def test_criterion_9h_a_gate_pruned_hom_search():
             at_least = {
                 level: set().union(*(by_level[k] for k in Classification if k >= level)) for level in by_level
             }
-            for level in (Classification.LATTICE_HOM, Classification.COMPLETE_HOM):
-                found = [h.mapping for h in enumerate_homs(dom, cod, level)]
-                ok = ok and len(found) == len(set(found)) and set(found) == at_least[level]
-                homs += len(found)
-            # the pruned search itself yields only lattice homs, so nothing is classified in vain
-            pruned = list(_search(dom, cod, [cod.full_mask] * dom.n, True))
+            found = [h.mapping for h in enumerate_homs(dom, cod)]
+            ok = ok and len(found) == len(set(found)) and set(found) == at_least[Classification.COMPLETE_HOM]
+            # unpinned, the search yields exactly the lattice homs
+            pruned = list(_search(dom, cod, [cod.full_mask] * dom.n))
             ok = ok and len(pruned) == len(set(pruned)) and set(pruned) == at_least[Classification.LATTICE_HOM]
+            homs += len(found) + len(pruned)
             monotone = list(iter_monotone_maps(dom, cod))
             ok = ok and len(monotone) == len(set(monotone))
             ok = ok and set(monotone) == at_least[Classification.ORDER_PRESERVING]
     report(
         "9h(a)",
-        f"pruned hom search yields exactly the brute-force lattice homs and enumerate_homs equals "
-        f"brute-force classification at lattice-hom and complete-hom level, monotone search equals "
-        f"the monotone maps ({maps_checked} maps, {homs} homs, "
-        f"{len(pool)} lattices <= 5)",
+        f"unpinned hom search yields exactly the brute-force lattice homs and enumerate_homs exactly "
+        f"the brute-force complete homs, monotone backtracking equals the monotone maps "
+        f"({maps_checked} maps, {homs} homs, {len(pool)} lattices <= 5)",
         ok,
     )
 
@@ -453,7 +461,67 @@ def test_criterion_9h_b_gate_preimage_scan_by_lookup():
     )
 
 
-def test_criterion_9h_c_gate_join_prime_distributivity():
+def _complete_homs_on_prop_2_1_pool() -> tuple[int, int, int]:
+    """``(homs, duplicates, not complete)`` over every pair of the default
+    prop-2-1 pool at --trials 10 --seed 0: the homs enumerate_homs returns,
+    repeats within a pair, and those classify does not call complete."""
+    pool = _lattice_pool(CampaignSpec("prop-2-1", CAMPAIGNS["prop-2-1"].default_limit, 10, 0))
+    homs = duplicates = not_complete = 0
+    for dom in pool:
+        for cod in pool:
+            found = [h.mapping for h in morph_mod.enumerate_homs(dom, cod)]
+            homs += len(found)
+            duplicates += len(found) - len(set(found))
+            levels = [classify(m, dom, cod).classification for m in found]
+            not_complete += sum(level != Classification.COMPLETE_HOM for level in levels)
+    return homs, duplicates, not_complete
+
+
+def _mutant(fn, old: str, new: str):
+    """``fn`` recompiled from its source with ``old``, which occurs there
+    once, replaced by ``new``, in a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    code = compile(
+        source.replace(old, new), f"<mutant {fn.__name__}>", "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    exec(code, namespace)
+    return namespace[fn.__name__]
+
+
+# (mutant, function, code replaced, replacement)
+HOM_SEARCH_MUTANTS = [
+    ("no top pin", "enumerate_homs", "pins[domain.top] &= 1 << codomain.top", "pass"),
+    ("no join constraint", "_search", "allowed &= 1 << join_c[values[a]][values[b]]", "pass"),
+    # keeps every meet pair of a domain but its first
+    ("one meet pair dropped", "_search", "meets[x].append(", "any(meets) and meets[x].append("),
+]
+
+
+def test_criterion_9h_c_gate_complete_homs_from_search(monkeypatch):
+    """enumerate_homs builds its homs as complete without classifying
+    them; classify must agree on every one, and the gate must catch
+    seeded mutants of the search."""
+    ok = _complete_homs_on_prop_2_1_pool() == (5451, 0, 0)
+    missed = []
+    for label, name, old, new in HOM_SEARCH_MUTANTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(morph_mod, name, _mutant(getattr(morph_mod, name), old, new))
+            if _complete_homs_on_prop_2_1_pool()[2] == 0:
+                missed.append(label)
+    ok = ok and not missed
+    report(
+        "9h(c)",
+        f"classify calls all 5,451 homs enumerate_homs returns on the default prop-2-1 pool (--trials 10) "
+        f"complete, none repeated; seeded search mutants ({', '.join(m[0] for m in HOM_SEARCH_MUTANTS)}) "
+        f"missed: {', '.join(missed) or 'none'}",
+        ok,
+    )
+
+
+def test_criterion_9h_d_gate_join_prime_distributivity():
     pool = [p for n in range(1, 7) for p in all_lattices(n)]
     pool += [boolean_power(6), product([boolean_power(3), boolean_power(3)]), chain(64)]
     ok = len(pool) == 6815 + 3
@@ -464,7 +532,7 @@ def test_criterion_9h_c_gate_join_prime_distributivity():
         non_distributive += not fast
     ok = ok and non_distributive > 0
     report(
-        "9h(c)",
+        "9h(d)",
         f"join-prime distributivity equals the triple law on {len(pool)} lattices "
         f"(all labelled lattices <= 6, 2^6, 2^3x2^3, chain64; {non_distributive} not distributive)",
         ok,

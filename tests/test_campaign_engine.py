@@ -57,6 +57,10 @@ GOLDEN = [
     ("hausdorff --limit 2 --trials 3 --seed 4", 0, "c1655262ffec269bab0d2cfc416fc1fd91a28084ec58f030dd48c9583985247e"),
     ("lemma-2 --limit 2 --trials 3 --seed 1", 0, "7cd183280b91a6b3730cf2ffd85ccf37f9db66ca2d118fc12ce6523c918adde1"),
     ("lemma-3 --limit 1 --trials 2", 0, "b11a07a3596fb66fcedbb3c9070021d5eb737f4cb8a6a1634c26a78811671dfb"),
+    # the hom campaigns at the largest limit the candidate-map bound accepts
+    ("prop-2-1 --limit 7 --trials 5 --seed 2", 0, "827fb516a0ea3ef4bedb6c79bcc3a4dbb7377e6573bbab350fa2946c495588ad"),
+    ("lemma-2 --limit 7 --trials 5 --seed 2", 0, "6f43ae17ff7b4c7baa4fdd8396e77b60ef581120cb9c09d4821a789bcf7eec95"),
+    ("star-preservation --limit 7 --trials 5 --seed 2", 0, "8555a4cad28531842e8030e056b2685aea0dc22036cd4a7f7ba87b6523c9831d"),
     # the hom search's candidate-map bound (exit 3, nothing on stdout)
     ("prop-2-1 --limit 8", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]

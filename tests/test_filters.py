@@ -208,13 +208,6 @@ class TestStarConvergence:
         assert star_limit_mask(f) == 0
         assert star_limit_mask(SetFilter(c, 1 << 63)) == 1 << 63
 
-    def test_literal_tail_reading_collapses_to_order_convergence(self):
-        for p in (boolean_power(2), m3(), chain(3)):
-            for gen in range(1, p.full_mask + 1):
-                f = SetFilter(p, gen)
-                for x in range(p.n):
-                    assert star_converges(f, x, literal_tail=True) == order_converges(f, x)
-
 
 class TestUpperIffDownset:
     def test_examples(self):

@@ -29,10 +29,15 @@ from ordlab.catalog import all_lattices, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
 from ordlab.filters import order_convergence_is_pointlike
 from ordlab.limits import Limits
-from ordlab.morphisms import hom_from_dict, hom_to_dict
+from ordlab.morphisms import _order_limit_mask, hom_from_dict, hom_to_dict
 from ordlab.topology import from_closed_subbasis
 
-from oracles import is_complete_hom_exhaustive, iter_monotone_maps, naive_is_complete_hom
+from oracles import (
+    all_filter_limit_sweep,
+    is_complete_hom_exhaustive,
+    iter_monotone_maps,
+    naive_is_complete_hom,
+)
 
 
 def collapse_hom():
@@ -81,15 +86,21 @@ class TestClassify:
 
 class TestEnumerateHoms:
     def test_counts_between_twos(self):
-        assert len(enumerate_homs(two(), two(), Classification.COMPLETE_HOM)) == 1
-        assert len(enumerate_homs(two(), two(), Classification.ORDER_PRESERVING)) == 3
-        assert len(enumerate_homs(two(), two(), Classification.NOT_ORDER_PRESERVING)) == 4
+        (h,) = enumerate_homs(two(), two())
+        assert h.mapping == (0, 1) and h.classification == Classification.COMPLETE_HOM
+        assert len(list(iter_monotone_maps(two(), two()))) == 3
 
     def test_unique_complete_hom_into_square(self):
-        homs = enumerate_homs(two(), boolean_power(2), Classification.COMPLETE_HOM)
+        homs = enumerate_homs(two(), boolean_power(2))
         assert len(homs) == 1
         (h,) = homs
         assert h.mapping == (0, 3)
+
+    def test_one_point_domain_has_a_hom_only_into_one_point(self):
+        # bottom and top coincide: both pins apply to the one element
+        one = chain(1)
+        assert [h.mapping for h in enumerate_homs(one, one)] == [(0,)]
+        assert enumerate_homs(one, two()) == []
 
     def test_monotone_backtracking_matches_brute_force(self):
         for (_, L), (_, M) in itertools.product(library_lattices(5), repeat=2):
@@ -104,11 +115,11 @@ class TestEnumerateHoms:
 
     def test_rejects_non_lattice_at_every_level(self):
         p = build_poset(["x", "y"], [])
-        for level in Classification:
+        for dom, cod in ((p, two()), (two(), p)):
             with pytest.raises(ValueError, match="lattices on both sides"):
-                enumerate_homs(p, two(), level)
+                enumerate_homs(dom, cod)
             with pytest.raises(ValueError, match="lattices on both sides"):
-                enumerate_homs(two(), p, level)
+                classify([0, 0], dom, cod)
 
     def test_limit_guard(self):
         with pytest.raises(LimitExceededError):
@@ -141,7 +152,7 @@ class TestPreimageIntervals:
 
     def test_complete_homs_always_interval_or_empty(self):
         for (_, L), (_, M) in itertools.product(library_lattices(5), repeat=2):
-            for h in enumerate_homs(L, M, Classification.COMPLETE_HOM):
+            for h in enumerate_homs(L, M):
                 scan = preimage_scan(h)
                 assert scan.all_interval_or_empty
                 principal = preimage_scan(h, principal_only=True)
@@ -158,7 +169,7 @@ class TestPreimageIntervals:
 class TestContinuity:
     def test_complete_homs_interval_continuous(self):
         for (_, L), (_, M) in itertools.product(library_lattices(4), repeat=2):
-            for h in enumerate_homs(L, M, Classification.COMPLETE_HOM):
+            for h in enumerate_homs(L, M):
                 assert is_continuous(h, interval_topology(L), interval_topology(M))
 
     def test_everything_into_indiscrete_is_continuous(self):
@@ -248,10 +259,9 @@ class TestConvergenceChecks:
     def test_singleton_shortcut_agrees(self):
         for (_, L), (_, M) in itertools.product(library_lattices(4), repeat=2):
             assert order_convergence_is_pointlike(L)
-            for h in enumerate_homs(L, M, Classification.COMPLETE_HOM):
-                full = check_image_convergence(h)
-                quick = check_image_convergence(h, singleton_only=True)
-                assert full.passed and quick.passed and full.checked == quick.checked
+            for h in enumerate_homs(L, M):
+                quick = check_image_convergence(h)
+                assert quick.passed and quick == all_filter_limit_sweep(h, _order_limit_mask)
 
 
 class TestImageFilterInclusion:
@@ -290,7 +300,7 @@ class TestStarPreservation:
         reps = iso_representatives([l for n in range(1, 5) for l in all_lattices(n)])
         for L in reps:
             for M in reps:
-                for h in enumerate_homs(L, M, Classification.COMPLETE_HOM):
+                for h in enumerate_homs(L, M):
                     assert check_star_preservation(h).passed
 
 

@@ -117,6 +117,13 @@ class TestFromClosedSubbasis:
 
 
 class TestIntervalTopology:
+    def test_is_open_rejects_masks_outside_the_carrier(self):
+        t = interval_topology(chain(3))
+        assert t.is_open(0b111) and t.is_open(0)
+        for mask in (8, -1):
+            with pytest.raises(ValueError, match="subset mask out of range"):
+                t.is_open(mask)
+
     def test_chain3_discrete_with_8_opens(self):
         t = interval_topology(chain(3))
         assert len(t.opens()) == 8
