@@ -265,7 +265,8 @@ CAMPAIGNS = {
         16, 16, lambda spec, limits: range(1, spec.size_limit.bit_length()), _check_breadth_2n
     ),
     "fact-1-1": Campaign(
-        5, 6, lambda spec, limits: all_posets_up_to(spec.size_limit) + _random_posets(spec), _check_fact_1_1
+        5, 6, lambda spec, limits: itertools.chain(all_posets_up_to(spec.size_limit), _random_posets(spec)),
+        _check_fact_1_1,
     ),
     "hausdorff": Campaign(
         8, 64, lambda spec, limits: [p for _, p in library_posets(spec.size_limit)] + _random_posets(spec),

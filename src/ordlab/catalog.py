@@ -3,26 +3,29 @@
 The named library covers the structures every campaign iterates over:
 chains, bounded antichains (M_k diamonds), the n-bit vector lattices,
 M3, N5, and a few products.  ``all_posets`` enumerates every labeled
-poset on a small carrier and ``all_lattices`` keeps those that pass the
-lattice test on the order rows, without building certificates;
+poset on n <= 8 points into a :class:`PosetFamily` of packed int codes;
+``all_lattices`` builds the ones that pass the row lattice test.
 ``random_poset``/``random_lattice`` produce seeded deterministic samples.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .errors import OrdlabError
+from .errors import LimitExceededError, OrdlabError
 from .limits import default_limits
 from .order_core import (
     Poset,
-    _is_lattice,
+    _pairs_have_joins,
     are_order_isomorphic,
     boolean_power,
     build_poset,
     product,
+    subset_intersection_table,
+    subset_union_table,
 )
 
 
@@ -126,9 +129,35 @@ def library_lattices(max_size: int) -> list[tuple[str, Poset]]:
     return [(name, p) for name, p in library_posets(max_size) if p.certificate.is_lattice]
 
 
+class PosetFamily:
+    """Labeled posets on the carrier {0..n-1}, each stored as one int code:
+    byte i is ``down[i]`` and byte n+i is ``up[i]``.  Ints are not tracked
+    by the cyclic garbage collector, so holding a family costs no
+    collection time; a :class:`Poset` is built only when one is read."""
+
+    __slots__ = ("n", "labels", "codes")
+
+    def __init__(self, n: int, codes: tuple[int, ...]) -> None:
+        self.n, self.labels, self.codes = n, tuple(str(i) for i in range(n)), codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index: int) -> Poset:
+        down, up = self.rows(self.codes[index])
+        return Poset._from_rows(self.labels, tuple(down), tuple(up))
+
+    def __iter__(self) -> Iterator[Poset]:
+        return map(self.__getitem__, range(len(self.codes)))
+
+    def rows(self, code: int) -> tuple[bytes, bytes]:
+        raw = code.to_bytes(2 * self.n, "little")
+        return raw[: self.n], raw[self.n :]
+
+
 @lru_cache(maxsize=None)
-def all_posets(n: int) -> tuple[Poset, ...]:
-    """Every labeled poset on carrier {0..n-1}.
+def all_posets(n: int) -> PosetFamily:
+    """Every labeled poset on carrier {0..n-1}, n <= 8, as a packed family.
 
     Each poset on n elements restricts to exactly one poset on the first
     n-1 elements, so extending every smaller poset by a fresh element z
@@ -137,53 +166,44 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    labels = tuple(str(i) for i in range(n))
-    if n == 1:
-        return (Poset._from_rows(labels, (1,), (1,)),)
-    out = []
-    make = Poset._from_rows
-    limits = default_limits()
-    z_bit = 1 << (n - 1)
-    for base in all_posets(n - 1):
-        down_closure = base.down_closure_table(limits)
-        up_closure = base.up_closure_table(limits)
-        upper_bounds = base.upper_bounds_table(limits)
-        down_sets = [m for m, c in enumerate(down_closure) if c == m]
-        # each up-set u with the down rows it gives: the old elements gain z
-        # in their down rows when they lie above z (in u) and in their up
-        # rows when they lie below it (in d)
-        up_sets = [
-            (u, tuple([r | z_bit if (u >> i) & 1 else r for i, r in enumerate(base.down)]), (u | z_bit,))
-            for u, c in enumerate(up_closure)
-            if c == u
-        ]
-        fitting: dict[int, list[tuple]] = {}  # allowed mask -> the up-sets inside it
-        for d in down_sets:
+    if n > 8:
+        raise LimitExceededError(f"all_posets: {n} points exceeds limit 8 (one byte per order row)")
+    m, limits, z_bit = n - 1, default_limits(), 1 << (n - 1)
+    # the bits z adds to a code below the up-set u and above the down-set d
+    above, below = [z_bit << 8 * (2 * n - 1)], [z_bit << 8 * m]
+    for i in range(m):
+        above += [g | z_bit << 8 * i | 1 << 8 * (2 * n - 1) + i for g in above]
+        below += [g | z_bit << 8 * (n + i) | 1 << 8 * m + i for g in below]
+    bases = all_posets(m) if m else PosetFamily(0, (0,))  # one point: extend the empty poset
+    out: list[int] = []
+    for code in bases.codes:
+        down, up = bases.rows(code)
+        head = int.from_bytes(down + b"\0" + up, "little")  # the old rows at their new places
+        upper_bounds = subset_intersection_table(up, z_bit - 1, limits, "upper-bounds table")
+        up_sets = [(u, above[u]) for u, c in enumerate(subset_union_table(up, limits, "up-sets")) if c == u]
+        for d in [d for d, c in enumerate(subset_union_table(down, limits, "down-sets")) if c == d]:
             # everything above the new element must be above all of d
-            allowed = upper_bounds[d] & ~d
-            ups = fitting.get(allowed)
-            if ups is None:
-                ups = fitting[allowed] = [(rows, z_up) for u, rows, z_up in up_sets if not u & ~allowed]
-            up_rows = tuple([r | z_bit if (d >> i) & 1 else r for i, r in enumerate(base.up)])
-            z_down = (d | z_bit,)
-            out += [make(labels, rows + z_down, up_rows + z_up) for rows, z_up in ups]
-    return tuple(out)
+            allowed, head_d = upper_bounds[d] & ~d, head | below[d]
+            out += [head_d | g for u, g in up_sets if not u & ~allowed]
+    return PosetFamily(n, tuple(out))
 
 
-def all_posets_up_to(n: int) -> list[Poset]:
-    out: list[Poset] = []
-    for k in range(1, n + 1):
-        out.extend(all_posets(k))
-    return out
+def all_posets_up_to(n: int) -> Iterator[Poset]:
+    return itertools.chain(*[all_posets(k) for k in range(1, n + 1)])
 
 
 @lru_cache(maxsize=None)
 def all_lattices(n: int) -> tuple[Poset, ...]:
     """Every labeled lattice on carrier {0..n-1}: the posets that are
     bounded and where every pair's upper bounds ``up[i] & up[j]`` are an up
-    row (``order_core._is_lattice``).  No certificate is built or cached;
-    ``certificate`` is computed on first access, as on any poset."""
-    return tuple([p for p in all_posets(n) if _is_lattice(p.down, p.up)])
+    row (``order_core._is_lattice``), tested on the packed rows; only the
+    lattices are built, and no certificate is built or cached."""
+    family, full = all_posets(n), (1 << n) - 1
+    return tuple([  # a top and a bottom first: 6,570 of the 130,023 posets on 6 points have both
+        Poset._from_rows(family.labels, tuple(down), tuple(up))
+        for down, up in map(family.rows, family.codes)
+        if full in down and full in up and _pairs_have_joins(up)
+    ])
 
 
 def iso_representatives(posets: Iterable[Poset]) -> list[Poset]:
@@ -193,7 +213,7 @@ def iso_representatives(posets: Iterable[Poset]) -> list[Poset]:
         return (
             p.n,
             tuple(sorted((p.down[i].bit_count(), p.up[i].bit_count()) for i in range(p.n))),
-            len(p.covers()),
+            [(u & d).bit_count() for u in p.up for d in p.down].count(2),  # covers: up[x] & down[j] == {x, j}
         )
 
     buckets: dict[tuple, list[Poset]] = {}

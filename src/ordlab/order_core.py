@@ -189,15 +189,6 @@ class Poset:
         """``table[m] == upper_bounds_mask(m)`` for every subset mask m."""
         return subset_intersection_table(self.up, self.full_mask, limits, "upper-bounds table")
 
-    def down_closure_table(self, limits: Limits | None = None) -> list[int]:
-        """``table[m]`` is the down-set generated by m, so m is a down-set
-        exactly when ``table[m] == m``."""
-        return subset_union_table(self.down, limits, "down-closure table")
-
-    def up_closure_table(self, limits: Limits | None = None) -> list[int]:
-        """``table[m]`` is the up-set generated by m."""
-        return subset_union_table(self.up, limits, "up-closure table")
-
     def upper_bounds(self, mask: int) -> int:
         """Elements above every member of the subset; the carrier when empty."""
         return self.upper_bounds_mask(_mask_arg(self, mask))
@@ -434,8 +425,11 @@ def _is_lattice(down: Sequence[int], up: Sequence[int]) -> bool:
     ``up[k]``; the meet of x and y is then the join of their lower bounds.
     Comparable pairs always pass, so testing every pair costs nothing extra."""
     full = (1 << len(up)) - 1
-    if full not in up or full not in down:
-        return False
+    return full in up and full in down and _pairs_have_joins(up)
+
+
+def _pairs_have_joins(up: Sequence[int]) -> bool:
+    """The pair test of :func:`_is_lattice`, for callers that check the bounds."""
     rows = set(up)
     for i, row in enumerate(up):
         for other in up[i + 1:]:

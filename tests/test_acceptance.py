@@ -77,6 +77,7 @@ from ordlab.order_core import (
     certify_lattice,
     mask_of,
     poset_to_dict,
+    subset_union_table,
 )
 
 from oracles import (
@@ -192,7 +193,7 @@ def test_criterion_6_upper_membership_equivalence():
     ok = True
     checked = 0
     rng = Random(2026)
-    for p in all_posets_up_to(5) + [random_poset(rng.randint(2, 5), rng) for _ in range(500)]:
+    for p in list(all_posets_up_to(5)) + [random_poset(rng.randint(2, 5), rng) for _ in range(500)]:
         upper_bounds = p.upper_bounds_table()
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
@@ -280,7 +281,7 @@ def test_criterion_9a_gate_filters_are_principal():
 
 
 def test_criterion_9b_gate_upper_set_via_generator():
-    pool = all_posets_up_to(4)
+    pool = list(all_posets_up_to(4))
     pool += [p for _, p in library_posets(6)]
     rng = Random(99)
     pool += [random_poset(rng.randint(5, 6), rng) for _ in range(50)]
@@ -344,7 +345,7 @@ def test_criterion_9e_gate_continuity_from_neighbourhood_tables():
 
 
 def test_criterion_9f_gate_one_limit_per_filter():
-    pool = all_posets_up_to(4) + [p for _, p in library_lattices(8)]
+    pool = list(all_posets_up_to(4)) + [p for _, p in library_lattices(8)]
     ok = True
     filters_checked = singletons = 0
     for p in pool:
@@ -375,7 +376,8 @@ def test_criterion_9g_gate_subset_tables():
             # the enumeration hands over its up rows; they must be the transpose
             p._validate()
             ok = ok and Poset(p.labels, p.down).up == p.up
-            upper, down_cl, up_cl = p.upper_bounds_table(), p.down_closure_table(), p.up_closure_table()
+            upper = p.upper_bounds_table()
+            down_cl, up_cl = subset_union_table(p.down, None, "down"), subset_union_table(p.up, None, "up")
             ok = ok and len(upper) == len(down_cl) == len(up_cl) == 1 << n
             for m in range(1 << n):
                 masks += 1
@@ -572,7 +574,7 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
 
     ok = True
     posets = runs = failing = 0
-    for p in all_posets_up_to(5) + [random_poset(6, rng) for _ in range(30)]:
+    for p in list(all_posets_up_to(5)) + [random_poset(6, rng) for _ in range(30)]:
         posets += 1
         for bits in spoils(p.full_mask + 1, p.n, 1):
             runs += 1
@@ -648,7 +650,7 @@ LATTICE_CLASSES_6_SHA256 = "f8a39bad2ea08b977706b3e946fedf5ef696070beabea7b646bf
 def test_criterion_9k_gate_lattice_census():
     ok = True
     bounded = [p for p in all_posets(6) if p.full_mask in p.up and p.full_mask in p.down]
-    pool = all_posets_up_to(5) + bounded
+    pool = list(all_posets_up_to(5)) + bounded
     lattices = 0
     for p in pool:
         literal = is_lattice_literal(p)
@@ -659,7 +661,7 @@ def test_criterion_9k_gate_lattice_census():
     # plus non-isomorphic pairs with equal (down, up) count profiles on 6 and
     # 7 points, where a test of the up rows alone, or of the down rows
     # alone, finds a bijection
-    small = all_posets_up_to(4) + [
+    small = list(all_posets_up_to(4)) + [
         Poset([str(i) for i in range(len(down))], down)
         for down in (
             (1, 3, 4, 12, 29, 36),

@@ -4,6 +4,7 @@ import pytest
 from random import Random
 
 from ordlab import (
+    LimitExceededError,
     OrdlabError,
     are_order_isomorphic,
     boolean_power,
@@ -17,6 +18,7 @@ from ordlab import (
     two,
 )
 from ordlab.catalog import (
+    PosetFamily,
     all_lattices,
     all_posets,
     antichain_bounded,
@@ -105,6 +107,38 @@ class TestAllPosets:
         assert [len(iso_representatives(all_posets(n))) for n in range(1, 6)] == [1, 2, 5, 16, 63]
         # unlabelled lattices, OEIS A006966
         assert [len(iso_representatives(all_lattices(n))) for n in range(1, 7)] == [1, 1, 1, 2, 5, 15]
+
+
+class TestPackedFamily:
+    """Gate for the packed census: the codes of ``all_posets`` read back as
+    valid posets, and ``all_lattices`` filters the packed rows as the
+    certificate would filter the posets."""
+
+    def test_codes_read_back_as_valid_posets(self):
+        for n in range(1, 6):
+            family = all_posets(n)
+            assert isinstance(family, PosetFamily) and family.n == n
+            assert len(family.codes) == len(family)
+            read = list(family)
+            assert len(read) == len(family)
+            for i, p in enumerate(read):
+                indexed = family[i]
+                assert (p.labels, p.down, p.up) == (indexed.labels, indexed.down, indexed.up)
+                # re-validates the axioms and derives up as the transpose of down
+                assert Poset(p.labels, p.down).up == p.up
+        assert family[-1] == read[-1]
+        # the census order on two points: incomparable, then 1 < 0, then 0 < 1
+        assert [(p.down, p.up) for p in all_posets(2)] == [
+            ((1, 2), (1, 2)), ((3, 2), (1, 3)), ((1, 3), (3, 2))
+        ]
+
+    def test_lattices_are_the_certified_posets(self):
+        for n in range(1, 7):
+            assert list(all_lattices(n)) == [p for p in all_posets(n) if certify_lattice(p).is_lattice]
+
+    def test_nine_points_exceed_the_packed_limit(self):
+        with pytest.raises(LimitExceededError):
+            all_posets(9)
 
 
 class TestRandomPoset:

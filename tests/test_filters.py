@@ -80,7 +80,7 @@ class TestUpperLower:
         assert filter_upper(SetFilter(c, 0b101)) == 0b100
 
     def test_generator_route_equals_definitional_union(self):
-        pool = all_posets_up_to(4)
+        pool = list(all_posets_up_to(4))
         pool += [p for _, p in library_posets(6)]
         pool += seeded_posets(30, range(5, 7), seed=29)
         for p in pool:

@@ -167,7 +167,7 @@ class TestInfimum:
 
     def test_sandwich_between_bounds(self):
         # each member of S sits between sup of lower bounds and inf of upper bounds
-        pool = all_posets_up_to(4)
+        pool = list(all_posets_up_to(4))
         pool += [q for _, q in library_posets(6)]
         pool += seeded_posets(100, range(5, 7), seed=11)
         for p in pool:
@@ -198,7 +198,7 @@ class TestCertify:
         assert not cert.is_lattice and not cert.is_complete
 
     def test_completeness_shortcut_matches_literal(self):
-        pool = all_posets_up_to(4)
+        pool = list(all_posets_up_to(4))
         pool += [q for _, q in library_posets(6)]
         pool += seeded_posets(60, range(5, 7), seed=17)
         for p in pool:
@@ -219,7 +219,7 @@ class TestCertify:
         assert "join_table" not in p.__dict__ and "meet_table" not in p.__dict__
 
     def test_pair_tables_match_naive_oracle(self):
-        for p in all_posets_up_to(4) + [m3(), boolean_power(3)]:
+        for p in list(all_posets_up_to(4)) + [m3(), boolean_power(3)]:
             certify_lattice(p)  # seeds the join table on lattices
             for i, j in itertools.product(range(p.n), repeat=2):
                 pair = frozenset((i, j))

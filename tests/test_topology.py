@@ -130,7 +130,7 @@ class TestIntervalTopology:
         assert is_discrete(t)
 
     def test_every_small_poset_discrete(self):
-        pool = all_posets_up_to(4)
+        pool = list(all_posets_up_to(4))
         pool += [p for _, p in library_posets(8)]
         pool += seeded_posets(80, range(5, 9), seed=23)
         for p in pool:
