@@ -34,7 +34,6 @@ from .catalog import (
 from .errors import LimitExceededError, MalformedInputError, OrdlabError
 from .filters import (
     SetFilter,
-    filter_from_base,
     filter_from_labels,
     filter_lower,
     filter_upper,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from .limits import Limits, check_subset_elements
+from .limits import check_subset_elements
 from .order_core import Poset, _mask_arg, mask_of
 
 
@@ -39,12 +39,12 @@ def _require_complete_lattice(lattice: Poset) -> None:
         raise ValueError("breadth is defined on complete lattices")
 
 
-def has_breadth_at_most(lattice: Poset, n: int, *, limits: Limits | None = None) -> BreadthCheck:
+def has_breadth_at_most(lattice: Poset, n: int) -> BreadthCheck:
     """Decide breadth <= n, returning a violating (n+1)-subset on failure."""
     _require_complete_lattice(lattice)
     if n < 1:
         raise ValueError("breadth bound must be positive")
-    check_subset_elements(lattice.n, limits, "breadth check")
+    check_subset_elements(lattice.n, "breadth check")
     for combo in itertools.combinations(range(lattice.n), n + 1):
         subset = mask_of(combo)
         target = lattice.infimum_mask(subset)
@@ -74,7 +74,7 @@ def is_irredundant(lattice: Poset, mask: int) -> bool:
     return True
 
 
-def compute_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthReport:
+def compute_breadth(lattice: Poset) -> BreadthReport:
     """Least n with breadth <= n, plus an irredundant witness of that size.
 
     The one-element lattice is degenerate: its breadth is 1 but no
@@ -85,7 +85,7 @@ def compute_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthR
     last_violation: Optional[int] = None
     n = 1
     while True:
-        holds, violation = has_breadth_at_most(lattice, n, limits=limits)
+        holds, violation = has_breadth_at_most(lattice, n)
         if holds:
             break
         last_violation = violation
@@ -103,13 +103,13 @@ def compute_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthR
     return BreadthReport(lattice, n, witness)
 
 
-def compute_dual_breadth(lattice: Poset, *, limits: Limits | None = None) -> BreadthReport:
+def compute_dual_breadth(lattice: Poset) -> BreadthReport:
     """Breadth of the order dual (suprema in the original lattice).
 
     Provided as separate plumbing; it is not the breadth itself, though
     the two agree on self-dual lattices.
     """
-    return compute_breadth(lattice.dual(), limits=limits)
+    return compute_breadth(lattice.dual())
 
 
 def coatom(n: int, m: int) -> int:

@@ -35,7 +35,6 @@ from .catalog import (
     two,
 )
 from .errors import MalformedInputError
-from .limits import Limits, default_limits
 from .order_core import Poset, Record, boolean_power, mask_of, poset_to_dict, product
 
 
@@ -103,10 +102,10 @@ def _poset_witness(p: Poset, **extra) -> dict:
     return doc
 
 
-# -- instance sources: (spec, limits) -> instances ---------------------------
+# -- instance sources: (spec) -> instances ----------------------------------
 
 
-def _complete_homs(spec: CampaignSpec, limits: Limits | None, with_topologies: bool = False):
+def _complete_homs(spec: CampaignSpec, with_topologies: bool = False):
     """``(hom, t_dom, t_cod)`` for every complete hom between two pool
     lattices; the interval topologies of its ends are built once per
     lattice when asked for, else None."""
@@ -114,14 +113,14 @@ def _complete_homs(spec: CampaignSpec, limits: Limits | None, with_topologies: b
     tops = [topo.interval_topology(p) if with_topologies else None for p in pool]
     for dom, t_dom in zip(pool, tops):
         for cod, t_cod in zip(pool, tops):
-            for hom in morph.enumerate_homs(dom, cod, limits):
+            for hom in morph.enumerate_homs(dom, cod):
                 yield hom, t_dom, t_cod
 
 
 _PRODUCT_FACTORS: tuple[Callable[[], Poset], ...] = (two, lambda: chain(3), lambda: boolean_power(2), m3)
 
 
-def _product_factors(spec: CampaignSpec, limits: Limits | None):
+def _product_factors(spec: CampaignSpec):
     for arity in (2, 3):
         for combo in itertools.combinations_with_replacement(range(len(_PRODUCT_FACTORS)), arity):
             factors = [_PRODUCT_FACTORS[i]() for i in combo]
@@ -129,7 +128,7 @@ def _product_factors(spec: CampaignSpec, limits: Limits | None):
                 yield factors
 
 
-def _maps_between_carriers(spec: CampaignSpec, limits: Limits | None):
+def _maps_between_carriers(spec: CampaignSpec):
     carriers = [chain(k) for k in range(1, spec.size_limit + 1)]
     carriers.extend(_random_posets(spec))
     for dom in carriers:
@@ -138,12 +137,12 @@ def _maps_between_carriers(spec: CampaignSpec, limits: Limits | None):
                 yield dom, cod, mapping
 
 
-# -- checks: (instance, limits) -> (checks run, witness or None) -------------
+# -- checks: instance -> (checks run, witness or None) ----------------------
 
 
-def _check_breadth_2n(n: int, limits: Limits | None) -> tuple[int, Optional[dict]]:
-    lattice = boolean_power(n, limits)
-    report = breadth_mod.compute_breadth(lattice, limits=limits)
+def _check_breadth_2n(n: int) -> tuple[int, Optional[dict]]:
+    lattice = boolean_power(n)
+    report = breadth_mod.compute_breadth(lattice)
     family = mask_of(breadth_mod.coatom_family(n))
     if (
         report.breadth == n
@@ -161,11 +160,11 @@ def _check_breadth_2n(n: int, limits: Limits | None) -> tuple[int, Optional[dict
     )
 
 
-def _check_fact_1_1(p: Poset, limits: Limits | None) -> tuple[int, Optional[dict]]:
+def _check_fact_1_1(p: Poset) -> tuple[int, Optional[dict]]:
     # all (generator, point) pairs at once: the first failing pair, generator-
     # major and point-minor, is the lowest bit of the first differing entry
-    upper = p.upper_bounds_table(limits)
-    downs = filters_mod.downset_member_table(p, limits)
+    upper = p.upper_bounds_table()
+    downs = filters_mod.downset_member_table(p)
     if upper == downs:
         return p.full_mask * p.n, None
     gen = next(m for m in range(len(upper)) if upper[m] != downs[m])
@@ -176,23 +175,23 @@ def _check_fact_1_1(p: Poset, limits: Limits | None) -> tuple[int, Optional[dict
     )
 
 
-def _check_hausdorff(p: Poset, limits: Limits | None) -> tuple[int, Optional[dict]]:
+def _check_hausdorff(p: Poset) -> tuple[int, Optional[dict]]:
     t = topo.interval_topology(p)
     if topo.is_discrete(t) and topo.is_hausdorff(t):
         return 1, None
     return 1, _poset_witness(p, check="interval-topology-discrete")
 
 
-def _check_product_lemma(factors: list[Poset], limits: Limits | None) -> tuple[int, Optional[dict]]:
-    prod = product(factors, limits)
+def _check_product_lemma(factors: list[Poset]) -> tuple[int, Optional[dict]]:
+    prod = product(factors)
     lhs = topo.interval_topology(prod)
-    rhs = topo.product_topology([topo.interval_topology(f) for f in factors], limits)
+    rhs = topo.product_topology([topo.interval_topology(f) for f in factors])
     if topo.topologies_equal(lhs, rhs):
         return 1, None
     return 1, _poset_witness(prod, check="interval-vs-product-topology")
 
 
-def _check_prop_2_1(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+def _check_prop_2_1(instance) -> tuple[int, Optional[dict]]:
     # the full scan covers the principal intervals [bottom, x] and [x, top]
     hom, t_dom, t_cod = instance
     scan = morph.preimage_scan(hom)
@@ -211,21 +210,21 @@ def _limits_preserved(report, check: str, hom) -> tuple[int, Optional[dict]]:
     return 1, {"check": check, "hom": morph.hom_to_dict(hom), "witness": report.witness}
 
 
-def _check_lemma_2(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+def _check_lemma_2(instance) -> tuple[int, Optional[dict]]:
     hom = instance[0]
     report = morph.check_image_convergence(hom)
     return _limits_preserved(report, "image-order-convergence", hom)
 
 
-def _check_star_preservation(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+def _check_star_preservation(instance) -> tuple[int, Optional[dict]]:
     hom = instance[0]
     report = morph.check_star_preservation(hom)
     return _limits_preserved(report, "image-star-convergence", hom)
 
 
-def _check_lemma_3(instance, limits: Limits | None) -> tuple[int, Optional[dict]]:
+def _check_lemma_3(instance) -> tuple[int, Optional[dict]]:
     dom, cod, mapping = instance
-    images = morph.image_table(mapping, limits)
+    images = morph.image_table(mapping)
     # fine ⊂ coarse is a chain of covers (one point dropped) through subsets of
     # coarse, so the first coarse with a failing pair is the first with a failing
     # cover; only its pairs are then walked, in decreasing order, for the witness
@@ -255,47 +254,44 @@ def _check_lemma_3(instance, limits: Limits | None) -> tuple[int, Optional[dict]
 class Campaign(NamedTuple):
     default_limit: int
     cap: Optional[int]  # largest accepted size limit; None: only the resource guards apply
-    instances: Callable[[CampaignSpec, Optional[Limits]], Iterable]
-    check: Callable[[object, Optional[Limits]], tuple[int, Optional[dict]]]
+    instances: Callable[[CampaignSpec], Iterable]
+    check: Callable[[object], tuple[int, Optional[dict]]]
 
 
 CAMPAIGNS = {
     # the exponents n with 2^n <= the limit
-    "breadth-2n": Campaign(
-        16, 16, lambda spec, limits: range(1, spec.size_limit.bit_length()), _check_breadth_2n
-    ),
+    "breadth-2n": Campaign(16, 16, lambda spec: range(1, spec.size_limit.bit_length()), _check_breadth_2n),
     "fact-1-1": Campaign(
-        5, 6, lambda spec, limits: itertools.chain(all_posets_up_to(spec.size_limit), _random_posets(spec)),
+        5, 6, lambda spec: itertools.chain(all_posets_up_to(spec.size_limit), _random_posets(spec)),
         _check_fact_1_1,
     ),
     "hausdorff": Campaign(
-        8, 64, lambda spec, limits: [p for _, p in library_posets(spec.size_limit)] + _random_posets(spec),
+        8, 64, lambda spec: [p for _, p in library_posets(spec.size_limit)] + _random_posets(spec),
         _check_hausdorff,
     ),
     "lemma-2": Campaign(5, None, _complete_homs, _check_lemma_2),
     "lemma-3": Campaign(4, 5, _maps_between_carriers, _check_lemma_3),
     "product-lemma": Campaign(64, 64, _product_factors, _check_product_lemma),
-    "prop-2-1": Campaign(6, None, lambda spec, limits: _complete_homs(spec, limits, True), _check_prop_2_1),
+    "prop-2-1": Campaign(6, None, lambda spec: _complete_homs(spec, True), _check_prop_2_1),
     "star-preservation": Campaign(5, None, _complete_homs, _check_star_preservation),
 }
 
 CAMPAIGN_NAMES = tuple(CAMPAIGNS)
 
 
-def run_campaign(spec: CampaignSpec, limits: Limits | None = None) -> CampaignResult:
+def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Run the named campaign; pass or first counterexample with witness.
 
     A size limit above the campaign's cap is rejected, never clamped.
     """
     campaign = CAMPAIGNS[spec.name]
-    limits = default_limits() if limits is None else limits  # read the environment once
     if campaign.cap is not None and spec.size_limit > campaign.cap:
         raise MalformedInputError(
             f"campaign {spec.name}: size limit {spec.size_limit} is above its cap {campaign.cap}"
         )
     checked = 0
-    for instance in campaign.instances(spec, limits):
-        runs, witness = campaign.check(instance, limits)
+    for instance in campaign.instances(spec):
+        runs, witness = campaign.check(instance)
         checked += runs
         if witness is not None:
             return CampaignResult(spec, checked, "counterexample", witness)

@@ -16,7 +16,7 @@ from random import Random
 from typing import Iterable, Iterator, Optional
 
 from .errors import LimitExceededError, OrdlabError
-from .limits import default_limits
+from .limits import check_subset_elements
 from .order_core import (
     Poset,
     _pairs_have_joins,
@@ -168,20 +168,21 @@ def all_posets(n: int) -> PosetFamily:
         raise ValueError("need n >= 1")
     if n > 8:
         raise LimitExceededError(f"all_posets: {n} points exceeds limit 8 (one byte per order row)")
-    m, limits, z_bit = n - 1, default_limits(), 1 << (n - 1)
+    m, z_bit = n - 1, 1 << (n - 1)
     # the bits z adds to a code below the up-set u and above the down-set d
     above, below = [z_bit << 8 * (2 * n - 1)], [z_bit << 8 * m]
     for i in range(m):
         above += [g | z_bit << 8 * i | 1 << 8 * (2 * n - 1) + i for g in above]
         below += [g | z_bit << 8 * (n + i) | 1 << 8 * m + i for g in below]
     bases = all_posets(m) if m else PosetFamily(0, (0,))  # one point: extend the empty poset
+    check_subset_elements(m, "upper-bounds table")  # the loop's subset tables are on m rows
     out: list[int] = []
     for code in bases.codes:
         down, up = bases.rows(code)
         head = int.from_bytes(down + b"\0" + up, "little")  # the old rows at their new places
-        upper_bounds = subset_intersection_table(up, z_bit - 1, limits, "upper-bounds table")
-        up_sets = [(u, above[u]) for u, c in enumerate(subset_union_table(up, limits, "up-sets")) if c == u]
-        for d in [d for d, c in enumerate(subset_union_table(down, limits, "down-sets")) if c == d]:
+        upper_bounds = subset_intersection_table(up, z_bit - 1)
+        up_sets = [(u, above[u]) for u, c in enumerate(subset_union_table(up)) if c == u]
+        for d in [d for d, c in enumerate(subset_union_table(down)) if c == d]:
             # everything above the new element must be above all of d
             allowed, head_d = upper_bounds[d] & ~d, head | below[d]
             out += [head_d | g for u, g in up_sets if not u & ~allowed]
@@ -229,15 +230,16 @@ def iso_representatives(posets: Iterable[Poset]) -> list[Poset]:
     return reps
 
 
-def random_poset(size: int, rng: Random, edge_prob: float = 0.35) -> Poset:
+def random_poset(size: int, rng: Random) -> Poset:
     """Random labeled poset: the transitive closure of a random DAG on
-    the naturally ordered carrier."""
+    the naturally ordered carrier, each edge i -> j drawn with
+    probability 0.35."""
     if size < 1:
         raise ValueError("need size >= 1")
     down = [1 << i for i in range(size)]
     for j in range(size):
         for i in range(j):
-            if rng.random() < edge_prob:
+            if rng.random() < 0.35:
                 down[j] |= down[i]
     return Poset([str(i) for i in range(size)], down, _validated=True)
 
@@ -313,20 +315,21 @@ def _random_block_lattice(size: int, rng: Random) -> Poset:
     return _stack(blocks)
 
 
-def random_lattice(size: int, seed: int, *, mode: str = "mixed", max_tries: int = 500) -> Poset:
+_LATTICE_TRIES = 500
+
+
+def random_lattice(size: int, seed: int) -> Poset:
     """Seeded random lattice with exactly ``size`` elements.
 
-    ``mode="distributive"`` uses only the down-set-family construction;
-    ``"mixed"`` interleaves it with vertical compositions that insert M3
-    and N5 fragments.  Deterministic in the seed.
+    Each of up to ``_LATTICE_TRIES`` tries flips a coin between the
+    down-set-family construction (distributive) and a vertical composition
+    that can insert M3 and N5 fragments.  Deterministic in the seed.
     """
     if size < 2:
         raise ValueError("need size >= 2")
-    if mode not in ("mixed", "distributive"):
-        raise ValueError(f"unknown mode {mode!r}")
     rng = Random(seed)
-    for attempt in range(max_tries):
-        if mode == "mixed" and rng.random() < 0.5:
+    for _ in range(_LATTICE_TRIES):
+        if rng.random() < 0.5:
             result = _random_block_lattice(size, rng)
         else:
             result = _random_distributive_lattice(size, rng)
@@ -334,4 +337,4 @@ def random_lattice(size: int, seed: int, *, mode: str = "mixed", max_tries: int 
             continue
         if result.certificate.is_lattice:
             return result
-    raise OrdlabError(f"could not generate a {size}-element lattice in {max_tries} tries")
+    raise OrdlabError(f"could not generate a {size}-element lattice in {_LATTICE_TRIES} tries")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInputError
-from .limits import Limits, check_subset_elements
+from .limits import check_subset_elements
 from .order_core import Poset, Record
 
 
@@ -37,9 +37,9 @@ class SetFilter(Record):
     def __contains__(self, mask: int) -> bool:
         return mask & self.generator == self.generator
 
-    def members(self, limits: Limits | None = None) -> list[int]:
+    def members(self) -> list[int]:
         """All member sets, i.e. every superset of the generator."""
-        check_subset_elements(self.parent.n, limits, "filter materialization")
+        check_subset_elements(self.parent.n, "filter materialization")
         free = self.parent.full_mask & ~self.generator
         out = []
         sub = 0
@@ -56,29 +56,6 @@ _set_parent, _set_generator = SetFilter.parent.__set__, SetFilter.generator.__se
 
 def filter_from_labels(parent: Poset, labels: Iterable[str]) -> SetFilter:
     return SetFilter(parent, parent.mask_of_labels(labels))
-
-
-def filter_from_base(parent: Poset, base_sets: Iterable[int]) -> SetFilter:
-    """Filter generated by a base: all sets containing the base's intersection.
-
-    Every base set must be nonempty and the total intersection must be
-    nonempty, otherwise the generated family would contain the empty set.
-    """
-    masks = []
-    for mask in base_sets:
-        if mask == 0:
-            raise MalformedInputError("filter base contains an empty set")
-        if mask < 0 or mask & ~parent.full_mask:
-            raise MalformedInputError("filter base set out of range")
-        masks.append(mask)
-    if not masks:
-        raise MalformedInputError("filter base must be nonempty")
-    gen = parent.full_mask
-    for m in masks:
-        gen &= m
-    if gen == 0:
-        raise MalformedInputError("filter base has empty total intersection")
-    return SetFilter(parent, gen)
 
 
 def filter_upper(f: SetFilter) -> int:
@@ -188,11 +165,11 @@ def upper_iff_downset(f: SetFilter, x: int, upper_bounds: Optional[Sequence[int]
     return bool((upper_bounds[gen] >> x) & 1) == (p.down[x] & gen == gen)
 
 
-def downset_member_table(p: Poset, limits: Limits | None = None) -> list[int]:
+def downset_member_table(p: Poset) -> list[int]:
     """``table[m]`` is the set of points x whose down-set is a member of
     the filter generated by m, scattered from the subsets of each
     ``down[x]``: ``table == p.upper_bounds_table()`` is Fact 1.1 at once."""
-    check_subset_elements(p.n, limits, "down-set member table")
+    check_subset_elements(p.n, "down-set member table")
     table = [0] * (p.full_mask + 1)
     table[0] = p.full_mask  # the empty set lies in every down-set
     for x, row in enumerate(p.down):

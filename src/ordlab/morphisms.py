@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import MalformedInputError
 from .filters import SetFilter, order_limit, star_limit_mask
-from .limits import Limits, check_maps
+from .limits import check_maps, check_subset_elements
 from .order_core import Poset, Record, iter_bits, subset_union_table
 from .topology import FiniteTopology
 
@@ -45,9 +45,6 @@ class LatticeHom(Record):
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "mapping", mapping)
         object.__setattr__(self, "classification", classification)
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
 
     @cached_property
     def fibers(self) -> tuple[int, ...]:
@@ -186,11 +183,11 @@ def _search(domain: Poset, codomain: Poset, pins: list[int]) -> Iterator[tuple[i
             pos += 1
 
 
-def enumerate_homs(domain: Poset, codomain: Poset, limits: Limits | None = None) -> list[LatticeHom]:
+def enumerate_homs(domain: Poset, codomain: Poset) -> list[LatticeHom]:
     """Every complete hom: the lattice homs of the pruned search with
     bottom and top pinned, which on finite lattices are exactly the
     complete homs (acceptance gates 9d and 9h(c))."""
-    check_maps(codomain.n ** domain.n, limits, "hom enumeration")
+    check_maps(codomain.n ** domain.n, "hom enumeration")
     _require_lattices(domain, codomain)
     pins = [codomain.full_mask] * domain.n
     pins[domain.bottom] &= 1 << codomain.bottom
@@ -366,10 +363,12 @@ def check_image_convergence(h: LatticeHom) -> CheckReport:
     return _limit_sweep(h, _order_limit_mask, "image-convergence")
 
 
-def image_table(f: MapLike, limits: Limits | None = None) -> list[int]:
+def image_table(f: MapLike) -> list[int]:
     """``table[m]`` is the image of the domain subset m, for every mask m
     of the domain carrier (one increasing pass over the masks)."""
-    return subset_union_table([1 << v for v in _mapping_of(f)], limits, "image table")
+    mapping = _mapping_of(f)
+    check_subset_elements(len(mapping), "image table")
+    return subset_union_table([1 << v for v in mapping])
 
 
 def check_image_filter_inclusion(

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import MalformedInputError
-from .limits import Limits, check_elements, check_subset_elements
+from .limits import check_elements, check_power_of_two, check_product, check_subset_elements
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -36,27 +36,23 @@ def mask_of(indices: Iterable[int]) -> int:
     return out
 
 
-def subset_union_table(rows: Sequence[int], limits: Limits | None, what: str) -> list[int]:
+def subset_union_table(rows: Sequence[int]) -> list[int]:
     """``table[m]`` is the OR of ``rows[i]`` over the bits i of m, for
     every mask m below 2^len(rows).
 
     One increasing pass over the masks: the masks whose top bit is i are
     the 2^i masks before them, each with ``rows[i]`` added.  The table has
-    2^n entries, so n is held to the subset-enumeration limit.
+    2^n entries, so callers hold n to the subset-enumeration limit.
     """
-    check_subset_elements(len(rows), limits, what)
     table = [0]
     for row in rows:
         table += [t | row for t in table]
     return table
 
 
-def subset_intersection_table(
-    rows: Sequence[int], full: int, limits: Limits | None, what: str
-) -> list[int]:
+def subset_intersection_table(rows: Sequence[int], full: int) -> list[int]:
     """``table[m]`` is the AND of ``rows[i]`` over the bits i of m, and
     ``full`` for the empty mask; built like :func:`subset_union_table`."""
-    check_subset_elements(len(rows), limits, what)
     table = [full]
     for row in rows:
         table += [t & row for t in table]
@@ -123,9 +119,6 @@ class Poset:
     def leq(self, i: int, j: int) -> bool:
         return bool((self.down[j] >> i) & 1)
 
-    def elements(self) -> range:
-        return range(self.n)
-
     def labels_of(self, mask: int) -> list[str]:
         """The labels of the members of ``mask``, in index order."""
         return [self.labels[i] for i in iter_bits(mask)]
@@ -185,16 +178,14 @@ class Poset:
     # Whole-carrier tables, one entry per subset mask; callers hold them
     # for as long as they sweep, the poset does not cache them.
 
-    def upper_bounds_table(self, limits: Limits | None = None) -> list[int]:
+    def upper_bounds_table(self) -> list[int]:
         """``table[m] == upper_bounds_mask(m)`` for every subset mask m."""
-        return subset_intersection_table(self.up, self.full_mask, limits, "upper-bounds table")
+        check_subset_elements(self.n, "upper-bounds table")
+        return subset_intersection_table(self.up, self.full_mask)
 
     def upper_bounds(self, mask: int) -> int:
         """Elements above every member of the subset; the carrier when empty."""
         return self.upper_bounds_mask(_mask_arg(self, mask))
-
-    def lower_bounds(self, mask: int) -> int:
-        return self.lower_bounds_mask(_mask_arg(self, mask))
 
     def infimum_mask(self, mask: int) -> Optional[int]:
         lb = self.lower_bounds_mask(mask)
@@ -283,9 +274,8 @@ class Poset:
         return Poset._from_rows(self.labels, self.up, self.down)
 
 
-def _mask_arg(parent, mask: int) -> int:
-    """``mask`` when it lies in the carrier of ``parent`` (a poset or a
-    topology: anything with a ``full_mask``), else ValueError."""
+def _mask_arg(parent: Poset, mask: int) -> int:
+    """``mask`` when it lies in the carrier of ``parent``, else ValueError."""
     if mask < 0 or mask & ~parent.full_mask:
         raise ValueError("subset mask out of range")
     return mask
@@ -354,7 +344,7 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Pos
     n = len(labels)
     if n < 1:
         raise MalformedInputError("poset needs at least one element")
-    check_elements(n, None, "poset")
+    check_elements(n, "poset")
     if len(set(labels)) != n:
         raise MalformedInputError("duplicate label")
     edges = []
@@ -489,7 +479,7 @@ def variant_distributive_identity_holds(p: Poset) -> bool:
     )
 
 
-def product(posets: Sequence[Poset], limits: Limits | None = None) -> Poset:
+def product(posets: Sequence[Poset]) -> Poset:
     """Direct product ordered pointwise.
 
     Element i of the product corresponds to the i-th tuple in
@@ -498,10 +488,7 @@ def product(posets: Sequence[Poset], limits: Limits | None = None) -> Poset:
     """
     if not posets:
         raise ValueError("product needs at least one factor")
-    size = 1
-    for p in posets:
-        size *= p.n
-    check_elements(size, limits, "product")
+    check_product([p.n for p in posets], "product")
     tuples = list(itertools.product(*(range(p.n) for p in posets)))
     labels = ["(" + ",".join(p.labels[t[k]] for k, p in enumerate(posets)) + ")" for t in tuples]
     down = []
@@ -514,7 +501,7 @@ def product(posets: Sequence[Poset], limits: Limits | None = None) -> Poset:
     return Poset(labels, down, _validated=True)
 
 
-def boolean_power(n: int, limits: Limits | None = None) -> Poset:
+def boolean_power(n: int) -> Poset:
     """The lattice of n-bit vectors ordered pointwise.
 
     Element i is the vector whose label is the width-n binary rendering
@@ -522,8 +509,7 @@ def boolean_power(n: int, limits: Limits | None = None) -> Poset:
     """
     if n < 1:
         raise ValueError("boolean_power needs n >= 1")
-    size = 1 << n
-    check_elements(size, limits, "boolean power")
+    size = check_power_of_two(n, "boolean power")
     labels = [format(i, f"0{n}b") for i in range(size)]
     down = []
     for j in range(size):

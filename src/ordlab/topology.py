@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .limits import Limits, check_elements, check_subset_elements
-from .order_core import Poset, Record, _mask_arg, iter_bits
+from .limits import check_product, check_subset_elements
+from .order_core import Poset, Record, iter_bits
 
 
 class FiniteTopology(Record):
@@ -48,12 +48,9 @@ class FiniteTopology(Record):
     def full_mask(self) -> int:
         return (1 << self.carrier_size) - 1
 
-    def is_open(self, mask: int) -> bool:
-        return all(not self.min_nbhd[p] & ~mask for p in iter_bits(_mask_arg(self, mask)))
-
-    def opens(self, limits: Limits | None = None) -> tuple[int, ...]:
+    def opens(self) -> tuple[int, ...]:
         """Materialize the whole open family (small carriers only)."""
-        check_subset_elements(self.carrier_size, limits, "open-family materialization")
+        check_subset_elements(self.carrier_size, "open-family materialization")
         return self._opens
 
     @cached_property
@@ -63,9 +60,9 @@ class FiniteTopology(Record):
             family |= {m | nb for m in family}
         return tuple(sorted(family))
 
-    def closed_family(self, limits: Limits | None = None) -> tuple[int, ...]:
+    def closed_family(self) -> tuple[int, ...]:
         full = self.full_mask
-        return tuple(sorted(full & ~m for m in self.opens(limits)))
+        return tuple(sorted(full & ~m for m in self.opens()))
 
 
 def from_closed_subbasis(carrier_size: int, closed_sets: Iterable[int]) -> FiniteTopology:
@@ -117,7 +114,7 @@ def upper_topology(p: Poset) -> FiniteTopology:
     return from_closed_subbasis(p.n, list(p.up))
 
 
-def product_topology(factors: Sequence[FiniteTopology], limits: Limits | None = None) -> FiniteTopology:
+def product_topology(factors: Sequence[FiniteTopology]) -> FiniteTopology:
     """Product topology on the tuple carrier.
 
     Tuple indexing matches :func:`ordlab.order_core.product`: element i of
@@ -127,10 +124,7 @@ def product_topology(factors: Sequence[FiniteTopology], limits: Limits | None = 
     if not factors:
         raise ValueError("product needs at least one factor")
     sizes = [t.carrier_size for t in factors]
-    total = 1
-    for s in sizes:
-        total *= s
-    check_elements(total, limits, "product topology")
+    total = check_product(sizes, "product topology")
 
     strides = [1] * len(sizes)
     for k in range(len(sizes) - 2, -1, -1):
@@ -185,8 +179,8 @@ def is_discrete(t: FiniteTopology) -> bool:
     return all(t.min_nbhd[p] == 1 << p for p in range(t.carrier_size))
 
 
-def topology_to_dict(t: FiniteTopology, limits: Limits | None = None) -> dict:
+def topology_to_dict(t: FiniteTopology) -> dict:
     """JSON dump: each open as a sorted index list, opens sorted lexicographically."""
-    opens = [sorted(iter_bits(m)) for m in t.opens(limits)]
+    opens = [sorted(iter_bits(m)) for m in t.opens()]
     opens.sort()
     return {"carrier": t.carrier_size, "opens": opens}

@@ -7,10 +7,10 @@ the bitmask implementations they check.  The exceptions are the literal
 all-subsets routes (completeness, complete homs, filter upper/lower
 sets, breadth), the per-point convergence definitions, the convergence
 sweep over every filter (:func:`all_filter_limit_sweep`), the
-closed-family continuity check and the triple distributive law, which
-run the package's bound queries, limits, pair tables and open-family
-materialization (themselves gated against the routes above) to check
-the shortcuts built on them.
+closed-family continuity check, the filter a base generates and the
+triple distributive law, which run the package's bound queries, limits,
+pair tables and open-family materialization (themselves gated against
+the routes above) to check the shortcuts built on them.
 """
 
 from __future__ import annotations
@@ -125,6 +125,15 @@ def naive_filter_members(p: Poset, generator: frozenset[int]) -> set[frozenset[i
         for extra in itertools.combinations(rest, r):
             out.add(generator | frozenset(extra))
     return out
+
+
+def filter_from_base(p: Poset, base_sets: Iterable[int]) -> SetFilter:
+    """The filter a base generates: all sets containing the intersection
+    of the base sets."""
+    gen = p.full_mask
+    for mask in base_sets:
+        gen &= mask
+    return SetFilter(p, gen)
 
 
 def naive_filter_upper(p: Poset, generator: frozenset[int]) -> frozenset[int]:
@@ -246,7 +255,9 @@ def naive_is_continuous(mapping: tuple[int, ...], t_dom: FiniteTopology, t_cod: 
         for i, v in enumerate(mapping):
             if (closed >> v) & 1:
                 pre |= 1 << i
-        if not t_dom.is_open(t_dom.full_mask & ~pre):
+        opened = t_dom.full_mask & ~pre
+        # open: it holds the minimal neighbourhood of each of its points
+        if any(t_dom.min_nbhd[p] & ~opened for p in iter_bits(opened)):
             return False
     return True
 

@@ -377,7 +377,7 @@ def test_criterion_9g_gate_subset_tables():
             p._validate()
             ok = ok and Poset(p.labels, p.down).up == p.up
             upper = p.upper_bounds_table()
-            down_cl, up_cl = subset_union_table(p.down, None, "down"), subset_union_table(p.up, None, "up")
+            down_cl, up_cl = subset_union_table(p.down), subset_union_table(p.up)
             ok = ok and len(upper) == len(down_cl) == len(up_cl) == 1 << n
             for m in range(1 << n):
                 masks += 1
@@ -593,7 +593,7 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
                     "generator": _labels(p, gen),
                     "point": p.labels[x],
                 }
-            ok = ok and _check_fact_1_1(p, None) == (checked, witness)
+            ok = ok and _check_fact_1_1(p) == (checked, witness)
             flips["bits"] = ()
     ok = ok and failing > 0
     maps = map_runs = map_failing = 0
@@ -621,7 +621,7 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
                         "coarse_generator": _labels(dom, coarse),
                         "fine_generator": _labels(dom, fine),
                     }
-                ok = ok and _check_lemma_3((dom, cod, mapping), None) == (checked, witness)
+                ok = ok and _check_lemma_3((dom, cod, mapping)) == (checked, witness)
                 flips["bits"] = ()
     ok = ok and map_failing > 0 and (posets, maps) == (4473 + 30, 494)
     report(

@@ -15,7 +15,6 @@ from ordlab import (
 )
 from ordlab.catalog import all_lattices, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
-from ordlab.limits import Limits
 from ordlab.order_core import mask_of
 
 from oracles import breadth_literal, has_breadth_at_most_literal, naive_breadth, naive_has_breadth_at_most
@@ -60,9 +59,11 @@ class TestHasBreadthAtMost:
         with pytest.raises(ValueError):
             has_breadth_at_most(chain(3), 0)
 
-    def test_limit_guard(self):
+    def test_limit_guard(self, monkeypatch):
+        cube = boolean_power(3)
+        monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "4")
         with pytest.raises(LimitExceededError):
-            has_breadth_at_most(boolean_power(3), 1, limits=Limits(max_subset_elements=4))
+            has_breadth_at_most(cube, 1)
 
 
 class TestComputeBreadth:

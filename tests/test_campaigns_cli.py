@@ -1,13 +1,17 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from ordlab import filters, morphisms, topology
+from ordlab.breadth import has_breadth_at_most
 from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, run_campaign
-from ordlab.catalog import m3
+from ordlab.catalog import all_posets, chain, m3, two
+from ordlab.errors import LimitExceededError
 from ordlab.limits import Limits, default_limits
-from ordlab.order_core import boolean_power, poset_to_dict
+from ordlab.order_core import boolean_power, build_poset, poset_to_dict, product
 
 
 def run_cli(args, stdin=None, env=None, timeout=None):
@@ -24,6 +28,45 @@ def run_cli(args, stdin=None, env=None, timeout=None):
         env=full_env,
         timeout=timeout,
     )
+
+
+def _fresh_census(n):
+    all_posets.cache_clear()  # a size enumerated before would be answered from the cache
+    return n
+
+
+# (way in, the operation's name in its message, build the input, call it)
+GUARDED = [
+    ("build_poset", "poset", lambda: (["a", "b", "c"], [(0, 1), (1, 2)]), lambda x: build_poset(*x)),
+    ("product", "product", lambda: [two(), two()], product),
+    ("boolean_power", "boolean power", lambda: 2, boolean_power),
+    ("product_topology", "product topology", lambda: [topology.interval_topology(two())] * 2,
+     topology.product_topology),
+    ("opens", "open-family materialization", lambda: topology.interval_topology(chain(3)),
+     lambda t: t.opens()),
+    ("topology_to_dict", "open-family materialization", lambda: topology.interval_topology(chain(3)),
+     topology.topology_to_dict),
+    ("SetFilter.members", "filter materialization", lambda: filters.SetFilter(chain(3), 1),
+     lambda f: f.members()),
+    ("upper_bounds_table", "upper-bounds table", lambda: chain(3), lambda p: p.upper_bounds_table()),
+    ("downset_member_table", "down-set member table", lambda: chain(3), filters.downset_member_table),
+    ("image_table", "image table", lambda: (0, 1, 2), morphisms.image_table),
+    ("all_posets", "upper-bounds table", lambda: _fresh_census(4), all_posets),
+    ("has_breadth_at_most", "breadth check", lambda: chain(3), lambda p: has_breadth_at_most(p, 1)),
+    # the candidate-map cap has no environment setting: 8^8 maps are past its default
+    ("enumerate_homs", "hom enumeration", lambda: boolean_power(3), lambda b: morphisms.enumerate_homs(b, b)),
+    ("run_campaign", "upper-bounds table", lambda: CampaignSpec("fact-1-1", 5), run_campaign),
+]
+
+
+@pytest.mark.parametrize("what, build, call", [g[1:] for g in GUARDED], ids=[g[0] for g in GUARDED])
+def test_every_guard_reads_the_environment(monkeypatch, what, build, call):
+    # the limits have no argument: lowering the variable after the input is
+    # built must reach the guard
+    arg = build()
+    monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2")
+    with pytest.raises(LimitExceededError, match=f"^{re.escape(what)}: "):
+        call(arg)
 
 
 class TestCampaigns:
@@ -211,6 +254,11 @@ class TestCli:
         res = run_cli(["breadth", str(path)], env={"ORDLAB_MAX_ELEMENTS": "64"}, timeout=60)
         assert res.returncode == 3
         assert "subset-enumeration limit 20" in res.stderr
+
+    def test_huge_size_exit_3(self):
+        res = run_cli(["boolean", "20000"])
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr == "error: boolean power: 2^20000 elements exceeds limit 64\n"
 
     def test_env_override_allows_more(self):
         res = run_cli(["boolean", "7"], env={"ORDLAB_MAX_ELEMENTS": "128"})

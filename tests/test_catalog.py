@@ -19,6 +19,7 @@ from ordlab import (
 )
 from ordlab.catalog import (
     PosetFamily,
+    _random_distributive_lattice,
     all_lattices,
     all_posets,
     antichain_bounded,
@@ -167,10 +168,11 @@ class TestRandomLattice:
         for seed in (0, 1, 2):
             assert are_order_isomorphic(random_lattice(2, seed), chain(2))
 
-    def test_distributive_mode(self):
-        for seed in range(10):
-            p = random_lattice(5, seed, mode="distributive")
-            assert certify_lattice(p).is_distributive
+    def test_distributive_construction(self):
+        # a draw keeps its lattice only when it has the requested size
+        rng = Random(0)
+        kept = [p for p in (_random_distributive_lattice(5, rng) for _ in range(300)) if p is not None]
+        assert len(kept) >= 10 and all(p.n == 5 and certify_lattice(p).is_distributive for p in kept)
 
     def test_mixed_mode_produces_non_distributive_samples(self):
         found = any(
@@ -181,5 +183,3 @@ class TestRandomLattice:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             random_lattice(1, 0)
-        with pytest.raises(ValueError):
-            random_lattice(5, 0, mode="nope")

@@ -5,7 +5,6 @@ from ordlab import (
     SetFilter,
     boolean_power,
     chain,
-    filter_from_base,
     filter_from_labels,
     filter_lower,
     filter_upper,
@@ -37,23 +36,6 @@ class TestConstruction:
     def test_generator_must_be_nonempty(self):
         with pytest.raises(MalformedInputError):
             SetFilter(chain(2), 0)
-
-    def test_from_base_intersections(self):
-        p = m3()
-        a, b = p.index_of("a"), p.index_of("b")
-        f = filter_from_base(p, [1 << a, (1 << a) | (1 << b)])
-        assert f.generator == 1 << a
-        g = filter_from_base(p, [p.mask_of_labels(["a", "b"]), p.mask_of_labels(["b", "c"])])
-        assert p.labels_of(g.generator) == ["b"]
-
-    def test_from_base_errors(self):
-        p = m3()
-        with pytest.raises(MalformedInputError, match="empty total intersection"):
-            filter_from_base(p, [p.mask_of_labels(["a"]), p.mask_of_labels(["b"])])
-        with pytest.raises(MalformedInputError, match="empty set"):
-            filter_from_base(p, [0])
-        with pytest.raises(MalformedInputError, match="nonempty"):
-            filter_from_base(p, [])
 
     def test_members_are_exactly_the_supersets(self):
         p = n5()

@@ -19,7 +19,6 @@ from ordlab import (
 )
 from ordlab.catalog import all_posets_up_to, library_posets, random_poset
 from ordlab.errors import LimitExceededError
-from ordlab.limits import Limits
 
 from conftest import seeded_posets
 from oracles import is_complete_literal, naive_infimum, naive_supremum, naive_transitive_closure
@@ -105,13 +104,13 @@ class TestDownSetsAndBounds:
         atoms = b2.mask_of_labels(["01", "10"])
         assert b2.labels_of(b2.upper_bounds(atoms)) == ["11"]
         assert b2.upper_bounds(0) == b2.full_mask
-        assert b2.lower_bounds(0) == b2.full_mask
+        assert b2.lower_bounds_mask(0) == b2.full_mask
         c = chain(3)
         assert c.upper_bounds(0b101) == 0b100
 
     def test_masks_out_of_range_rejected(self):
         p = m3()
-        for method in (p.is_down_set, p.upper_bounds, p.lower_bounds, p.infimum, p.supremum):
+        for method in (p.is_down_set, p.upper_bounds, p.infimum, p.supremum):
             for mask in (-1, 1 << p.n):
                 with pytest.raises(ValueError, match="out of range"):
                     method(mask)
@@ -262,8 +261,13 @@ class TestProduct:
         assert are_order_isomorphic(p1, p3)
 
     def test_size_guard(self):
-        with pytest.raises(LimitExceededError):
-            product([boolean_power(4), boolean_power(4)], Limits(max_elements=64))
+        with pytest.raises(LimitExceededError, match="^product: 256 elements exceeds limit 64$"):
+            product([boolean_power(4), boolean_power(4)])
+
+    def test_huge_size_refused_before_it_is_built(self):
+        # the full size has 6,021 digits, more than str() renders
+        with pytest.raises(LimitExceededError, match=r"^product: 2\^20000 or more elements exceeds limit 64$"):
+            product([chain(2)] * 20000)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -282,8 +286,12 @@ class TestBooleanPower:
         assert b3.leq(b3.index_of("000"), b3.index_of("111"))
 
     def test_guard(self):
-        with pytest.raises(LimitExceededError):
-            boolean_power(9, Limits(max_elements=64))
+        with pytest.raises(LimitExceededError, match="^boolean power: 512 elements exceeds limit 64$"):
+            boolean_power(9)
+
+    def test_huge_size_refused_before_it_is_built(self):
+        with pytest.raises(LimitExceededError, match=r"^boolean power: 2\^1000000 elements exceeds limit 64$"):
+            boolean_power(10**6)
 
 
 class TestSerialization:

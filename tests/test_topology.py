@@ -22,6 +22,7 @@ from ordlab import (
     upper_topology,
 )
 from ordlab.catalog import all_posets_up_to, library_posets, random_poset
+from ordlab.errors import LimitExceededError
 from ordlab.topology import FiniteTopology
 
 from conftest import seeded_posets
@@ -117,13 +118,6 @@ class TestFromClosedSubbasis:
 
 
 class TestIntervalTopology:
-    def test_is_open_rejects_masks_outside_the_carrier(self):
-        t = interval_topology(chain(3))
-        assert t.is_open(0b111) and t.is_open(0)
-        for mask in (8, -1):
-            with pytest.raises(ValueError, match="subset mask out of range"):
-                t.is_open(mask)
-
     def test_chain3_discrete_with_8_opens(self):
         t = interval_topology(chain(3))
         assert len(t.opens()) == 8
@@ -168,6 +162,10 @@ class TestProductTopology:
     def test_discrete_factors_give_discrete(self):
         t = product_topology([DISCRETE2, DISCRETE2, DISCRETE2])
         assert is_discrete(t)
+
+    def test_huge_size_refused_before_it_is_built(self):
+        with pytest.raises(LimitExceededError, match=r"^product topology: 2\^20000 or more elements"):
+            product_topology([DISCRETE2] * 20000)
 
     def test_lower_squared_has_six_opens(self):
         t = product_topology([lower_topology(two()), lower_topology(two())])
