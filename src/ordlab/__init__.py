@@ -35,8 +35,6 @@ from .errors import LimitExceededError, MalformedInputError, OrdlabError
 from .filters import (
     SetFilter,
     filter_from_labels,
-    filter_lower,
-    filter_upper,
     order_converges,
     order_limit,
     star_converges,

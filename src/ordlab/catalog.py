@@ -145,7 +145,7 @@ class PosetFamily:
 
     def __getitem__(self, index: int) -> Poset:
         down, up = self.rows(self.codes[index])
-        return Poset._from_rows(self.labels, tuple(down), tuple(up))
+        return Poset._from_rows(self.labels, down, up)
 
     def __iter__(self) -> Iterator[Poset]:
         return map(self.__getitem__, range(len(self.codes)))
@@ -155,19 +155,26 @@ class PosetFamily:
         return raw[: self.n], raw[self.n :]
 
 
-@lru_cache(maxsize=None)
 def all_posets(n: int) -> PosetFamily:
     """Every labeled poset on carrier {0..n-1}, n <= 8, as a packed family.
 
     Each poset on n elements restricts to exactly one poset on the first
     n-1 elements, so extending every smaller poset by a fresh element z
     (choosing the down-set below z and an up-set above it, compatible
-    with transitivity) enumerates each labeled poset exactly once.
+    with transitivity) enumerates each labeled poset exactly once.  The
+    families are cached per size; the guards run on every call.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > 8:
         raise LimitExceededError(f"all_posets: {n} points exceeds limit 8 (one byte per order row)")
+    check_subset_elements(n - 1, "upper-bounds table")  # the extension's subset tables are on n-1 rows
+    return _extend_posets(n)
+
+
+@lru_cache(maxsize=None)
+def _extend_posets(n: int) -> PosetFamily:
+    """The body of :func:`all_posets`, which it calls for the smaller sizes."""
     m, z_bit = n - 1, 1 << (n - 1)
     # the bits z adds to a code below the up-set u and above the down-set d
     above, below = [z_bit << 8 * (2 * n - 1)], [z_bit << 8 * m]
@@ -175,7 +182,6 @@ def all_posets(n: int) -> PosetFamily:
         above += [g | z_bit << 8 * i | 1 << 8 * (2 * n - 1) + i for g in above]
         below += [g | z_bit << 8 * (n + i) | 1 << 8 * m + i for g in below]
     bases = all_posets(m) if m else PosetFamily(0, (0,))  # one point: extend the empty poset
-    check_subset_elements(m, "upper-bounds table")  # the loop's subset tables are on m rows
     out: list[int] = []
     for code in bases.codes:
         down, up = bases.rows(code)
@@ -193,15 +199,15 @@ def all_posets_up_to(n: int) -> Iterator[Poset]:
     return itertools.chain(*[all_posets(k) for k in range(1, n + 1)])
 
 
-@lru_cache(maxsize=None)
 def all_lattices(n: int) -> tuple[Poset, ...]:
     """Every labeled lattice on carrier {0..n-1}: the posets that are
     bounded and where every pair's upper bounds ``up[i] & up[j]`` are an up
-    row (``order_core._is_lattice``), tested on the packed rows; only the
-    lattices are built, and no certificate is built or cached."""
+    row (``order_core._is_lattice``), tested on the packed rows of the
+    cached :func:`all_posets`; only the lattices are built, and neither
+    they nor a certificate are cached."""
     family, full = all_posets(n), (1 << n) - 1
     return tuple([  # a top and a bottom first: 6,570 of the 130,023 posets on 6 points have both
-        Poset._from_rows(family.labels, tuple(down), tuple(up))
+        Poset._from_rows(family.labels, down, up)
         for down, up in map(family.rows, family.codes)
         if full in down and full in up and _pairs_have_joins(up)
     ])
@@ -241,7 +247,7 @@ def random_poset(size: int, rng: Random) -> Poset:
         for i in range(j):
             if rng.random() < 0.35:
                 down[j] |= down[i]
-    return Poset([str(i) for i in range(size)], down, _validated=True)
+    return Poset._from_rows([str(i) for i in range(size)], down)
 
 
 def _random_distributive_lattice(size: int, rng: Random) -> Optional[Poset]:
@@ -273,7 +279,7 @@ def _random_distributive_lattice(size: int, rng: Random) -> Optional[Poset]:
             if mi & ~mj == 0:
                 row |= 1 << i
         down_rows.append(row)
-    return Poset([f"v{i}" for i in range(size)], down_rows, _validated=True)
+    return Poset._from_rows([f"v{i}" for i in range(size)], down_rows)
 
 
 def _stack(blocks: list[Poset]) -> Poset:

@@ -58,21 +58,6 @@ def filter_from_labels(parent: Poset, labels: Iterable[str]) -> SetFilter:
     return SetFilter(parent, parent.mask_of_labels(labels))
 
 
-def filter_upper(f: SetFilter) -> int:
-    """Union over all members of their upper-bound sets.
-
-    Computed as the upper bounds of the generator: a set's upper bounds
-    only grow as the set shrinks, and the generator is the smallest
-    member.  The test suite checks the identity against the definitional
-    union over all members.
-    """
-    return f.parent.upper_bounds_mask(f.generator)
-
-
-def filter_lower(f: SetFilter) -> int:
-    return f.parent.lower_bounds_mask(f.generator)
-
-
 def _generator_limit(p: Poset, gen: int) -> Optional[int]:
     if not gen & (gen - 1):
         # a point filter {x}: in every poset inf(up x) = sup(down x) = x

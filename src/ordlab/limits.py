@@ -95,7 +95,16 @@ def check_subset_elements(n: int, what: str) -> None:
         )
 
 
-def check_maps(count: int, what: str) -> None:
-    lim = default_limits()
-    if count > lim.max_maps:
-        raise LimitExceededError(f"{what}: {count} candidate maps exceeds limit {lim.max_maps}")
+def check_maps(base: int, exponent: int, what: str) -> None:
+    """Holds the ``base ** exponent`` candidate maps (the codomain size to
+    the domain size) to the map cap.  The running power is compared with
+    the cap, so a count far past it is never built; at 2^64 or more the
+    message shows it as ``base^exponent``."""
+    cap = default_limits().max_maps
+    count = 1
+    for _ in range(exponent):
+        count *= base
+        if count > cap:
+            big = exponent * (base.bit_length() - 1) >= 64 or base**exponent >= 1 << 64
+            shown = f"{base}^{exponent}" if big else base**exponent
+            raise LimitExceededError(f"{what}: {shown} candidate maps exceeds limit {cap}")

@@ -81,13 +81,15 @@ def _mapping_of(f: MapLike) -> tuple[int, ...]:
     return tuple(f)
 
 
-def _is_order_preserving(mapping: Sequence[int], dom: Poset, cod: Poset) -> bool:
-    for x in range(dom.n):
-        above_fx = cod.up[mapping[x]]
-        rest = dom.up[x]
+def _maps_rows_into(mapping: Sequence[int], dom_rows: Sequence[int], cod_rows: Sequence[int]) -> bool:
+    """f(dom_rows[x]) is contained in cod_rows[f(x)] for every x: order
+    preservation on the ``up`` rows, continuity on the minimal
+    neighbourhoods."""
+    for x, rest in enumerate(dom_rows):
+        target = cod_rows[mapping[x]]
         while rest:
             low = rest & -rest
-            if not (above_fx >> mapping[low.bit_length() - 1]) & 1:
+            if not (target >> mapping[low.bit_length() - 1]) & 1:
                 return False
             rest ^= low
     return True
@@ -120,7 +122,7 @@ def classify(mapping: Sequence[int], domain: Poset, codomain: Poset) -> LatticeH
     _require_lattices(domain, codomain)
 
     level = Classification.NOT_ORDER_PRESERVING
-    if _is_order_preserving(m, domain, codomain):
+    if _maps_rows_into(m, domain.up, codomain.up):
         level = Classification.ORDER_PRESERVING
         if _is_lattice_hom(m, domain, codomain):
             level = Classification.LATTICE_HOM
@@ -187,7 +189,7 @@ def enumerate_homs(domain: Poset, codomain: Poset) -> list[LatticeHom]:
     """Every complete hom: the lattice homs of the pruned search with
     bottom and top pinned, which on finite lattices are exactly the
     complete homs (acceptance gates 9d and 9h(c))."""
-    check_maps(codomain.n ** domain.n, "hom enumeration")
+    check_maps(codomain.n, domain.n, "hom enumeration")
     _require_lattices(domain, codomain)
     pins = [codomain.full_mask] * domain.n
     pins[domain.bottom] &= 1 << codomain.bottom
@@ -285,15 +287,7 @@ def is_continuous(f: MapLike, t_dom: FiniteTopology, t_cod: FiniteTopology) -> b
         raise ValueError("map does not match the domain carrier")
     if any(not (0 <= v < t_cod.carrier_size) for v in mapping):
         raise ValueError("map does not match the codomain carrier")
-    cod_nbhd = t_cod.min_nbhd
-    for p, nbhd in enumerate(t_dom.min_nbhd):
-        target = cod_nbhd[mapping[p]]
-        while nbhd:
-            low = nbhd & -nbhd
-            if not (target >> mapping[low.bit_length() - 1]) & 1:
-                return False
-            nbhd ^= low
-    return True
+    return _maps_rows_into(mapping, t_dom.min_nbhd, t_cod.min_nbhd)
 
 
 def image_filter(f: MapLike, flt: SetFilter, codomain: Poset | None = None) -> SetFilter:

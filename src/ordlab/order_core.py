@@ -62,34 +62,29 @@ def subset_intersection_table(rows: Sequence[int], full: int) -> list[int]:
 class Poset:
     """Immutable finite partially ordered set."""
 
-    def __init__(self, labels: Sequence[str], down_rows: Sequence[int], *, _validated: bool = False):
+    def __init__(self, labels: Sequence[str], down_rows: Sequence[int]):
         self.labels: tuple[str, ...] = tuple(labels)
         self.n: int = len(self.labels)
         self.down: tuple[int, ...] = tuple(down_rows)
         self.full_mask: int = (1 << self.n) - 1
-        if not _validated:
-            # before ``up`` is derived, so short or out-of-range rows are
-            # reported as malformed input rather than raising IndexError
-            self._validate()
-        up = [0] * self.n
-        for j, row in enumerate(self.down):
-            bit = 1 << j
-            while row:
-                low = row & -row
-                up[low.bit_length() - 1] |= bit
-                row ^= low
-        self.up: tuple[int, ...] = tuple(up)
+        # before ``up`` is derived, so short or out-of-range rows are
+        # reported as malformed input rather than raising IndexError
+        self._validate()
+        self.up: tuple[int, ...] = _transpose(self.down)
 
     @classmethod
-    def _from_rows(cls, labels: tuple[str, ...], down: tuple[int, ...], up: tuple[int, ...]) -> "Poset":
-        """Trusted constructor: ``down`` is a valid order and ``up`` its
-        transpose, both already tuples, so nothing is checked or derived."""
+    def _from_rows(
+        cls, labels: Sequence[str], down: Sequence[int], up: Optional[Sequence[int]] = None
+    ) -> "Poset":
+        """Trusted constructor, the only one that skips :meth:`_validate`:
+        ``down`` is a valid order on the labels and ``up``, when given, its
+        transpose; when None it is derived."""
         p = cls.__new__(cls)
-        p.labels = labels
-        p.n = len(labels)
-        p.down = down
+        p.labels = tuple(labels)
+        p.n = len(p.labels)
+        p.down = tuple(down)
         p.full_mask = (1 << p.n) - 1
-        p.up = up
+        p.up = _transpose(p.down) if up is None else tuple(up)
         return p
 
     def _validate(self) -> None:
@@ -274,6 +269,18 @@ class Poset:
         return Poset._from_rows(self.labels, self.up, self.down)
 
 
+def _transpose(down: tuple[int, ...]) -> tuple[int, ...]:
+    """The ``up`` rows of the order whose ``down`` rows are given."""
+    up = [0] * len(down)
+    for j, row in enumerate(down):
+        bit = 1 << j
+        while row:
+            low = row & -row
+            up[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(up)
+
+
 def _mask_arg(parent: Poset, mask: int) -> int:
     """``mask`` when it lies in the carrier of ``parent``, else ValueError."""
     if mask < 0 or mask & ~parent.full_mask:
@@ -388,7 +395,7 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Pos
             raise MalformedInputError(
                 f"edge {(i, j)} is implied by other covers; supply covers only, not the full relation"
             )
-    return Poset(labels, down, _validated=True)
+    return Poset._from_rows(labels, down)
 
 
 def _pair_table(rows: Sequence[int]) -> tuple[tuple[Optional[int], ...], ...]:
@@ -479,6 +486,30 @@ def variant_distributive_identity_holds(p: Poset) -> bool:
     )
 
 
+def _box_rows(factor_rows: Sequence[Sequence[int]]) -> list[int]:
+    """Rows of a product carrier from one row table per factor.
+
+    The carrier lists the tuples in ``itertools.product`` order (last factor
+    fastest), and row t is the set of tuples whose k-th coordinate lies in
+    ``factor_rows[k][t[k]]`` for every k: the product order from the
+    factors' ``down`` (or ``up``) rows, the product topology from their
+    minimal neighbourhoods.  One factor at a time, tuple (t, v) is index
+    t*m + v for a factor of m points: its row is row t widened to the whole
+    block of every tuple in it, ANDed with the factor's row v repeated in
+    every block.
+    """
+    rows, size = [1], 1  # the one empty tuple
+    for table in factor_rows:
+        m = len(table)
+        block = (1 << m) - 1
+        ones = sum(1 << m * i for i in range(size))  # bit 0 of every block
+        widened = [sum(block << m * i for i in iter_bits(row)) for row in rows]
+        tiled = [row * ones for row in table]
+        rows = [w & t for w in widened for t in tiled]
+        size *= m
+    return rows
+
+
 def product(posets: Sequence[Poset]) -> Poset:
     """Direct product ordered pointwise.
 
@@ -489,20 +520,13 @@ def product(posets: Sequence[Poset]) -> Poset:
     if not posets:
         raise ValueError("product needs at least one factor")
     check_product([p.n for p in posets], "product")
-    tuples = list(itertools.product(*(range(p.n) for p in posets)))
-    labels = ["(" + ",".join(p.labels[t[k]] for k, p in enumerate(posets)) + ")" for t in tuples]
-    down = []
-    for j, tj in enumerate(tuples):
-        row = 0
-        for i, ti in enumerate(tuples):
-            if all((posets[k].down[tj[k]] >> ti[k]) & 1 for k in range(len(posets))):
-                row |= 1 << i
-        down.append(row)
-    return Poset(labels, down, _validated=True)
+    labels = ["(" + ",".join(t) + ")" for t in itertools.product(*(p.labels for p in posets))]
+    return Poset._from_rows(labels, _box_rows([p.down for p in posets]), _box_rows([p.up for p in posets]))
 
 
 def boolean_power(n: int) -> Poset:
-    """The lattice of n-bit vectors ordered pointwise.
+    """The lattice of n-bit vectors ordered pointwise: the product of n
+    chains 0 < 1.
 
     Element i is the vector whose label is the width-n binary rendering
     of i, so coordinate m is character m of the label.
@@ -511,14 +535,7 @@ def boolean_power(n: int) -> Poset:
         raise ValueError("boolean_power needs n >= 1")
     size = check_power_of_two(n, "boolean power")
     labels = [format(i, f"0{n}b") for i in range(size)]
-    down = []
-    for j in range(size):
-        row = 0
-        for i in range(size):
-            if i & j == i:
-                row |= 1 << i
-        down.append(row)
-    return Poset(labels, down, _validated=True)
+    return Poset._from_rows(labels, _box_rows([(0b01, 0b11)] * n), _box_rows([(0b11, 0b10)] * n))
 
 
 def are_order_isomorphic(a: Poset, b: Poset) -> bool:

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .limits import check_product, check_subset_elements
-from .order_core import Poset, Record, iter_bits
+from .order_core import Poset, Record, _box_rows, iter_bits
 
 
 class FiniteTopology(Record):
@@ -119,34 +119,14 @@ def product_topology(factors: Sequence[FiniteTopology]) -> FiniteTopology:
 
     Tuple indexing matches :func:`ordlab.order_core.product`: element i of
     the product is the i-th tuple in itertools.product order (last factor
-    fastest).  Open subbasis: preimages of factor opens under projections.
+    fastest).  Open subbasis: preimages of factor opens under projections,
+    so the minimal neighbourhood of a tuple is the box of its coordinates'
+    minimal neighbourhoods.
     """
     if not factors:
         raise ValueError("product needs at least one factor")
-    sizes = [t.carrier_size for t in factors]
-    total = check_product(sizes, "product topology")
-
-    strides = [1] * len(sizes)
-    for k in range(len(sizes) - 2, -1, -1):
-        strides[k] = strides[k + 1] * sizes[k + 1]
-
-    # coordinate_mask[k][v]: product points whose k-th coordinate is v
-    coordinate_mask = [[0] * s for s in sizes]
-    for i in range(total):
-        for k, s in enumerate(sizes):
-            coordinate_mask[k][i // strides[k] % s] |= 1 << i
-
-    table = []
-    for i in range(total):
-        nb = (1 << total) - 1
-        for k, t in enumerate(factors):
-            coord = i // strides[k] % sizes[k]
-            allowed = 0
-            for v in iter_bits(t.min_nbhd[coord]):
-                allowed |= coordinate_mask[k][v]
-            nb &= allowed
-        table.append(nb)
-    return FiniteTopology(total, tuple(table))
+    total = check_product([t.carrier_size for t in factors], "product topology")
+    return FiniteTopology(total, tuple(_box_rows([t.min_nbhd for t in factors])))
 
 
 def topologies_equal(a: FiniteTopology, b: FiniteTopology) -> bool:

@@ -212,6 +212,36 @@ def brute_force_closed_generation(carrier: int, closed_sets: list[int]) -> tuple
     return tuple(sorted(best))
 
 
+def naive_product_rows(factor_rows: list[tuple[int, ...]]) -> list[int]:
+    """Rows of a product carrier by the pointwise pair loop: over the
+    tuples in ``itertools.product`` order, s is in row t when s[k] is in
+    ``factor_rows[k][t[k]]`` for every k."""
+    tuples = list(itertools.product(*(range(len(rows)) for rows in factor_rows)))
+    out = []
+    for t in tuples:
+        row = 0
+        for i, s in enumerate(tuples):
+            if all((rows[t[k]] >> s[k]) & 1 for k, rows in enumerate(factor_rows)):
+                row |= 1 << i
+        out.append(row)
+    return out
+
+
+def projection_preimages(factors: list[FiniteTopology]) -> list[int]:
+    """The preimage, under its projection, of every minimal neighbourhood
+    of every factor: an open subbasis of the product topology."""
+    tuples = list(itertools.product(*(range(t.carrier_size) for t in factors)))
+    return [
+        sum(1 << i for i, s in enumerate(tuples) if (nbhd >> s[k]) & 1)
+        for k, t in enumerate(factors)
+        for nbhd in t.min_nbhd
+    ]
+
+
+def naive_transpose(down: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 << j for j, row in enumerate(down) if (row >> i) & 1) for i in range(len(down)))
+
+
 def naive_is_complete_hom(mapping: tuple[int, ...], dom: Poset, cod: Poset) -> bool:
     elems = list(range(dom.n))
     for r in range(dom.n + 1):

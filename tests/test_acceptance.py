@@ -11,7 +11,8 @@ pruned hom search, the preimage scan by lookup, the complete homs taken
 from the search unclassified and distributivity by join-primes, the
 whole-table fact-1-1 and lemma-3 campaign checks, and the lattice
 census (the lattice test on the order rows, the bit-level isomorphism
-test and the enumeration order).
+test and the enumeration order), and the box rows that build products,
+``2^n`` and product topologies.
 """
 
 import __future__
@@ -54,6 +55,8 @@ from ordlab import (
 )
 from ordlab import filters as filters_mod
 from ordlab import morphisms as morph_mod
+from ordlab import order_core as core_mod
+from ordlab import topology as topo_mod
 from ordlab.breadth import has_breadth_at_most, is_irredundant
 from ordlab.campaigns import CAMPAIGNS, CampaignSpec, _check_fact_1_1, _check_lemma_3, _lattice_pool
 from ordlab.catalog import (
@@ -68,7 +71,7 @@ from ordlab.catalog import (
     random_poset,
     two,
 )
-from ordlab.filters import filter_lower, filter_upper, order_convergence_is_pointlike, order_converges
+from ordlab.filters import order_convergence_is_pointlike, order_converges
 from ordlab.morphisms import _order_limit_mask, _search, image_table
 from ordlab.order_core import (
     Poset,
@@ -99,11 +102,14 @@ from oracles import (
     naive_is_distributive,
     naive_order_converges,
     naive_preimage_scan,
+    naive_product_rows,
     naive_star_converges,
+    naive_transpose,
     naive_up_closure,
     naive_upper_bounds,
     per_pair_fact_1_1,
     per_pair_lemma_3,
+    projection_preimages,
     relabelings,
 )
 
@@ -289,8 +295,8 @@ def test_criterion_9b_gate_upper_set_via_generator():
     for p in pool:
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
-            ok = ok and filter_upper(f) == filter_upper_definitional(f)
-            ok = ok and filter_lower(f) == filter_lower_definitional(f)
+            ok = ok and p.upper_bounds_mask(gen) == filter_upper_definitional(f)
+            ok = ok and p.lower_bounds_mask(gen) == filter_lower_definitional(f)
     report("9b", "filter upper/lower sets: generator route equals definitional union", ok)
 
 
@@ -692,6 +698,112 @@ def test_criterion_9k_gate_lattice_census():
         f"brute-force permutation on {pairs} pairs of posets <= 4 and four on 6-7 points "
         f"({isomorphic} isomorphic), and "
         "all_posets(1..6) rows and the 6-point lattice representatives match their pinned digests",
+        ok,
+    )
+
+
+def _box_rows_cases():
+    """The inputs of gate 9m with their expected rows, from the oracles:
+    ordered pairs of library posets with at most 64 elements in their
+    product plus seeded random triples; the n-bit lattices for n <= 6; the
+    interval, lower and upper topologies of the library pairs."""
+    library = [p for _, p in library_posets(64)]
+    rng = Random(1313)
+    factor_lists = [[a, b] for a in library for b in library if a.n * b.n <= 64]
+    factor_lists += [[random_poset(rng.randint(1, 4), rng) for _ in range(3)] for _ in range(20)]
+    products = [
+        (factors, naive_product_rows([p.down for p in factors]), naive_product_rows([p.up for p in factors]))
+        for factors in factor_lists
+    ]
+    powers = [
+        (n, [sum(1 << i for i in range(1 << n) if i & j == i) for j in range(1 << n)],
+         [sum(1 << i for i in range(1 << n) if i & j == j) for j in range(1 << n)])
+        for n in range(1, 7)
+    ]
+    topologies = []
+    for make in (interval_topology, lower_topology, upper_topology):
+        for a, b in itertools.combinations_with_replacement(library, 2):
+            if a.n * b.n <= 64:
+                factors = [make(a), make(b)]
+                expected = topo_mod.from_open_subbasis(a.n * b.n, projection_preimages(factors))
+                topologies.append((factors, expected))
+    return products, powers, topologies
+
+
+def _box_rows_gate(cases) -> bool:
+    """True when the product routes, read through their modules (so a
+    mutant patched in is the one run), give the oracle rows on every case."""
+    products, powers, topologies = cases
+    for factors, down, up in products:
+        p = core_mod.product(factors)
+        if (list(p.down), list(p.up)) != (down, up):
+            return False
+    for n, down, up in powers:
+        p = core_mod.boolean_power(n)
+        if (list(p.down), list(p.up)) != (down, up):
+            return False
+    return all(topo_mod.product_topology(factors) == expected for factors, expected in topologies)
+
+
+# (mutant, function, code replaced, replacement)
+BOX_ROWS_MUTANTS = [
+    ("first factor fastest", "_box_rows", "for table in factor_rows:", "for table in reversed(factor_rows):"),
+    (
+        "widen and tile swapped", "_box_rows",
+        "for row in rows]\n        tiled = [row * ones for row in table]",
+        "for row in table]\n        tiled = [row * ones for row in rows]",
+    ),
+    (
+        "up rows taken from down rows", "product",
+        "_box_rows([p.up for p in posets])", "_box_rows([p.down for p in posets])",
+    ),
+    ("one factor dropped", "_box_rows", "for table in factor_rows:", "for table in factor_rows[1:]:"),
+    (
+        "chain rows swapped", "boolean_power",
+        "_box_rows([(0b01, 0b11)] * n), _box_rows([(0b11, 0b10)] * n)",
+        "_box_rows([(0b11, 0b10)] * n), _box_rows([(0b01, 0b11)] * n)",
+    ),
+]
+
+
+def test_criterion_9m_gate_box_rows(monkeypatch):
+    """product, boolean_power and product_topology share one box-row
+    routine, so both sides of the product lemma run through it; each use
+    is compared with an oracle that shares no code with it, and the gate
+    must catch seeded mutants of the routine and its callers."""
+    cases = _box_rows_cases()
+    products, powers, topologies = cases
+    ok = _box_rows_gate(cases)
+    ok = ok and (len(products), len(powers), len(topologies)) == (353 + 20, 6, 3 * 185)
+
+    # the trusted constructor derives the transpose the validating one does
+    pool = list(all_posets_up_to(4)) + [random_poset(8, Random(1314 + i)) for i in range(20)]
+    pool += [core_mod.product(factors) for factors, _, _ in products[:40]]
+    for p in pool:
+        up = Poset._from_rows(p.labels, p.down).up
+        ok = ok and up == Poset(p.labels, p.down).up == naive_transpose(p.down) == p.up
+
+    missed = []
+    for label, name, old, new in BOX_ROWS_MUTANTS:
+        with monkeypatch.context() as patch:
+            mutant = _mutant(getattr(core_mod, name), old, new)
+            patch.setattr(core_mod, name, mutant)
+            if name == "_box_rows":
+                patch.setattr(topo_mod, name, mutant)
+            try:
+                caught = not _box_rows_gate(cases)
+            except (ValueError, IndexError):  # e.g. a neighbourhood table of the wrong size
+                caught = True
+            if not caught:
+                missed.append(label)
+    ok = ok and not missed
+    report(
+        "9m",
+        f"box rows equal the pointwise pair loop for {len(products)} products (library pairs <= 64 points "
+        f"and 20 seeded triples <= 4), i & j == i for 2^1..2^6, and from_open_subbasis of the projection "
+        f"preimages for {len(topologies)} product topologies; the trusted constructor transposes as the "
+        f"validating one on {len(pool)} posets; seeded mutants "
+        f"({', '.join(m[0] for m in BOX_ROWS_MUTANTS)}) missed: {', '.join(missed) or 'none'}",
         ok,
     )
 

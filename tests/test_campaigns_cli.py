@@ -8,7 +8,7 @@ import pytest
 from ordlab import filters, morphisms, topology
 from ordlab.breadth import has_breadth_at_most
 from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, run_campaign
-from ordlab.catalog import all_posets, chain, m3, two
+from ordlab.catalog import all_lattices, all_posets, chain, m3, two
 from ordlab.errors import LimitExceededError
 from ordlab.limits import Limits, default_limits
 from ordlab.order_core import boolean_power, build_poset, poset_to_dict, product
@@ -30,8 +30,8 @@ def run_cli(args, stdin=None, env=None, timeout=None):
     )
 
 
-def _fresh_census(n):
-    all_posets.cache_clear()  # a size enumerated before would be answered from the cache
+def _census_built(n):
+    all_posets(n), all_lattices(n)  # cached, so the guards must run before the cache lookup
     return n
 
 
@@ -51,7 +51,8 @@ GUARDED = [
     ("upper_bounds_table", "upper-bounds table", lambda: chain(3), lambda p: p.upper_bounds_table()),
     ("downset_member_table", "down-set member table", lambda: chain(3), filters.downset_member_table),
     ("image_table", "image table", lambda: (0, 1, 2), morphisms.image_table),
-    ("all_posets", "upper-bounds table", lambda: _fresh_census(4), all_posets),
+    ("all_posets", "upper-bounds table", lambda: _census_built(4), all_posets),
+    ("all_lattices", "upper-bounds table", lambda: _census_built(4), all_lattices),
     ("has_breadth_at_most", "breadth check", lambda: chain(3), lambda p: has_breadth_at_most(p, 1)),
     # the candidate-map cap has no environment setting: 8^8 maps are past its default
     ("enumerate_homs", "hom enumeration", lambda: boolean_power(3), lambda b: morphisms.enumerate_homs(b, b)),

@@ -141,6 +141,16 @@ class TestPackedFamily:
         with pytest.raises(LimitExceededError):
             all_posets(9)
 
+    def test_guard_runs_before_the_cache(self, monkeypatch):
+        # a cached size is refused too, and the message names the subset
+        # tables of the size asked for (5 rows for 6 points)
+        all_posets(6)
+        monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2")
+        with pytest.raises(
+            LimitExceededError, match="^upper-bounds table: 5 elements exceeds subset-enumeration limit 2$"
+        ):
+            all_posets(6)
+
 
 class TestRandomPoset:
     def test_deterministic(self):

@@ -6,8 +6,6 @@ from ordlab import (
     boolean_power,
     chain,
     filter_from_labels,
-    filter_lower,
-    filter_upper,
     m3,
     n5,
     order_converges,
@@ -55,11 +53,11 @@ class TestUpperLower:
     def test_examples(self):
         b2 = boolean_power(2)
         f = filter_from_labels(b2, ["01", "10"])
-        assert b2.labels_of(filter_upper(f)) == ["11"]
+        assert b2.labels_of(b2.upper_bounds_mask(f.generator)) == ["11"]
         g = SetFilter(b2, 1 << b2.index_of("01"))
-        assert filter_upper(g) == b2.up[b2.index_of("01")]
+        assert b2.upper_bounds_mask(g.generator) == b2.up[b2.index_of("01")]
         c = chain(3)
-        assert filter_upper(SetFilter(c, 0b101)) == 0b100
+        assert c.upper_bounds_mask(SetFilter(c, 0b101).generator) == 0b100
 
     def test_generator_route_equals_definitional_union(self):
         pool = list(all_posets_up_to(4))
@@ -68,8 +66,8 @@ class TestUpperLower:
         for p in pool:
             for gen in range(1, p.full_mask + 1):
                 f = SetFilter(p, gen)
-                assert filter_upper(f) == filter_upper_definitional(f)
-                assert filter_lower(f) == filter_lower_definitional(f)
+                assert p.upper_bounds_mask(f.generator) == filter_upper_definitional(f)
+                assert p.lower_bounds_mask(f.generator) == filter_lower_definitional(f)
 
     def test_definitional_route_matches_naive_oracle(self):
         p = m3()

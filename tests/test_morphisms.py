@@ -126,6 +126,18 @@ class TestEnumerateHoms:
             # 8^8 candidate maps, past the default 10,000,000
             enumerate_homs(boolean_power(3), boolean_power(3))
 
+    def test_map_count_refused_before_it_is_built(self, monkeypatch):
+        # 1500^1500 has 4,765 digits, past what str() formats; the guard
+        # stops the running power at the cap and names it as a power
+        monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2000")
+        big = chain(1500)
+        refused = r"^hom enumeration: 1500\^1500 candidate maps exceeds limit 10000000$"
+        with pytest.raises(LimitExceededError, match=refused):
+            enumerate_homs(big, big)
+        refused = "^hom enumeration: 16777216 candidate maps exceeds limit 10000000$"
+        with pytest.raises(LimitExceededError, match=refused):
+            enumerate_homs(boolean_power(3), boolean_power(3))
+
 
 class TestPreimageIntervals:
     def test_identity_gives_the_interval_back(self):
