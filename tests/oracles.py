@@ -7,10 +7,12 @@ the bitmask implementations they check.  The exceptions are the literal
 all-subsets routes (completeness, complete homs, filter upper/lower
 sets, breadth), the per-point convergence definitions, the convergence
 sweep over every filter (:func:`all_filter_limit_sweep`), the
-closed-family continuity check, the filter a base generates and the
-triple distributive law, which run the package's bound queries, limits,
-pair tables and open-family materialization (themselves gated against
-the routes above) to check the shortcuts built on them.
+closed-family continuity check, the filter a base generates, the
+triple distributive law and the pairwise class census
+(:func:`iso_representatives_pairwise`), which run the package's bound
+queries, limits, pair tables, open-family materialization and
+isomorphism test (themselves gated against the routes above) to check
+the shortcuts built on them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from ordlab.catalog import two
 from ordlab.filters import SetFilter, super_filters, upper_iff_downset
 from ordlab.morphisms import CheckReport, LatticeHom, check_image_filter_inclusion, classify, image_filter
-from ordlab.order_core import Poset, boolean_power, iter_bits, mask_of
+from ordlab.order_core import Poset, are_order_isomorphic, boolean_power, iter_bits, mask_of
 from ordlab.topology import FiniteTopology
 
 
@@ -536,3 +538,43 @@ def are_isomorphic_brute_force(a: Poset, b: Poset, relabelings_of_a) -> bool:
         return False
     rel_b = frozenset((i, j) for i in range(b.n) for j in range(b.n) if b.leq(i, j))
     return rel_b in relabelings_of_a
+
+
+def relabelled(p: Poset, perm: list[int]) -> Poset:
+    """p carried along the permutation ``perm`` of its carrier: element i
+    becomes perm[i], keeping its label, and j <= i becomes perm[j] <= perm[i]."""
+    down = [0] * p.n
+    labels = [""] * p.n
+    for i in range(p.n):
+        labels[perm[i]] = p.labels[i]
+        for j in range(p.n):
+            if p.leq(j, i):
+                down[perm[i]] |= 1 << perm[j]
+    return Poset(labels, down)
+
+
+def iso_representatives_pairwise(posets: Iterable[Poset]) -> list[Poset]:
+    """One representative per isomorphism class with no normal code: the
+    posets are bucketed by (size, sorted (down count, up count) profile,
+    cover count) in order of first appearance, and each is tested with
+    ``are_order_isomorphic`` (gate 9k) against every poset kept in its
+    bucket."""
+
+    def key(p: Poset) -> tuple:
+        return (
+            p.n,
+            tuple(sorted((p.down[i].bit_count(), p.up[i].bit_count()) for i in range(p.n))),
+            [(u & d).bit_count() for u in p.up for d in p.down].count(2),  # covers: up[x] & down[j] == {x, j}
+        )
+
+    buckets: dict[tuple, list[Poset]] = {}
+    for p in posets:
+        buckets.setdefault(key(p), []).append(p)
+    reps: list[Poset] = []
+    for bucket in buckets.values():
+        kept: list[Poset] = []
+        for p in bucket:
+            if not any(are_order_isomorphic(p, q) for q in kept):
+                kept.append(p)
+        reps.extend(kept)
+    return reps

@@ -11,8 +11,8 @@ pruned hom search, the preimage scan by lookup, the complete homs taken
 from the search unclassified and distributivity by join-primes, the
 whole-table fact-1-1 and lemma-3 campaign checks, and the lattice
 census (the lattice test on the order rows, the bit-level isomorphism
-test and the enumeration order), and the box rows that build products,
-``2^n`` and product topologies.
+test and the enumeration order), the box rows that build products,
+``2^n`` and product topologies, and the census memoised by normal codes.
 """
 
 import __future__
@@ -53,6 +53,7 @@ from ordlab import (
     upper_iff_downset,
     upper_topology,
 )
+from ordlab import catalog as catalog_mod
 from ordlab import filters as filters_mod
 from ordlab import morphisms as morph_mod
 from ordlab import order_core as core_mod
@@ -93,6 +94,7 @@ from oracles import (
     has_breadth_at_most_literal,
     is_complete_hom_exhaustive,
     is_lattice_literal,
+    iso_representatives_pairwise,
     iter_monotone_maps,
     mask_from,
     members_of,
@@ -111,6 +113,7 @@ from oracles import (
     per_pair_lemma_3,
     projection_preimages,
     relabelings,
+    relabelled,
 )
 
 
@@ -653,6 +656,21 @@ ALL_POSETS_1_TO_6_SHA256 = "6b252ef1734d70a3ede6af24963e81ccc09c7529df06eb271a20
 LATTICE_CLASSES_6_SHA256 = "f8a39bad2ea08b977706b3e946fedf5ef696070beabea7b646bf756fe670c321"
 
 
+# non-isomorphic pairs with equal (down, up) count profiles on 6 and 7
+# points, where a test of the up rows alone, or of the down rows alone,
+# finds a bijection
+PROFILE_TWINS = (
+    (1, 3, 4, 12, 29, 36),
+    (1, 2, 5, 15, 18, 34),
+    (1, 2, 5, 8, 26, 42, 65),
+    (1, 2, 7, 8, 26, 40, 65),
+)
+
+
+def _profile_twins() -> list[Poset]:
+    return [Poset([str(i) for i in range(len(down))], down) for down in PROFILE_TWINS]
+
+
 def test_criterion_9k_gate_lattice_census():
     ok = True
     bounded = [p for p in all_posets(6) if p.full_mask in p.up and p.full_mask in p.down]
@@ -664,18 +682,8 @@ def test_criterion_9k_gate_lattice_census():
         lattices += literal
     ok = ok and (len(bounded), lattices) == (6570, 1 + 2 + 6 + 36 + 380 + 6390)
 
-    # plus non-isomorphic pairs with equal (down, up) count profiles on 6 and
-    # 7 points, where a test of the up rows alone, or of the down rows
-    # alone, finds a bijection
-    small = list(all_posets_up_to(4)) + [
-        Poset([str(i) for i in range(len(down))], down)
-        for down in (
-            (1, 3, 4, 12, 29, 36),
-            (1, 2, 5, 15, 18, 34),
-            (1, 2, 5, 8, 26, 42, 65),
-            (1, 2, 7, 8, 26, 40, 65),
-        )
-    ]
+    # plus the profile twins
+    small = list(all_posets_up_to(4)) + _profile_twins()
     pairs = isomorphic = 0
     for a in small:
         perms = relabelings(a)
@@ -804,6 +812,86 @@ def test_criterion_9m_gate_box_rows(monkeypatch):
         f"preimages for {len(topologies)} product topologies; the trusted constructor transposes as the "
         f"validating one on {len(pool)} posets; seeded mutants "
         f"({', '.join(m[0] for m in BOX_ROWS_MUTANTS)}) missed: {', '.join(missed) or 'none'}",
+        ok,
+    )
+
+
+# the 318 classes of 6-point posets (OEIS A000112), recorded with the
+# pairwise route (oracles.iso_representatives_pairwise)
+POSET_CLASSES_6_SHA256 = "c7d6a87ff7596bd3e8888c6276f7a347a9cb692a22bc44194f8de41c95aa613c"
+
+
+def _census_cases() -> list[tuple[list[Poset], list[Poset]]]:
+    """The pools of gate 9n with their pairwise representatives: the
+    posets on 1-5 points and the lattices on 1-6 points by size, the
+    profile twins, and seeded random posets on 7-9 points shuffled with
+    seeded relabellings of themselves."""
+    pools = [list(all_posets(n)) for n in range(1, 6)] + [list(all_lattices(n)) for n in range(1, 7)]
+    pools.append(_profile_twins() + [relabelled(p, [*range(1, p.n), 0]) for p in _profile_twins()])
+    rng = Random(1414)
+    for _ in range(8):
+        pool = []
+        for _ in range(6):
+            p = random_poset(rng.randint(7, 9), rng)
+            pool += [p] + [relabelled(p, rng.sample(range(p.n), p.n)) for _ in range(3)]
+        rng.shuffle(pool)
+        pools.append(pool)
+    return [(pool, iso_representatives_pairwise(pool)) for pool in pools]
+
+
+def _census_gate(cases) -> bool:
+    """True when the census read through the catalog module (so a mutant
+    patched in is the one run) has the labelled poset counts of OEIS
+    A001035 and iso_representatives keeps the pairwise representatives,
+    in their order, on every pool."""
+    if [len(catalog_mod.all_posets(n)) for n in range(1, 6)] != [1, 3, 19, 219, 4231]:
+        return False
+    return all(
+        [(p.labels, p.down) for p in catalog_mod.iso_representatives(pool)]
+        == [(p.labels, p.down) for p in expected]
+        for pool, expected in cases
+    )
+
+
+# (mutant, function, code replaced, replacement)
+CENSUS_MUTANTS = [
+    ("code is the sorted profile", "_normal_code", "return tuple(code)", "return tuple(sorted(profile))"),
+    (
+        "no confirm on a miss", "iso_representatives",
+        "if not any(are_order_isomorphic(p, q) for q in kept):", "if True:",
+    ),
+    (
+        "bisect_left in the extension", "_extend_posets",
+        "bisect_right(up_sets, allowed)", "__import__('bisect').bisect_left(up_sets, allowed)",
+    ),
+]
+
+
+def test_criterion_9n_gate_memoised_census(monkeypatch):
+    """iso_representatives skips a poset whose normal code it has seen and
+    confirms a new code with are_order_isomorphic; it must keep the
+    posets, in the order, that the pairwise route keeps.  The extension
+    scans only the up-sets up to the allowed one.  The gate must catch
+    seeded mutants of both."""
+    cases = _census_cases()
+    ok = _census_gate(cases)
+    ok = ok and len(cases) == 5 + 6 + 1 + 8 and sum(len(pool) for pool, _ in cases) == 4473 + 6815 + 8 + 8 * 24
+    classes = iso_representatives(all_posets(6))
+    ok = ok and len(classes) == 318 and _rows_digest(classes) == POSET_CLASSES_6_SHA256
+
+    missed = []
+    for label, name, old, new in CENSUS_MUTANTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog_mod, name, _mutant(getattr(catalog_mod, name), old, new))
+            if _census_gate(cases):
+                missed.append(label)
+    ok = ok and not missed
+    report(
+        "9n",
+        f"iso_representatives by normal code keeps the pairwise representatives in order on the posets "
+        f"<= 5, the lattices <= 6, the profile twins and {8 * 24} seeded posets on 7-9 points with their "
+        f"relabellings; the 318 classes of 6-point posets match their pinned digest; seeded mutants "
+        f"({', '.join(m[0] for m in CENSUS_MUTANTS)}) missed: {', '.join(missed) or 'none'}",
         ok,
     )
 

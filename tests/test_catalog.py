@@ -30,6 +30,8 @@ from ordlab.catalog import (
 )
 from ordlab.order_core import Poset
 
+from oracles import relabelled
+
 
 def brute_force_labeled_posets(n):
     """Filter every reflexive relation on n points for the poset axioms."""
@@ -105,9 +107,28 @@ class TestAllPosets:
         assert [len(all_lattices(n)) for n in range(1, 7)] == [1, 2, 6, 36, 380, 6390]
 
     def test_iso_class_counts(self):
-        assert [len(iso_representatives(all_posets(n))) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+        # unlabelled posets, OEIS A000112
+        assert [len(iso_representatives(all_posets(n))) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
         # unlabelled lattices, OEIS A006966
         assert [len(iso_representatives(all_lattices(n))) for n in range(1, 7)] == [1, 1, 1, 2, 5, 15]
+
+    def test_iso_classes_on_64_points(self):
+        # the normal code relabels row by row, with no table over the 2^64
+        # subsets: two labellings of the chain, 2^6 and a shuffled copy, and
+        # a random poset give three classes
+        rng = Random(64)
+        perm = list(range(64))
+        rng.shuffle(perm)
+        posets = [
+            chain(64),
+            relabelled(chain(64), list(range(63, -1, -1))),
+            boolean_power(6),
+            relabelled(boolean_power(6), perm),
+            random_poset(64, rng),
+        ]
+        reps = iso_representatives(posets)
+        assert [p.n for p in reps] == [64, 64, 64]
+        assert reps == [posets[0], posets[2], posets[4]]
 
 
 class TestPackedFamily:
