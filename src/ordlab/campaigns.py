@@ -7,10 +7,11 @@ to pass; a counterexample signals an implementation bug and is surfaced
 loudly with a re-checkable witness.
 
 One table, :data:`CAMPAIGNS`, describes every campaign and one loop,
-:func:`run_campaign`, runs it.  The sources and checks look their
-library functions up through the module at call time, so replacing a
-module attribute (a test double, a tracing wrapper) reaches every
-campaign.
+:func:`run_campaign`, runs it.  The sources and checks look the functions
+of ``catalog``, ``topology``, ``morphisms``, ``filters`` and ``breadth``
+up through the module at call time, so replacing such a module attribute
+(a test double, a tracing wrapper) reaches every campaign; the
+``order_core`` names are imported directly.
 """
 
 from __future__ import annotations
@@ -21,19 +22,10 @@ from random import Random
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import breadth as breadth_mod
+from . import catalog
 from . import filters as filters_mod
 from . import morphisms as morph
 from . import topology as topo
-from .catalog import (
-    all_posets_up_to,
-    chain,
-    library_lattices,
-    library_posets,
-    m3,
-    random_lattice,
-    random_poset,
-    two,
-)
 from .errors import MalformedInputError
 from .order_core import Poset, Record, boolean_power, mask_of, poset_to_dict, product
 
@@ -80,18 +72,18 @@ class CampaignResult(NamedTuple):
 def _random_posets(spec: CampaignSpec) -> list[Poset]:
     rng = Random(spec.seed)
     limit = spec.size_limit
-    return [random_poset(rng.randint(min(2, limit), limit), rng) for _ in range(spec.trials)]
+    return [catalog.random_poset(rng.randint(min(2, limit), limit), rng) for _ in range(spec.trials)]
 
 
 def _random_lattices(spec: CampaignSpec) -> list[Poset]:
     # none at limit 1: the one 1-element lattice is in the library pool
     span = spec.size_limit - 1
     trials = spec.trials if span else 0
-    return [random_lattice(2 + (spec.seed + i) % span, spec.seed + i) for i in range(trials)]
+    return [catalog.random_lattice(2 + (spec.seed + i) % span, spec.seed + i) for i in range(trials)]
 
 
 def _lattice_pool(spec: CampaignSpec) -> list[Poset]:
-    pool = [p for _, p in library_lattices(spec.size_limit)]
+    pool = [p for _, p in catalog.library_lattices(spec.size_limit)]
     pool.extend(_random_lattices(spec))
     return pool
 
@@ -117,7 +109,9 @@ def _complete_homs(spec: CampaignSpec, with_topologies: bool = False):
                 yield hom, t_dom, t_cod
 
 
-_PRODUCT_FACTORS: tuple[Callable[[], Poset], ...] = (two, lambda: chain(3), lambda: boolean_power(2), m3)
+_PRODUCT_FACTORS: tuple[Callable[[], Poset], ...] = (
+    lambda: catalog.two(), lambda: catalog.chain(3), lambda: boolean_power(2), lambda: catalog.m3()
+)
 
 
 def _product_factors(spec: CampaignSpec):
@@ -129,7 +123,7 @@ def _product_factors(spec: CampaignSpec):
 
 
 def _maps_between_carriers(spec: CampaignSpec):
-    carriers = [chain(k) for k in range(1, spec.size_limit + 1)]
+    carriers = [catalog.chain(k) for k in range(1, spec.size_limit + 1)]
     carriers.extend(_random_posets(spec))
     for dom in carriers:
         for cod in carriers:
@@ -262,11 +256,11 @@ CAMPAIGNS = {
     # the exponents n with 2^n <= the limit
     "breadth-2n": Campaign(16, 16, lambda spec: range(1, spec.size_limit.bit_length()), _check_breadth_2n),
     "fact-1-1": Campaign(
-        5, 6, lambda spec: itertools.chain(all_posets_up_to(spec.size_limit), _random_posets(spec)),
+        5, 6, lambda spec: itertools.chain(catalog.all_posets_up_to(spec.size_limit), _random_posets(spec)),
         _check_fact_1_1,
     ),
     "hausdorff": Campaign(
-        8, 64, lambda spec: [p for _, p in library_posets(spec.size_limit)] + _random_posets(spec),
+        8, 64, lambda spec: [p for _, p in catalog.library_posets(spec.size_limit)] + _random_posets(spec),
         _check_hausdorff,
     ),
     "lemma-2": Campaign(5, None, _complete_homs, _check_lemma_2),

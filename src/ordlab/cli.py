@@ -16,12 +16,13 @@ import json
 import sys
 from typing import Optional
 
+# the optional modules are held as modules, registered lazily by the
+# package, so a command compiles only those it reads from
 from . import breadth as breadth_mod
+from . import campaigns, catalog
 from . import filters as filters_mod
 from . import morphisms as morph
 from . import topology as topo
-from .campaigns import CAMPAIGN_NAMES, CAMPAIGNS, CampaignSpec, run_campaign
-from .catalog import named_poset, poset_names
 from .errors import LimitExceededError, MalformedInputError
 from .limits import default_limits
 from .order_core import (
@@ -68,8 +69,8 @@ def _resolve_poset(ref: object) -> Poset:
     if isinstance(ref, dict):
         return poset_from_dict(ref)
     if isinstance(ref, str):
-        if ref in poset_names():
-            return named_poset(ref)
+        if ref in catalog.poset_names():
+            return catalog.named_poset(ref)
         return _load_poset(ref)
     raise MalformedInputError(f"cannot interpret poset reference {ref!r}")
 
@@ -105,23 +106,23 @@ def _cmd_breadth(args) -> int:
     return EXIT_OK
 
 
-_TOPOLOGY_KINDS = {
-    "interval": topo.interval_topology,
-    "lower": topo.lower_topology,
-    "upper": topo.upper_topology,
-}
+_TOPOLOGY_KINDS = ("interval", "lower", "upper")
+
+
+def _make_topology(kind: str, p: Poset) -> topo.FiniteTopology:
+    return getattr(topo, f"{kind}_topology")(p)
 
 
 def _cmd_topology(args) -> int:
     p = _resolve_poset(args.poset)
-    t = _TOPOLOGY_KINDS[args.kind](p)
+    t = _make_topology(args.kind, p)
     _emit(topo.topology_to_dict(t))
     return EXIT_OK
 
 
 def _cmd_hausdorff(args) -> int:
     p = _resolve_poset(args.poset)
-    t = _TOPOLOGY_KINDS[args.kind](p)
+    t = _make_topology(args.kind, p)
     _emit(
         {
             "kind": args.kind,
@@ -163,8 +164,9 @@ def _scan_doc(scan: morph.PreimageScan, hom: morph.LatticeHom) -> dict:
 def _cmd_hom(args) -> int:
     hom = morph.hom_from_dict(_read_json(args.hom), _resolve_poset)
     continuity = {}
-    for kind, make in _TOPOLOGY_KINDS.items():
-        continuity[kind] = morph.is_continuous(hom, make(hom.domain), make(hom.codomain))
+    for kind in _TOPOLOGY_KINDS:
+        t_dom, t_cod = _make_topology(kind, hom.domain), _make_topology(kind, hom.codomain)
+        continuity[kind] = morph.is_continuous(hom, t_dom, t_cod)
     doc = {
         "classification": hom.classification.render(),
         "interval_preimages": _scan_doc(morph.preimage_scan(hom), hom),
@@ -201,13 +203,13 @@ def _cmd_campaign(args) -> int:
         raise MalformedInputError("--limit must be positive")
     if args.trials < 0:
         raise MalformedInputError("--trials must be nonnegative")
-    spec = CampaignSpec(
+    spec = campaigns.CampaignSpec(
         name=args.name,
-        size_limit=args.limit if args.limit is not None else CAMPAIGNS[args.name].default_limit,
+        size_limit=args.limit if args.limit is not None else campaigns.CAMPAIGNS[args.name].default_limit,
         trials=args.trials,
         seed=args.seed,
     )
-    result = run_campaign(spec)
+    result = campaigns.run_campaign(spec)
     _emit(result.to_dict())
     if result.status != "pass":
         sys.stderr.write(f"campaign {spec.name}: counterexample found\n")
@@ -232,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_topology = sub.add_parser("topology", help="dump a generated topology")
     p_topology.add_argument("poset")
-    p_topology.add_argument("--kind", choices=sorted(_TOPOLOGY_KINDS), default="interval")
+    p_topology.add_argument("--kind", choices=_TOPOLOGY_KINDS, default="interval")
     p_topology.set_defaults(func=_cmd_topology)
 
     p_hausdorff = sub.add_parser("hausdorff", help="separation properties of a generated topology")
     p_hausdorff.add_argument("poset")
-    p_hausdorff.add_argument("--kind", choices=sorted(_TOPOLOGY_KINDS), default="interval")
+    p_hausdorff.add_argument("--kind", choices=_TOPOLOGY_KINDS, default="interval")
     p_hausdorff.set_defaults(func=_cmd_hausdorff)
 
     p_product = sub.add_parser("product", help="pointwise-ordered product of posets")
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_converge.set_defaults(func=_cmd_converge)
 
     p_campaign = sub.add_parser("campaign", help="run a verification campaign")
-    p_campaign.add_argument("name", choices=CAMPAIGN_NAMES)
+    p_campaign.add_argument("name", choices=campaigns.CAMPAIGN_NAMES)
     p_campaign.add_argument(
         "--limit",
         type=int,

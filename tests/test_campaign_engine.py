@@ -16,7 +16,7 @@ import json
 import pytest
 
 from ordlab import breadth as breadth_mod
-from ordlab import cli
+from ordlab import catalog, cli
 from ordlab import filters as filters_mod
 from ordlab import morphisms as morph
 from ordlab import topology as topo
@@ -198,3 +198,19 @@ def test_counterexample_channel(monkeypatch, name, limit, module, attr, fail_at,
     assert result.instances_checked == checked
     assert sorted(result.witness) == keys
     assert _sha(json.dumps(result.witness, sort_keys=True, separators=(",", ":"))) == witness_digest
+
+
+@pytest.mark.parametrize("args, attr", [("fact-1-1 --trials 1", "random_poset"), ("prop-2-1", "library_lattices")])
+def test_catalog_double_reaches_the_campaign(monkeypatch, capsys, args, attr):
+    # the instance sources read catalog's functions at call time, as they
+    # read the other modules' functions
+    original = getattr(catalog, attr)
+    seen = []
+
+    def double(*a):
+        seen.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(catalog, attr, double)
+    assert _campaign(capsys, args)[0] == 0
+    assert len(seen) == 1
