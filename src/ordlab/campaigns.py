@@ -11,7 +11,9 @@ One table, :data:`CAMPAIGNS`, describes every campaign and one loop,
 of ``catalog``, ``topology``, ``morphisms``, ``filters`` and ``breadth``
 up through the module at call time, so replacing such a module attribute
 (a test double, a tracing wrapper) reaches every campaign; the
-``order_core`` names are imported directly.
+``order_core`` names are imported directly.  A check builds its subset
+tables unguarded: its instance source holds each size to the subset cap
+once, before the first instance of that size reaches the check.
 """
 
 from __future__ import annotations
@@ -27,7 +29,17 @@ from . import filters as filters_mod
 from . import morphisms as morph
 from . import topology as topo
 from .errors import MalformedInputError
-from .order_core import Poset, Record, boolean_power, mask_of, poset_to_dict, product
+from .limits import check_subset_elements
+from .order_core import (
+    Poset,
+    Record,
+    _image_table,
+    boolean_power,
+    mask_of,
+    poset_to_dict,
+    product,
+    subset_intersection_table,
+)
 
 
 class CampaignSpec(Record):
@@ -97,6 +109,16 @@ def _poset_witness(p: Poset, **extra) -> dict:
 # -- instance sources: (spec) -> instances ----------------------------------
 
 
+def _every_poset(spec: CampaignSpec):
+    """Every labelled poset up to the limit, size by size, then the random
+    ones.  Each size is held to the subset cap of the check's tables
+    before its posets are read; no random poset exceeds the limit."""
+    for k in range(1, spec.size_limit + 1):
+        check_subset_elements(k, "upper-bounds table")
+        yield from catalog.all_posets(k)
+    yield from _random_posets(spec)
+
+
 def _complete_homs(spec: CampaignSpec, with_topologies: bool = False):
     """``(hom, t_dom, t_cod)`` for every complete hom between two pool
     lattices; the interval topologies of its ends are built once per
@@ -126,6 +148,7 @@ def _maps_between_carriers(spec: CampaignSpec):
     carriers = [catalog.chain(k) for k in range(1, spec.size_limit + 1)]
     carriers.extend(_random_posets(spec))
     for dom in carriers:
+        check_subset_elements(dom.n, "image table")  # the check's table, for every map from dom
         for cod in carriers:
             for mapping in itertools.product(range(cod.n), repeat=dom.n):
                 yield dom, cod, mapping
@@ -157,8 +180,8 @@ def _check_breadth_2n(n: int) -> tuple[int, Optional[dict]]:
 def _check_fact_1_1(p: Poset) -> tuple[int, Optional[dict]]:
     # all (generator, point) pairs at once: the first failing pair, generator-
     # major and point-minor, is the lowest bit of the first differing entry
-    upper = p.upper_bounds_table()
-    downs = filters_mod.downset_member_table(p)
+    upper = subset_intersection_table(p.up, p.full_mask)
+    downs = filters_mod._downset_member_table(p)
     if upper == downs:
         return p.full_mask * p.n, None
     gen = next(m for m in range(len(upper)) if upper[m] != downs[m])
@@ -218,7 +241,7 @@ def _check_star_preservation(instance) -> tuple[int, Optional[dict]]:
 
 def _check_lemma_3(instance) -> tuple[int, Optional[dict]]:
     dom, cod, mapping = instance
-    images = morph.image_table(mapping)
+    images = _image_table(mapping)
     # fine ⊂ coarse is a chain of covers (one point dropped) through subsets of
     # coarse, so the first coarse with a failing pair is the first with a failing
     # cover; only its pairs are then walked, in decreasing order, for the witness
@@ -255,10 +278,7 @@ class Campaign(NamedTuple):
 CAMPAIGNS = {
     # the exponents n with 2^n <= the limit
     "breadth-2n": Campaign(16, 16, lambda spec: range(1, spec.size_limit.bit_length()), _check_breadth_2n),
-    "fact-1-1": Campaign(
-        5, 6, lambda spec: itertools.chain(catalog.all_posets_up_to(spec.size_limit), _random_posets(spec)),
-        _check_fact_1_1,
-    ),
+    "fact-1-1": Campaign(5, 6, _every_poset, _check_fact_1_1),
     "hausdorff": Campaign(
         8, 64, lambda spec: [p for _, p in catalog.library_posets(spec.size_limit)] + _random_posets(spec),
         _check_hausdorff,

@@ -163,8 +163,10 @@ def all_posets(n: int) -> PosetFamily:
     Each poset on n elements restricts to exactly one poset on the first
     n-1 elements, so extending every smaller poset by a fresh element z
     (choosing the down-set below z and an up-set above it, compatible
-    with transitivity) enumerates each labeled poset exactly once.  The
-    families are cached per size; the guards run on every call.
+    with transitivity) enumerates each labeled poset exactly once.  Both
+    choices are read off one table of the smaller poset's up-sets, as each
+    down-set is the complement of an up-set.  The families are cached per
+    size; the guards run on every call.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -180,11 +182,15 @@ def _extend_posets(n: int) -> PosetFamily:
 
     Output order: the smaller posets in their census order, then the
     down-sets d below z ascending, then the up-sets u above z ascending.
-    The up-set u must lie in ``allowed``, an up-set, and every subset of
-    it is numerically at most ``allowed``, so only the up-sets up to
-    ``allowed`` (a prefix of the ascending list) are tested.
+    One subset table of the base gives both: the down-sets are exactly
+    the complements of its up-sets, so walking the up-sets in descending
+    order yields the down-sets ascending.  The up-set u must lie in
+    ``allowed``, an up-set, and every subset of it is numerically at most
+    ``allowed``, so only the up-sets up to ``allowed`` (a prefix of the
+    ascending list) are tested.
     """
     m, z_bit = n - 1, 1 << (n - 1)
+    full = z_bit - 1  # the base's carrier
     # the bits z adds to a code below the up-set u and above the down-set d
     above, below = [z_bit << 8 * (2 * n - 1)], [z_bit << 8 * m]
     for i in range(m):
@@ -195,11 +201,12 @@ def _extend_posets(n: int) -> PosetFamily:
     for code in bases.codes:
         down, up = bases.rows(code)
         head = int.from_bytes(down + b"\0" + up, "little")  # the old rows at their new places
-        upper_bounds = subset_intersection_table(up, z_bit - 1)
+        upper_bounds = subset_intersection_table(up, full)
         up_sets = [u for u, c in enumerate(subset_union_table(up)) if c == u]
-        for d in [d for d, c in enumerate(subset_union_table(down)) if c == d]:
+        for outside in reversed(up_sets):
+            d = full ^ outside
             # everything above the new element must be above all of d
-            allowed, head_d = upper_bounds[d] & ~d, head | below[d]
+            allowed, head_d = upper_bounds[d] & outside, head | below[d]
             scan = up_sets[: bisect_right(up_sets, allowed)]
             out += [head_d | above[u] for u in scan if not u & ~allowed]
     return PosetFamily(n, tuple(out))

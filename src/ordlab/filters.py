@@ -155,6 +155,12 @@ def downset_member_table(p: Poset) -> list[int]:
     the filter generated by m, scattered from the subsets of each
     ``down[x]``: ``table == p.upper_bounds_table()`` is Fact 1.1 at once."""
     check_subset_elements(p.n, "down-set member table")
+    return _downset_member_table(p)
+
+
+def _downset_member_table(p: Poset) -> list[int]:
+    """:func:`downset_member_table` without its guard, for callers that
+    have held ``p.n`` to the subset cap already."""
     table = [0] * (p.full_mask + 1)
     table[0] = p.full_mask  # the empty set lies in every down-set
     for x, row in enumerate(p.down):

@@ -8,8 +8,12 @@ materialization, subset tables).  The limits are one policy, and the
 environment variable ``ORDLAB_MAX_ELEMENTS`` is its only setting: it
 overrides the element cap and can lower the subset cap but never raise it
 above its default, since a 2^64-entry table or open family cannot be
-built.  Every guard reads the variable when it runs, through
-:func:`default_limits`; no function takes limits as an argument.
+built.  No function takes limits as an argument: a guard reads the
+variable when it runs, through :func:`default_limits`, and every public
+function guards when it is called.  An exhaustive campaign guards each
+instance size once, in its instance source before the first instance of
+that size, and its checks build their tables through unguarded private
+builders, so a run reads the variable a few times, not once per instance.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ def default_limits() -> Limits:
     return _parse(os.environ.get(ENV_MAX_ELEMENTS))
 
 
-@lru_cache(maxsize=4)  # the guards run thousands of times per campaign on one value
+@lru_cache(maxsize=4)  # the guards of one run read one value
 def _parse(raw: Optional[str]) -> Limits:
     if raw is None:
         return Limits()

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 from .errors import MalformedInputError
 from .filters import SetFilter, order_limit, star_limit_mask
 from .limits import check_maps, check_subset_elements
-from .order_core import Poset, Record, iter_bits, subset_union_table
+from .order_core import Poset, Record, _image_table, iter_bits
 from .topology import FiniteTopology
 
 
@@ -362,7 +362,7 @@ def image_table(f: MapLike) -> list[int]:
     of the domain carrier (one increasing pass over the masks)."""
     mapping = _mapping_of(f)
     check_subset_elements(len(mapping), "image table")
-    return subset_union_table([1 << v for v in mapping])
+    return _image_table(mapping)
 
 
 def check_image_filter_inclusion(

@@ -59,6 +59,13 @@ def subset_intersection_table(rows: Sequence[int], full: int) -> list[int]:
     return table
 
 
+def _image_table(mapping: Sequence[int]) -> list[int]:
+    """``table[m]`` is the image of the domain subset m under ``mapping``
+    (domain index -> codomain index), for every mask m; unguarded, so the
+    caller holds ``len(mapping)`` to the subset-enumeration limit."""
+    return subset_union_table([1 << v for v in mapping])
+
+
 class Poset:
     """Immutable finite partially ordered set."""
 

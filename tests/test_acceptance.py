@@ -53,6 +53,7 @@ from ordlab import (
     upper_iff_downset,
     upper_topology,
 )
+from ordlab import campaigns as campaigns_mod
 from ordlab import catalog as catalog_mod
 from ordlab import filters as filters_mod
 from ordlab import morphisms as morph_mod
@@ -571,8 +572,9 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
 
         return table
 
-    monkeypatch.setattr(filters_mod, "downset_member_table", flipping(filters_mod.downset_member_table))
-    monkeypatch.setattr(morph_mod, "image_table", flipping(morph_mod.image_table))
+    # the unguarded builders the checks read
+    monkeypatch.setattr(filters_mod, "_downset_member_table", flipping(filters_mod._downset_member_table))
+    monkeypatch.setattr(campaigns_mod, "_image_table", flipping(campaigns_mod._image_table))
 
     def spoils(entries, bits, count):
         """No flips, then ``count`` seeded sets of 1-3 (entry, bit) flips."""
@@ -842,9 +844,14 @@ def _census_cases() -> list[tuple[list[Poset], list[Poset]]]:
 def _census_gate(cases) -> bool:
     """True when the census read through the catalog module (so a mutant
     patched in is the one run) has the labelled poset counts of OEIS
-    A001035 and iso_representatives keeps the pairwise representatives,
-    in their order, on every pool."""
-    if [len(catalog_mod.all_posets(n)) for n in range(1, 6)] != [1, 3, 19, 219, 4231]:
+    A001035 and the rows, in census order, of the posets on 1-5 points in
+    the first five pools (built before any mutant, and pinned by gate 9k),
+    and iso_representatives keeps the pairwise representatives, in their
+    order, on every pool."""
+    census = [catalog_mod.all_posets(n) for n in range(1, 6)]
+    if [len(family) for family in census] != [1, 3, 19, 219, 4231]:
+        return False
+    if _rows_digest(p for family in census for p in family) != _rows_digest(p for pool, _ in cases[:5] for p in pool):
         return False
     return all(
         [(p.labels, p.down) for p in catalog_mod.iso_representatives(pool)]
@@ -864,6 +871,9 @@ CENSUS_MUTANTS = [
         "bisect_left in the extension", "_extend_posets",
         "bisect_right(up_sets, allowed)", "__import__('bisect').bisect_left(up_sets, allowed)",
     ),
+    # the same posets in another order: only the rows digest sees it
+    ("down-sets in up-set order", "_extend_posets", "reversed(up_sets)", "up_sets"),
+    ("allowed keeps d", "_extend_posets", "upper_bounds[d] & outside", "upper_bounds[d]"),
 ]
 
 
@@ -871,8 +881,9 @@ def test_criterion_9n_gate_memoised_census(monkeypatch):
     """iso_representatives skips a poset whose normal code it has seen and
     confirms a new code with are_order_isomorphic; it must keep the
     posets, in the order, that the pairwise route keeps.  The extension
-    scans only the up-sets up to the allowed one.  The gate must catch
-    seeded mutants of both."""
+    scans only the up-sets up to the allowed one, and reads the down-sets
+    as the complements of the up-sets, walked in descending order.  The
+    gate must catch seeded mutants of both."""
     cases = _census_cases()
     ok = _census_gate(cases)
     ok = ok and len(cases) == 5 + 6 + 1 + 8 and sum(len(pool) for pool, _ in cases) == 4473 + 6815 + 8 + 8 * 24

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from ordlab import breadth as breadth_mod
+from ordlab import campaigns as campaigns_mod
 from ordlab import catalog, cli
 from ordlab import filters as filters_mod
 from ordlab import morphisms as morph
@@ -145,7 +146,7 @@ COUNTEREXAMPLES = [
     # the 1,000th (generator, point) pair is generator 0b1011, point 1 of
     # the 33rd poset; flipping that bit of its down-set table makes it the
     # first mismatch
-    ("fact-1-1", 5, filters_mod, "downset_member_table", 33, _flip(0b1011, 1), 1000,
+    ("fact-1-1", 5, filters_mod, "_downset_member_table", 33, _flip(0b1011, 1), 1000,
      ["check", "generator", "point", "poset"],
      "6b4d03c55fc1f81308ac302b155811fc1527efd36b189d4aadba4ed173294f41"),
     ("hausdorff", 8, topo, "is_hausdorff", 5, lambda r: False, 5,
@@ -160,7 +161,7 @@ COUNTEREXAMPLES = [
     # at 5,000: the image of 0b1001 must then leave that of 0b1111, and so
     # the image of 0b1101 either leaves it too, failing at 4,996, or fails
     # the earlier pair (0b1101, 0b1001).
-    ("lemma-3", 4, morph, "image_table", 208, _flip(0b1111, 0), 4996,
+    ("lemma-3", 4, campaigns_mod, "_image_table", 208, _flip(0b1111, 0), 4996,
      ["check", "coarse_generator", "codomain", "domain", "fine_generator", "map"],
      "d7dfe9c96e099795100f8c4b2097f9d0d85d389a349ebff4392d48397a386ce0"),
     ("product-lemma", 64, topo, "topologies_equal", 7, lambda r: False, 7,

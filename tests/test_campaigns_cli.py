@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ordlab import filters, morphisms, topology
+from ordlab import campaigns, catalog, cli, filters, limits, morphisms, topology
 from ordlab.breadth import has_breadth_at_most
 from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, run_campaign
 from ordlab.catalog import all_lattices, all_posets, chain, m3, two
@@ -57,6 +57,9 @@ GUARDED = [
     # the candidate-map cap has no environment setting: 8^8 maps are past its default
     ("enumerate_homs", "hom enumeration", lambda: boolean_power(3), lambda b: morphisms.enumerate_homs(b, b)),
     ("run_campaign", "upper-bounds table", lambda: CampaignSpec("fact-1-1", 5), run_campaign),
+    # lemma-3 builds its carriers before any map, so the element cap stops it
+    # first (the image-table guard is reached in the test below)
+    ("run_campaign-lemma-3", "poset", lambda: CampaignSpec("lemma-3", 4), run_campaign),
 ]
 
 
@@ -68,6 +71,62 @@ def test_every_guard_reads_the_environment(monkeypatch, what, build, call):
     monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2")
     with pytest.raises(LimitExceededError, match=f"^{re.escape(what)}: "):
         call(arg)
+
+
+def test_lemma_3_guards_each_domain_before_its_first_map(monkeypatch):
+    # the check builds its image tables unguarded, so the source's guard is
+    # what holds a domain to the subset cap: lowering the variable once the
+    # carriers are built must stop the run at the first 3-point domain
+    maps = campaigns._maps_between_carriers(CampaignSpec("lemma-3", 4))
+    domains = [next(maps)[0].n]
+    monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2")
+    with pytest.raises(LimitExceededError, match="^image table: 3 elements exceeds subset-enumeration limit 2$"):
+        for dom, _, _ in maps:
+            domains.append(dom.n)
+    assert domains == [1] * 10 + [2] * 30  # into chains 1-4: k maps from 1 point, k^2 from 2
+
+
+# (campaign, --limit, ORDLAB_MAX_ELEMENTS, stderr): a lowered cap stops a
+# sweep at the first size past it, naming the first table or carrier built
+# at that size
+LOWERED_CAP_ERRORS = [
+    ("fact-1-1", 5, 2, "upper-bounds table: 3 elements exceeds subset-enumeration limit 2"),
+    ("fact-1-1", 6, 2, "upper-bounds table: 3 elements exceeds subset-enumeration limit 2"),
+    ("fact-1-1", 5, 3, "upper-bounds table: 4 elements exceeds subset-enumeration limit 3"),
+    ("fact-1-1", 6, 3, "upper-bounds table: 4 elements exceeds subset-enumeration limit 3"),
+    ("fact-1-1", 5, 4, "upper-bounds table: 5 elements exceeds subset-enumeration limit 4"),
+    ("fact-1-1", 6, 4, "upper-bounds table: 5 elements exceeds subset-enumeration limit 4"),
+    ("lemma-3", 4, 2, "poset: 3 elements exceeds limit 2"),
+    ("lemma-3", 5, 2, "poset: 3 elements exceeds limit 2"),
+    ("lemma-3", 4, 3, "poset: 4 elements exceeds limit 3"),
+    ("lemma-3", 5, 3, "poset: 4 elements exceeds limit 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, limit, cap, message", LOWERED_CAP_ERRORS, ids=[f"{c[0]}-{c[1]}-cap{c[2]}" for c in LOWERED_CAP_ERRORS]
+)
+def test_lowered_cap_error(name, limit, cap, message):
+    res = run_cli(["campaign", name, "--limit", str(limit)], env={"ORDLAB_MAX_ELEMENTS": str(cap)})
+    assert (res.returncode, res.stdout, res.stderr) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args", ["fact-1-1", "lemma-3 --trials 3"])
+def test_guards_run_once_per_size(monkeypatch, capsys, args):
+    # a sweep's checks reuse the guard its source ran for the instance's
+    # size; counted on a cold census cache, where all_posets guards its
+    # recursive calls too
+    real, calls = limits.default_limits, [0]
+
+    def counting():
+        calls[0] += 1
+        return real()
+
+    catalog._extend_posets.cache_clear()
+    monkeypatch.setattr(limits, "default_limits", counting)
+    assert cli.main(["campaign", *args.split()]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert 0 < calls[0] <= 16
 
 
 class TestCampaigns:

@@ -80,12 +80,17 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_a_command_loads_only_the_modules_it_uses():
-    steps = json.loads(_fresh("-c", FOOTPRINT, "check 2^3", "hausdorff 2^3").stdout)
+    commands = ["check 2^3", "hausdorff 2^3", "campaign lemma-3 --limit 2", "campaign fact-1-1 --limit 2"]
+    steps = json.loads(_fresh("-c", FOOTPRINT, *commands).stdout)
     assert steps["registered"] == ["ordlab." + m for m in SUBMODULES]
     assert steps["import"] == ["ordlab", "ordlab.cli", "ordlab.errors", "ordlab.limits", "ordlab.order_core"]
     optional = {"ordlab.topology", "ordlab.morphisms", "ordlab.filters", "ordlab.breadth"}
     assert not optional & set(steps["check 2^3"])
     assert optional & set(steps["hausdorff 2^3"]) == {"ordlab.topology"}
+    # lemma-3 reads its image tables from order_core, not through morphisms
+    # (the steps accumulate: topology is hausdorff's)
+    assert optional & set(steps["campaign lemma-3 --limit 2"]) == {"ordlab.topology"}
+    assert optional & set(steps["campaign fact-1-1 --limit 2"]) == {"ordlab.topology", "ordlab.filters"}
 
 
 def test_export_table():
