@@ -182,18 +182,17 @@ def _cmd_converge(args) -> int:
     labels = [s for s in args.generator.split(",") if s]
     if not labels:
         raise MalformedInputError("empty generator")
-    f = filters_mod.filter_from_labels(p, labels)
+    gen = p.mask_of_labels(labels)
     if not certify_lattice(p).is_complete:
         sys.stderr.write(
             "warning: poset is not a complete lattice; convergence is false wherever a bound is missing\n"
         )
-    doc: dict = {"mode": args.mode, "generator": p.labels_of(f.generator)}
-    if args.mode == "order":
-        doc["limits"] = [p.labels[x] for x in filters_mod.convergence_points(f)]
-    else:
-        doc["limits"] = p.labels_of(filters_mod.star_limit_mask(f))
-        # the literal-tail reading is order convergence of f itself
-        doc["limits_literal_tail"] = [p.labels[x] for x in filters_mod.convergence_points(f)]
+    doc: dict = {"mode": args.mode, "generator": p.labels_of(gen)}
+    doc["limits"] = p.labels_of(filters_mod.order_limit_mask(p, gen))
+    if args.mode == "star":
+        # the literal-tail reading is order convergence of the filter itself
+        doc["limits_literal_tail"] = doc["limits"]
+        doc["limits"] = p.labels_of(filters_mod.star_limit_mask(p, gen))
     _emit(doc)
     return EXIT_OK
 

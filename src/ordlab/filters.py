@@ -2,18 +2,25 @@
 
 On a finite carrier every set filter is principal: closure under finite
 intersection forces the intersection of all members to be a member, so a
-filter is exactly the family of supersets of one nonempty generator set.
-:class:`SetFilter` stores only that generator; ``members`` materializes
-the definitional family for oracle checks.
+filter is exactly the family of supersets of one nonempty generator set,
+and the routes here take that generator mask.  :class:`SetFilter` wraps
+one for the oracle checks, which materialize its ``members``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import MalformedInputError
 from .limits import check_subset_elements
-from .order_core import Poset, Record
+from .order_core import Poset, Record, iter_bits
+
+
+def _check_generator(p: Poset, gen: int) -> None:
+    if gen == 0:
+        raise MalformedInputError("filter generator must be nonempty")
+    if gen < 0 or gen & ~p.full_mask:
+        raise MalformedInputError("filter generator out of range")
 
 
 class SetFilter(Record):
@@ -22,17 +29,12 @@ class SetFilter(Record):
     __slots__ = _fields = ("parent", "generator")
 
     def __init__(self, parent: Poset, generator: int) -> None:
-        # sweeps build hundreds of thousands of filters: the slot setters
-        # bound below are cheaper than object.__setattr__
-        _set_parent(self, parent)
-        _set_generator(self, generator)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "generator", generator)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.generator == 0:
-            raise MalformedInputError("filter generator must be nonempty")
-        if self.generator < 0 or self.generator & ~self.parent.full_mask:
-            raise MalformedInputError("filter generator out of range")
+        _check_generator(self.parent, self.generator)
 
     def __contains__(self, mask: int) -> bool:
         return mask & self.generator == self.generator
@@ -51,42 +53,34 @@ class SetFilter(Record):
         return out
 
 
-_set_parent, _set_generator = SetFilter.parent.__set__, SetFilter.generator.__set__
+def order_limit_mask(p: Poset, gen: int) -> int:
+    """The bit of the point the filter generated by ``gen`` order-converges
+    to, or 0.
 
-
-def filter_from_labels(parent: Poset, labels: Iterable[str]) -> SetFilter:
-    return SetFilter(parent, parent.mask_of_labels(labels))
-
-
-def _generator_limit(p: Poset, gen: int) -> Optional[int]:
-    if not gen & (gen - 1):
-        # a point filter {x}: in every poset inf(up x) = sup(down x) = x
-        return gen.bit_length() - 1
-    x = p.infimum_mask(p.upper_bounds_mask(gen))
-    if x is None or x != p.supremum_mask(p.lower_bounds_mask(gen)):
-        return None
-    return x
-
-
-def order_limit(f: SetFilter) -> Optional[int]:
-    """The point f order-converges to, or None.
-
-    f order-converges to x when the inf of its upper set and the sup of
-    its lower set both equal x, so there is at most one such point.
+    A filter order-converges to x when the inf of its upper set and the
+    sup of its lower set both equal x, so there is at most one such point.
     Intended for complete lattices; when a required bound is missing the
     filter converges nowhere (no error).
     """
-    return _generator_limit(f.parent, f.generator)
+    _check_generator(p, gen)
+    if not gen & (gen - 1):
+        # a point filter {x}: in every poset inf(up x) = sup(down x) = x
+        return gen
+    x = p.infimum_mask(p.upper_bounds_mask(gen))
+    if x is None or x != p.supremum_mask(p.lower_bounds_mask(gen)):
+        return 0
+    return 1 << x
 
 
 def order_converges(f: SetFilter, x: int) -> bool:
     """True iff inf of the filter's upper set and sup of its lower set both equal x."""
-    return order_limit(f) == x
+    return order_limit_mask(f.parent, f.generator) == 1 << x
 
 
 def super_filters(f: SetFilter) -> list[SetFilter]:
     """All filters containing f: generators are the nonempty subsets of f's generator."""
     gen = f.generator
+    check_subset_elements(gen.bit_count(), "super-filter enumeration")
     out = []
     sub = gen
     while sub:
@@ -96,16 +90,15 @@ def super_filters(f: SetFilter) -> list[SetFilter]:
     return out
 
 
-def star_limit_mask(f: SetFilter) -> int:
-    """Bitmask of the points f star-converges to.
+def star_limit_mask(p: Poset, gen: int) -> int:
+    """Bitmask of the points the filter generated by ``gen`` star-converges to.
 
-    f star-converges to x when every super-filter of f has a further
-    super-filter that order-converges to x.  The super-filters of f are
-    generated by the nonempty subsets m of its generator, so with
-    ``reach[m]`` the limits of the filters generated by nonempty subsets
-    of m,
+    A filter star-converges to x when every super-filter has a further
+    super-filter that order-converges to x.  The super-filters are
+    generated by the nonempty subsets m of ``gen``, so with ``reach[m]``
+    the limits of the filters generated by nonempty subsets of m,
 
-        reach[m] = bit(order limit of m) | OR over i in m of reach[m - {i}],
+        reach[m] = order limit of m | OR over i in m of reach[m - {i}],
 
     the star limits are the AND of ``reach[m]`` over all those m.  One
     pass over the subsets in increasing order computes it, since each
@@ -113,14 +106,13 @@ def star_limit_mask(f: SetFilter) -> int:
     with the per-point definition is an acceptance gate of the test
     suite.
     """
-    p, gen = f.parent, f.generator
+    _check_generator(p, gen)
     reach = {0: 0}
     star = -1
     m = 0
     while m != gen:
         m = (m - gen) & gen  # next subset of gen in increasing order
-        lim = _generator_limit(p, m)
-        r = 0 if lim is None else 1 << lim
+        r = order_limit_mask(p, m)
         rest = m
         while rest:
             low = rest & -rest
@@ -136,7 +128,7 @@ def star_limit_mask(f: SetFilter) -> int:
 def star_converges(f: SetFilter, x: int) -> bool:
     """Star-convergence: every super-filter has a further super-filter
     that order-converges to x (read from :func:`star_limit_mask`)."""
-    return bool((star_limit_mask(f) >> x) & 1)
+    return bool((star_limit_mask(f.parent, f.generator) >> x) & 1)
 
 
 def upper_iff_downset(f: SetFilter, x: int, upper_bounds: Optional[Sequence[int]] = None) -> bool:
@@ -150,17 +142,11 @@ def upper_iff_downset(f: SetFilter, x: int, upper_bounds: Optional[Sequence[int]
     return bool((upper_bounds[gen] >> x) & 1) == (p.down[x] & gen == gen)
 
 
-def downset_member_table(p: Poset) -> list[int]:
+def _downset_member_table(p: Poset) -> list[int]:
     """``table[m]`` is the set of points x whose down-set is a member of
     the filter generated by m, scattered from the subsets of each
-    ``down[x]``: ``table == p.upper_bounds_table()`` is Fact 1.1 at once."""
-    check_subset_elements(p.n, "down-set member table")
-    return _downset_member_table(p)
-
-
-def _downset_member_table(p: Poset) -> list[int]:
-    """:func:`downset_member_table` without its guard, for callers that
-    have held ``p.n`` to the subset cap already."""
+    ``down[x]``: ``table == p.upper_bounds_table()`` is Fact 1.1 at once.
+    Unguarded: callers hold ``p.n`` to the subset cap first."""
     table = [0] * (p.full_mask + 1)
     table[0] = p.full_mask  # the empty set lies in every down-set
     for x, row in enumerate(p.down):
@@ -172,15 +158,15 @@ def _downset_member_table(p: Poset) -> list[int]:
 
 
 def convergence_points(f: SetFilter) -> list[int]:
-    lim = order_limit(f)
-    return [] if lim is None else [lim]
+    return list(iter_bits(order_limit_mask(f.parent, f.generator)))
 
 
 def order_convergence_is_pointlike(p: Poset) -> bool:
     """Brute-force the degeneracy law on one finite lattice: a filter
     order-converges to x exactly when its generator is {x}."""
+    check_subset_elements(p.n, "pointlike check")
     for gen in range(1, p.full_mask + 1):
-        point = gen.bit_length() - 1 if not gen & (gen - 1) else None
-        if _generator_limit(p, gen) != point:
+        point = gen if not gen & (gen - 1) else 0
+        if order_limit_mask(p, gen) != point:
             return False
     return True

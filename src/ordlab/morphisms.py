@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import MalformedInputError
-from .filters import SetFilter, order_limit, star_limit_mask
+from .filters import order_limit_mask, star_limit_mask
 from .limits import check_maps, check_subset_elements
 from .order_core import Poset, Record, _image_table, iter_bits
 from .topology import FiniteTopology
@@ -290,23 +290,17 @@ def is_continuous(f: MapLike, t_dom: FiniteTopology, t_cod: FiniteTopology) -> b
     return _maps_rows_into(mapping, t_dom.min_nbhd, t_cod.min_nbhd)
 
 
-def image_filter(f: MapLike, flt: SetFilter, codomain: Poset | None = None) -> SetFilter:
-    """Filter generated by the pointwise images of the members.
-
-    Its generator is the image of the generator: every member's image
-    contains it, and it is itself the image of a member.
-    """
+def image_filter(f: MapLike, gen: int) -> int:
+    """The image of ``gen``: the generator of the filter generated by the
+    pointwise images of the members, since every member's image contains
+    it and it is itself the image of a member."""
     mapping = _mapping_of(f)
-    if codomain is None:
-        if not isinstance(f, LatticeHom):
-            raise ValueError("codomain poset required for a bare map")
-        codomain = f.codomain
-    image, rest = 0, flt.generator
-    while rest:
-        low = rest & -rest
+    image = 0
+    while gen:
+        low = gen & -gen
         image |= 1 << mapping[low.bit_length() - 1]
-        rest ^= low
-    return SetFilter(codomain, image)
+        gen ^= low
+    return image
 
 
 class CheckReport(NamedTuple):
@@ -315,10 +309,10 @@ class CheckReport(NamedTuple):
     witness: Optional[dict]
 
 
-def _limit_sweep(h: LatticeHom, limits_of: Callable[[SetFilter], int], what: str) -> CheckReport:
-    """For every point filter F = {x} and point y in ``limits_of(F)``, the
-    mask of the points F converges to, verify that f(y) is in ``limits_of``
-    of the image filter; one check per (F, y).
+def _limit_sweep(h: LatticeHom, limits_of: Callable[[Poset, int], int], what: str) -> CheckReport:
+    """For every point filter F = {x} and point y in ``limits_of(domain, F)``,
+    the mask of the points F converges to, verify that f(y) is in
+    ``limits_of`` of the image filter; one check per (F, y).
 
     On a finite lattice the point filters are exactly the convergent
     filters (∧G <= g <= ∨G for g in G, and the upper and lower bounds of
@@ -329,15 +323,14 @@ def _limit_sweep(h: LatticeHom, limits_of: Callable[[SetFilter], int], what: str
     """
     if h.classification != Classification.COMPLETE_HOM:
         raise ValueError(f"{what} check needs a complete homomorphism")
-    dom = h.domain
+    dom, cod = h.domain, h.codomain
     checked = 0
     for x in range(dom.n):
         gen = 1 << x
-        f = SetFilter(dom, gen)
-        points = limits_of(f)
+        points = limits_of(dom, gen)
         if not points:
             continue
-        image_points = limits_of(image_filter(h, f))
+        image_points = limits_of(cod, image_filter(h, gen))
         for y in iter_bits(points):
             checked += 1
             if not (image_points >> h.mapping[y]) & 1:
@@ -346,15 +339,10 @@ def _limit_sweep(h: LatticeHom, limits_of: Callable[[SetFilter], int], what: str
     return CheckReport(True, checked, None)
 
 
-def _order_limit_mask(f: SetFilter) -> int:
-    x = order_limit(f)
-    return 0 if x is None else 1 << x
-
-
 def check_image_convergence(h: LatticeHom) -> CheckReport:
     """For every filter F and point x with F order-convergent to x,
     verify that the image filter order-converges to f(x)."""
-    return _limit_sweep(h, _order_limit_mask, "image-convergence")
+    return _limit_sweep(h, order_limit_mask, "image-convergence")
 
 
 def image_table(f: MapLike) -> list[int]:
@@ -366,20 +354,19 @@ def image_table(f: MapLike) -> list[int]:
 
 
 def check_image_filter_inclusion(
-    f: MapLike, coarse: SetFilter, fine: SetFilter, images: Optional[Sequence[int]] = None
+    f: MapLike, coarse: int, fine: int, images: Optional[Sequence[int]] = None
 ) -> bool:
-    """Given nested filters (fine contains coarse), verify the image of
-    the fine one contains the image of the coarse one.
+    """Given the generators of nested filters (``fine`` a subset of
+    ``coarse``), verify the image of the fine one contains that of the coarse one.
 
     The images are read from ``images``, the map's :func:`image_table`,
     when given; else the table is built for this call (under the subset cap).
     """
-    fine_gen, coarse_gen = fine.generator, coarse.generator
-    if fine_gen & ~coarse_gen:
+    if fine & ~coarse:
         raise ValueError("second filter must contain the first (nested generators)")
     if images is None:
         images = image_table(f)
-    return images[fine_gen] & ~images[coarse_gen] == 0
+    return images[fine] & ~images[coarse] == 0
 
 
 def check_star_preservation(h: LatticeHom) -> CheckReport:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ordlab.catalog import two
 from ordlab.filters import SetFilter, super_filters, upper_iff_downset
-from ordlab.morphisms import CheckReport, LatticeHom, check_image_filter_inclusion, classify, image_filter
+from ordlab.morphisms import CheckReport, LatticeHom, check_image_filter_inclusion, classify
 from ordlab.order_core import Poset, are_order_isomorphic, boolean_power, iter_bits, mask_of
 from ordlab.topology import FiniteTopology
 
@@ -457,19 +457,19 @@ def iter_monotone_maps(domain: Poset, codomain: Poset) -> Iterator[tuple[int, ..
     return extend(0)
 
 
-def all_filter_limit_sweep(h: LatticeHom, limits_of: Callable[[SetFilter], int]) -> CheckReport:
+def all_filter_limit_sweep(h: LatticeHom, limits_of: Callable[[Poset, int], int]) -> CheckReport:
     """The convergence sweep over every filter of the domain, not only the
     point filters: for each generator in increasing order and each point x
-    in ``limits_of`` of its filter, f(x) must be in ``limits_of`` of the
-    image filter.  One check per (filter, point), first failure as witness."""
+    in ``limits_of(domain, generator)``, f(x) must be in ``limits_of`` of the
+    image filter, generated by the pointwise image of the generator.  One
+    check per (filter, point), first failure as witness."""
     dom = h.domain
     checked = 0
     for gen in range(1, dom.full_mask + 1):
-        f = SetFilter(dom, gen)
-        points = limits_of(f)
+        points = limits_of(dom, gen)
         if not points:
             continue
-        image_points = limits_of(image_filter(h, f))
+        image_points = limits_of(h.codomain, mask_from(naive_image(h.mapping, members_of(gen))))
         for x in iter_bits(points):
             checked += 1
             if not (image_points >> h.mapping[x]) & 1:
@@ -500,7 +500,7 @@ def per_pair_lemma_3(dom: Poset, mapping, images: list[int]) -> tuple[int, Optio
         fine = coarse
         while fine:
             checked += 1
-            if not check_image_filter_inclusion(mapping, SetFilter(dom, coarse), SetFilter(dom, fine), images):
+            if not check_image_filter_inclusion(mapping, coarse, fine, images):
                 return checked, (coarse, fine)
             fine = (fine - 1) & coarse
     return checked, None

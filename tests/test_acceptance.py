@@ -31,9 +31,7 @@ from ordlab import (
     SetFilter,
     boolean_power,
     chain,
-    check_image_convergence,
     check_image_filter_inclusion,
-    check_star_preservation,
     classify,
     coatom_family,
     compute_breadth,
@@ -43,7 +41,6 @@ from ordlab import (
     is_discrete,
     is_hausdorff,
     lower_topology,
-    order_limit,
     preimage_scan,
     product,
     product_topology,
@@ -73,8 +70,9 @@ from ordlab.catalog import (
     random_poset,
     two,
 )
-from ordlab.filters import order_convergence_is_pointlike, order_converges
-from ordlab.morphisms import _order_limit_mask, _search, image_table
+from ordlab.errors import MalformedInputError
+from ordlab.filters import order_convergence_is_pointlike, order_converges, order_limit_mask
+from ordlab.morphisms import _search, image_table
 from ordlab.order_core import (
     Poset,
     _is_lattice,
@@ -213,10 +211,43 @@ def test_criterion_6_upper_membership_equivalence():
     report(6, f"upper-bound membership iff down-set membership ({checked} checks)", ok)
 
 
-def test_criterion_7_convergence_preserved_by_complete_homs():
+def _convergence_homs() -> list:
+    """The complete homs between library lattices <= 5, each with the
+    order and star reports of the sweep over every filter."""
+    pool = [p for _, p in library_lattices(5)]
+    return [
+        (hom, all_filter_limit_sweep(hom, order_limit_mask), all_filter_limit_sweep(hom, star_limit_mask))
+        for dom in pool
+        for cod in pool
+        for hom in enumerate_homs(dom, cod)
+    ]
+
+
+def _convergence_gate(homs) -> bool:
+    """True when the point-filter sweeps, read through the morphisms
+    module (so a mutant patched in is the one run), pass and equal the
+    sweeps over every filter on every hom."""
+    return all(
+        order.passed and star.passed
+        and morph_mod.check_image_convergence(hom) == order
+        and morph_mod.check_star_preservation(hom) == star
+        for hom, order, star in homs
+    )
+
+
+# (mutant, function, code replaced, replacement)
+SWEEP_MUTANTS = [
+    ("image on the domain", "image_filter", "image |= 1 << mapping[low.bit_length() - 1]", "image |= low"),
+    ("image limits read on the domain", "_limit_sweep", "limits_of(cod, image_filter(h, gen))",
+     "limits_of(dom, image_filter(h, gen))"),
+    ("image point read on the domain", "_limit_sweep", "(image_points >> h.mapping[y])", "(image_points >> y)"),
+    ("first point skipped", "_limit_sweep", "for x in range(dom.n):", "for x in range(1, dom.n):"),
+]
+
+
+def test_criterion_7_convergence_preserved_by_complete_homs(monkeypatch):
     pool = [p for _, p in library_lattices(5)]
     ok = True
-    homs = 0
     # the convergence checks sweep point filters only, by the degeneracy
     # law: assert it for order and star limits on every lattice of the hom
     # campaigns' pools, at the default limits and at --trials 10, on seeds
@@ -231,7 +262,7 @@ def test_criterion_7_convergence_preserved_by_complete_homs():
                     ok = ok and order_convergence_is_pointlike(p)
                     for gen in range(1, p.full_mask + 1):
                         point = gen if not gen & (gen - 1) else 0
-                        ok = ok and star_limit_mask(SetFilter(p, gen)) == point
+                        ok = ok and star_limit_mask(p, gen) == point
     # the degeneracy law, asserted exhaustively on the same instance family
     for p in pool:
         ok = ok and order_convergence_is_pointlike(p)
@@ -240,20 +271,24 @@ def test_criterion_7_convergence_preserved_by_complete_homs():
             for x in range(p.n):
                 ok = ok and star_converges(f, x) == (gen == 1 << x)
                 ok = ok and order_converges(f, x) == (gen == 1 << x)
-    for dom in pool:
-        for cod in pool:
-            for hom in enumerate_homs(dom, cod):
-                homs += 1
-                for check, limits_of in (
-                    (check_image_convergence, _order_limit_mask),
-                    (check_star_preservation, star_limit_mask),
-                ):
-                    swept = check(hom)
-                    ok = ok and swept.passed and swept == all_filter_limit_sweep(hom, limits_of)
+    homs = _convergence_homs()
+    ok = ok and _convergence_gate(homs)
+    missed = []
+    for label, name, old, new in SWEEP_MUTANTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(morph_mod, name, _mutant(getattr(morph_mod, name), old, new))
+            try:
+                caught = not _convergence_gate(homs)
+            except MalformedInputError:  # an image generator outside the poset read
+                caught = True
+            if not caught:
+                missed.append(label)
+    ok = ok and not missed
     report(
         7,
-        f"order and star convergence preserved by {homs} complete homs, point-filter sweeps equal to "
-        f"the all-filter sweeps; convergence pointlike on {pooled} hom-campaign pool lattices",
+        f"order and star convergence preserved by {len(homs)} complete homs, point-filter sweeps equal to "
+        f"the all-filter sweeps; convergence pointlike on {pooled} hom-campaign pool lattices; seeded "
+        f"mutants ({', '.join(m[0] for m in SWEEP_MUTANTS)}) missed: {', '.join(missed) or 'none'}",
         ok,
     )
 
@@ -269,9 +304,7 @@ def test_criterion_8_image_filters_respect_inclusion():
                     fine = coarse
                     while fine:
                         checked += 1
-                        ok = ok and check_image_filter_inclusion(
-                            mapping, SetFilter(dom, coarse), SetFilter(dom, fine)
-                        )
+                        ok = ok and check_image_filter_inclusion(mapping, coarse, fine)
                         fine = (fine - 1) & coarse
     report(8, f"image filters preserve containment ({checked} map/filter-pair checks)", ok)
 
@@ -354,25 +387,66 @@ def test_criterion_9e_gate_continuity_from_neighbourhood_tables():
     )
 
 
-def test_criterion_9f_gate_one_limit_per_filter():
-    pool = list(all_posets_up_to(4)) + [p for _, p in library_lattices(8)]
-    ok = True
-    filters_checked = singletons = 0
-    for p in pool:
+def _limit_cases() -> list:
+    """Every filter of the posets <= 4 and the library lattices <= 8, with
+    its order-limit and star-limit masks by the per-point definitions."""
+    cases = []
+    for p in list(all_posets_up_to(4)) + [p for _, p in library_lattices(8)]:
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
-            filters_checked += 1
-            singletons += not gen & (gen - 1)
-            limit = order_limit(f)
-            star = star_limit_mask(f)
-            for x in range(p.n):
-                ok = ok and (limit == x) == naive_order_converges(f, x)
-                ok = ok and bool((star >> x) & 1) == naive_star_converges(f, x)
-    ok = ok and (filters_checked, singletons) == (4785, 1029)
+            order = mask_of(x for x in range(p.n) if naive_order_converges(f, x))
+            star = mask_of(x for x in range(p.n) if naive_star_converges(f, x))
+            cases.append((p, gen, order, star))
+    return cases
+
+
+def _limits_gate(cases) -> bool:
+    """True when the limit routes, read through the filters module (so a
+    mutant patched in is the one run), give the masks of every case."""
+    return all(
+        filters_mod.order_limit_mask(p, gen) == order and filters_mod.star_limit_mask(p, gen) == star
+        for p, gen, order, star in cases
+    )
+
+
+# (mutant, function, code replaced, replacement)
+LIMIT_MUTANTS = [
+    (
+        "no supremum comparison", "order_limit_mask",
+        "x is None or x != p.supremum_mask(p.lower_bounds_mask(gen))", "x is None",
+    ),
+    ("point filter converges nowhere", "order_limit_mask", "return gen\n", "return 0\n"),
+    ("star is the last reach", "star_limit_mask", "star &= r", "star = r"),
+    ("star starts empty", "star_limit_mask", "star = -1", "star = 0"),
+]
+# equivalent on finite posets by the degeneracy law (a filter order-converges
+# only when its generator is a point): the limits of the other subsets are
+# empty, and the singletons alone already empty the AND of a larger generator
+LIMIT_EQUIVALENT = [
+    ("reach without the smaller subsets", "star_limit_mask", "r |= reach[m ^ low]", "pass"),
+    ("limit of the whole generator", "star_limit_mask", "r = order_limit_mask(p, m)", "r = order_limit_mask(p, gen)"),
+]
+
+
+def test_criterion_9f_gate_one_limit_per_filter(monkeypatch):
+    cases = _limit_cases()
+    singletons = sum(not gen & (gen - 1) for _, gen, _, _ in cases)
+    ok = _limits_gate(cases) and (len(cases), singletons) == (4785, 1029)
+    missed, caught_equivalent = [], []
+    for mutants, out, caught_expected in ((LIMIT_MUTANTS, missed, True), (LIMIT_EQUIVALENT, caught_equivalent, False)):
+        for label, name, old, new in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(filters_mod, name, _mutant(getattr(filters_mod, name), old, new))
+                if _limits_gate(cases) == caught_expected:
+                    out.append(label)
+    ok = ok and not missed and not caught_equivalent
     report(
         "9f",
-        f"order limit and star-limit mask equal the per-point definitions on {filters_checked} filters "
-        f"({singletons} point filters; posets <= 4, library lattices <= 8)",
+        f"order-limit and star-limit masks equal the per-point definitions on {len(cases)} filters "
+        f"({singletons} point filters; posets <= 4, library lattices <= 8); seeded mutants "
+        f"({', '.join(m[0] for m in LIMIT_MUTANTS)}) missed: {', '.join(missed) or 'none'}; "
+        f"{', '.join(m[0] for m in LIMIT_EQUIVALENT)} survive as equivalent, since a filter "
+        f"order-converges only when its generator is a point (caught: {', '.join(caught_equivalent) or 'none'})",
         ok,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -48,8 +49,10 @@ GUARDED = [
      topology.topology_to_dict),
     ("SetFilter.members", "filter materialization", lambda: filters.SetFilter(chain(3), 1),
      lambda f: f.members()),
+    ("super_filters", "super-filter enumeration", lambda: filters.SetFilter(chain(6), 0b111111),
+     filters.super_filters),
+    ("order_convergence_is_pointlike", "pointlike check", lambda: chain(6), filters.order_convergence_is_pointlike),
     ("upper_bounds_table", "upper-bounds table", lambda: chain(3), lambda p: p.upper_bounds_table()),
-    ("downset_member_table", "down-set member table", lambda: chain(3), filters.downset_member_table),
     ("image_table", "image table", lambda: (0, 1, 2), morphisms.image_table),
     ("all_posets", "upper-bounds table", lambda: _census_built(4), all_posets),
     ("all_lattices", "upper-bounds table", lambda: _census_built(4), all_lattices),
@@ -127,6 +130,34 @@ def test_guards_run_once_per_size(monkeypatch, capsys, args):
     assert cli.main(["campaign", *args.split()]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert 0 < calls[0] <= 16
+
+
+def _converge_calls():
+    """``ordlab converge`` on every library poset: each single label, the
+    first two labels and all labels, in both modes, then an unknown label
+    and an empty generator."""
+    for name in catalog.poset_names():
+        labels = catalog.named_poset(name).labels
+        for generator in [[label] for label in labels] + [labels[:2], labels]:
+            for mode in ("order", "star"):
+                yield ["converge", name, "--generator", ",".join(generator), "--mode", mode]
+    yield ["converge", "M3", "--generator", "zz"]
+    yield ["converge", "M3", "--generator", ""]
+
+
+# exit codes, stdout and stderr of the calls above, recorded before the
+# filter routes took generator masks
+CONVERGE_CALLS, CONVERGE_SHA256 = 346, "7d39add56507a7bb67757ac014f761b64857002d5b78e79fcd0356dbbb1e153d"
+
+
+def test_converge_outputs_are_pinned(capsys):
+    digest, calls = hashlib.sha256(), 0
+    for args in _converge_calls():
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([args, code, out, err]).encode())
+        calls += 1
+    assert (calls, digest.hexdigest()) == (CONVERGE_CALLS, CONVERGE_SHA256)
 
 
 class TestCampaigns:

@@ -5,10 +5,10 @@ from ordlab import (
     SetFilter,
     boolean_power,
     chain,
-    filter_from_labels,
     m3,
     n5,
     order_converges,
+    order_limit_mask,
     star_converges,
     star_limit_mask,
     super_filters,
@@ -35,9 +35,16 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             SetFilter(chain(2), 0)
 
+    def test_limit_routes_check_the_generator(self):
+        for route in (order_limit_mask, star_limit_mask):
+            with pytest.raises(MalformedInputError, match="nonempty"):
+                route(chain(2), 0)
+            with pytest.raises(MalformedInputError, match="out of range"):
+                route(chain(2), 0b100)
+
     def test_members_are_exactly_the_supersets(self):
         p = n5()
-        f = filter_from_labels(p, ["a", "b"])
+        f = SetFilter(p, p.mask_of_labels(["a", "b"]))
         got = {frozenset(i for i in range(p.n) if (m >> i) & 1) for m in f.members()}
         assert got == naive_filter_members(p, frozenset([1, 2]))
 
@@ -52,7 +59,7 @@ class TestConstruction:
 class TestUpperLower:
     def test_examples(self):
         b2 = boolean_power(2)
-        f = filter_from_labels(b2, ["01", "10"])
+        f = SetFilter(b2, b2.mask_of_labels(["01", "10"]))
         assert b2.labels_of(b2.upper_bounds_mask(f.generator)) == ["11"]
         g = SetFilter(b2, 1 << b2.index_of("01"))
         assert b2.upper_bounds_mask(g.generator) == b2.up[b2.index_of("01")]
@@ -110,7 +117,7 @@ class TestOrderConvergence:
 
     def test_atom_pair_converges_nowhere(self):
         b2 = boolean_power(2)
-        f = filter_from_labels(b2, ["01", "10"])
+        f = SetFilter(b2, b2.mask_of_labels(["01", "10"]))
         assert convergence_points(f) == []
 
     def test_whole_chain_converges_nowhere(self):
@@ -148,9 +155,8 @@ class TestOrderConvergence:
 class TestSuperFilters:
     def test_counts(self):
         p = m3()
-        assert len(super_filters(filter_from_labels(p, ["a"]))) == 1
-        assert len(super_filters(filter_from_labels(p, ["a", "b"]))) == 3
-        assert len(super_filters(filter_from_labels(p, ["a", "b", "c"]))) == 7
+        for labels, count in ((["a"], 1), (["a", "b"], 3), (["a", "b", "c"], 7)):
+            assert len(super_filters(SetFilter(p, p.mask_of_labels(labels)))) == count
 
     def test_exactly_the_containing_filters(self):
         for p in [q for _, q in library_posets(5)]:
@@ -170,7 +176,7 @@ class TestStarConvergence:
 
     def test_atom_pair_star_converges_nowhere(self):
         b2 = boolean_power(2)
-        f = filter_from_labels(b2, ["01", "10"])
+        f = SetFilter(b2, b2.mask_of_labels(["01", "10"]))
         assert all(not star_converges(f, x) for x in range(4))
 
     def test_star_equals_pointlike_generator(self):
@@ -184,9 +190,8 @@ class TestStarConvergence:
     def test_large_generator_stops_early(self):
         # 2^64 super-filters: the sweep must stop once no point is left
         c = chain(64)
-        f = SetFilter(c, c.full_mask)
-        assert star_limit_mask(f) == 0
-        assert star_limit_mask(SetFilter(c, 1 << 63)) == 1 << 63
+        assert star_limit_mask(c, c.full_mask) == 0
+        assert star_limit_mask(c, 1 << 63) == 1 << 63
 
 
 class TestUpperIffDownset:

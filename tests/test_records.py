@@ -16,18 +16,19 @@ from pathlib import Path
 import pytest
 
 import ordlab
-from ordlab import filters
 from ordlab.breadth import BreadthReport, compute_breadth
 from ordlab.campaigns import CampaignResult, CampaignSpec
 from ordlab.catalog import chain, m3
 from ordlab.errors import MalformedInputError
-from ordlab.filters import SetFilter, super_filters
+from ordlab.filters import SetFilter, order_limit_mask, star_limit_mask, super_filters
 from ordlab.limits import Limits
 from ordlab.morphisms import (
     CheckReport,
     LatticeHom,
     PreimageIntervalReport,
     PreimageScan,
+    check_image_convergence,
+    check_star_preservation,
     classify,
     image_filter,
     preimage_interval_analysis,
@@ -153,12 +154,17 @@ def test_post_init_hook_runs_once_per_filter(monkeypatch):
     supers = super_filters(f)
     assert sorted(calls[1:]) == sorted(g.generator for g in supers) and len(supers) == 7
     del calls[:]
-    image = image_filter(_hom(), SetFilter(chain(3), 0b110))
-    assert calls == [0b110, image.generator]
-    del calls[:]
     with pytest.raises(MalformedInputError):
-        filters.filter_from_labels(p, [])
+        SetFilter(p, p.mask_of_labels([]))
     assert calls == [0]
+    # the limit routes and the hom sweeps work on generator masks and
+    # build no filter
+    del calls[:]
+    hom = classify([0, 1, 1, 2], chain(4), chain(3))
+    assert image_filter(hom, 0b110) == 0b010
+    assert order_limit_mask(p, 0b110) == 0 and star_limit_mask(p, 0b100) == 0b100
+    assert check_image_convergence(hom).passed and check_star_preservation(hom).passed
+    assert calls == []
 
 
 def test_cli_import_needs_no_dataclasses():
