@@ -21,8 +21,7 @@ _EXPORTS = {
     "catalog": "all_lattices all_posets antichain_bounded chain library_lattices library_posets m3 n5 "
     "named_poset random_lattice random_poset two",
     "errors": "LimitExceededError MalformedInputError OrdlabError",
-    "filters": "SetFilter order_converges order_limit_mask star_converges star_limit_mask super_filters "
-    "upper_iff_downset",
+    "filters": "SetFilter limit_mask order_converges star_converges super_filters upper_iff_downset",
     "limits": "Limits default_limits",
     "morphisms": "Classification LatticeHom check_image_convergence check_image_filter_inclusion "
     "check_star_preservation classify enumerate_homs image_filter image_table is_continuous "

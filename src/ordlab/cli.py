@@ -188,11 +188,11 @@ def _cmd_converge(args) -> int:
             "warning: poset is not a complete lattice; convergence is false wherever a bound is missing\n"
         )
     doc: dict = {"mode": args.mode, "generator": p.labels_of(gen)}
-    doc["limits"] = p.labels_of(filters_mod.order_limit_mask(p, gen))
+    doc["limits"] = p.labels_of(filters_mod.limit_mask(p, gen))
     if args.mode == "star":
-        # the literal-tail reading is order convergence of the filter itself
+        # the literal-tail reading, order convergence of the filter itself,
+        # has the same limits as the star reading (filters.limit_mask)
         doc["limits_literal_tail"] = doc["limits"]
-        doc["limits"] = p.labels_of(filters_mod.star_limit_mask(p, gen))
     _emit(doc)
     return EXIT_OK
 

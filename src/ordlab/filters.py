@@ -3,8 +3,11 @@
 On a finite carrier every set filter is principal: closure under finite
 intersection forces the intersection of all members to be a member, so a
 filter is exactly the family of supersets of one nonempty generator set,
-and the routes here take that generator mask.  :class:`SetFilter` wraps
-one for the oracle checks, which materialize its ``members``.
+and the routes here take that generator mask.  On any finite poset such
+a filter converges, in order or in star, exactly when its generator is
+one point, and then to that point (:func:`limit_mask`).
+:class:`SetFilter` wraps a generator for the oracle checks, which
+materialize its ``members``.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ class SetFilter(Record):
     def __post_init__(self) -> None:
         _check_generator(self.parent, self.generator)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask & self.generator == self.generator
-
     def members(self) -> list[int]:
         """All member sets, i.e. every superset of the generator."""
         check_subset_elements(self.parent.n, "filter materialization")
@@ -53,28 +53,28 @@ class SetFilter(Record):
         return out
 
 
-def order_limit_mask(p: Poset, gen: int) -> int:
-    """The bit of the point the filter generated by ``gen`` order-converges
-    to, or 0.
+def limit_mask(p: Poset, gen: int) -> int:
+    """The points the filter generated by ``gen`` converges to, in order
+    or in star, as a bitmask: ``gen`` itself when it is one point, else 0.
 
     A filter order-converges to x when the inf of its upper set and the
-    sup of its lower set both equal x, so there is at most one such point.
-    Intended for complete lattices; when a required bound is missing the
-    filter converges nowhere (no error).
+    sup of its lower set both equal x.  On any finite poset, a point g of
+    the generator G lies below every upper bound of G and above every
+    lower bound, so sup(lower G) <= g <= inf(upper G) when both exist.
+    The two can be equal only when every g is that one point, and the
+    point filter {x} converges to x: x is the least element of its up-set
+    and the greatest of its down-set.  A filter star-converges to x when
+    every super-filter, generated by a nonempty subset m of G, has a
+    further one that order-converges to x.  That one is {x} with x in m,
+    so x lies in every nonempty subset of G, and so G = {x}.
     """
     _check_generator(p, gen)
-    if not gen & (gen - 1):
-        # a point filter {x}: in every poset inf(up x) = sup(down x) = x
-        return gen
-    x = p.infimum_mask(p.upper_bounds_mask(gen))
-    if x is None or x != p.supremum_mask(p.lower_bounds_mask(gen)):
-        return 0
-    return 1 << x
+    return 0 if gen & (gen - 1) else gen
 
 
 def order_converges(f: SetFilter, x: int) -> bool:
     """True iff inf of the filter's upper set and sup of its lower set both equal x."""
-    return order_limit_mask(f.parent, f.generator) == 1 << x
+    return limit_mask(f.parent, f.generator) == 1 << x
 
 
 def super_filters(f: SetFilter) -> list[SetFilter]:
@@ -90,45 +90,10 @@ def super_filters(f: SetFilter) -> list[SetFilter]:
     return out
 
 
-def star_limit_mask(p: Poset, gen: int) -> int:
-    """Bitmask of the points the filter generated by ``gen`` star-converges to.
-
-    A filter star-converges to x when every super-filter has a further
-    super-filter that order-converges to x.  The super-filters are
-    generated by the nonempty subsets m of ``gen``, so with ``reach[m]``
-    the limits of the filters generated by nonempty subsets of m,
-
-        reach[m] = order limit of m | OR over i in m of reach[m - {i}],
-
-    the star limits are the AND of ``reach[m]`` over all those m.  One
-    pass over the subsets in increasing order computes it, since each
-    m - {i} comes before m; it stops once the AND is empty.  Agreement
-    with the per-point definition is an acceptance gate of the test
-    suite.
-    """
-    _check_generator(p, gen)
-    reach = {0: 0}
-    star = -1
-    m = 0
-    while m != gen:
-        m = (m - gen) & gen  # next subset of gen in increasing order
-        r = order_limit_mask(p, m)
-        rest = m
-        while rest:
-            low = rest & -rest
-            r |= reach[m ^ low]
-            rest ^= low
-        reach[m] = r
-        star &= r
-        if not star:
-            return 0
-    return star
-
-
 def star_converges(f: SetFilter, x: int) -> bool:
     """Star-convergence: every super-filter has a further super-filter
-    that order-converges to x (read from :func:`star_limit_mask`)."""
-    return bool((star_limit_mask(f.parent, f.generator) >> x) & 1)
+    that order-converges to x (read from :func:`limit_mask`)."""
+    return limit_mask(f.parent, f.generator) == 1 << x
 
 
 def upper_iff_downset(f: SetFilter, x: int, upper_bounds: Optional[Sequence[int]] = None) -> bool:
@@ -158,15 +123,18 @@ def _downset_member_table(p: Poset) -> list[int]:
 
 
 def convergence_points(f: SetFilter) -> list[int]:
-    return list(iter_bits(order_limit_mask(f.parent, f.generator)))
+    return list(iter_bits(limit_mask(f.parent, f.generator)))
 
 
 def order_convergence_is_pointlike(p: Poset) -> bool:
-    """Brute-force the degeneracy law on one finite lattice: a filter
-    order-converges to x exactly when its generator is {x}."""
+    """The law of :func:`limit_mask` checked by the definition on one
+    finite poset: for every generator, the inf of its upper bounds and the
+    sup of its lower bounds exist and are equal exactly when it is one
+    point."""
     check_subset_elements(p.n, "pointlike check")
     for gen in range(1, p.full_mask + 1):
-        point = gen if not gen & (gen - 1) else 0
-        if order_limit_mask(p, gen) != point:
+        x = p.infimum_mask(p.upper_bounds_mask(gen))
+        converges = x is not None and x == p.supremum_mask(p.lower_bounds_mask(gen))
+        if converges == bool(gen & (gen - 1)):
             return False
     return True

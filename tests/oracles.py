@@ -5,12 +5,12 @@ indices, bounds are found by scanning with scalar ``leq`` queries, and
 families are enumerated exhaustively.  These routes share no code with
 the bitmask implementations they check.  The exceptions are the literal
 all-subsets routes (completeness, complete homs, filter upper/lower
-sets, breadth), the per-point convergence definitions, the convergence
-sweep over every filter (:func:`all_filter_limit_sweep`), the
-closed-family continuity check, the filter a base generates, the
+sets, breadth), the per-point and per-filter convergence definitions,
+the convergence sweep over every filter (:func:`all_filter_limit_sweep`),
+the closed-family continuity check, the filter a base generates, the
 triple distributive law and the pairwise class census
 (:func:`iso_representatives_pairwise`), which run the package's bound
-queries, limits, pair tables, open-family materialization and
+queries, pair tables, super-filters, open-family materialization and
 isomorphism test (themselves gated against the routes above) to check
 the shortcuts built on them.
 """
@@ -277,6 +277,43 @@ def naive_star_converges(f: SetFilter, x: int) -> bool:
         if not any(naive_order_converges(g, x) for g in super_filters(prime)):
             return False
     return True
+
+
+def order_limits_definitional(p: Poset, gen: int) -> int:
+    """The bit of the point the filter generated by ``gen`` order-converges
+    to by the definition, or 0: the inf of the upper bounds of ``gen`` and
+    the sup of its lower bounds must both exist and be equal."""
+    x = p.infimum_mask(p.upper_bounds_mask(gen))
+    return 1 << x if x is not None and x == p.supremum_mask(p.lower_bounds_mask(gen)) else 0
+
+
+def star_limits_by_subsets(p: Poset, gen: int) -> int:
+    """The points the filter generated by ``gen`` star-converges to, from
+    the definitional order limits of its super-filters, which are
+    generated by the nonempty subsets m of ``gen``.  With ``reach[m]`` the
+    order limits of the filters generated by nonempty subsets of m,
+
+        reach[m] = order limit of m | OR over i in m of reach[m - {i}],
+
+    the star limits are the AND of ``reach[m]`` over all those m, in one
+    increasing pass over the subsets (each m - {i} comes before m) that
+    stops once the AND is empty."""
+    reach = {0: 0}
+    star = -1
+    m = 0
+    while m != gen:
+        m = (m - gen) & gen  # next subset of gen in increasing order
+        r = order_limits_definitional(p, m)
+        rest = m
+        while rest:
+            low = rest & -rest
+            r |= reach[m ^ low]
+            rest ^= low
+        reach[m] = r
+        star &= r
+        if not star:
+            return 0
+    return star
 
 
 def naive_is_continuous(mapping: tuple[int, ...], t_dom: FiniteTopology, t_cod: FiniteTopology) -> bool:

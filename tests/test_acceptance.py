@@ -5,7 +5,7 @@ them all).  The oracle gates in criterion 9 justify the shortcuts used
 elsewhere: principal filter representation, the generator route for the
 filter upper set, the breadth size-bound reduction, and the finite
 complete-homomorphism test, continuity read off neighbourhood tables,
-the one-pass order and star limits of a filter, the subset tables
+the closed-form order and star limits of a filter, the subset tables
 (bounds, closures, images) with the enumerated order rows, and the
 pruned hom search, the preimage scan by lookup, the complete homs taken
 from the search unclassified and distributivity by join-primes, the
@@ -45,7 +45,6 @@ from ordlab import (
     product,
     product_topology,
     star_converges,
-    star_limit_mask,
     topologies_equal,
     upper_iff_downset,
     upper_topology,
@@ -71,7 +70,7 @@ from ordlab.catalog import (
     two,
 )
 from ordlab.errors import MalformedInputError
-from ordlab.filters import order_convergence_is_pointlike, order_converges, order_limit_mask
+from ordlab.filters import order_convergence_is_pointlike, order_converges
 from ordlab.morphisms import _search, image_table
 from ordlab.order_core import (
     Poset,
@@ -108,11 +107,13 @@ from oracles import (
     naive_transpose,
     naive_up_closure,
     naive_upper_bounds,
+    order_limits_definitional,
     per_pair_fact_1_1,
     per_pair_lemma_3,
     projection_preimages,
     relabelings,
     relabelled,
+    star_limits_by_subsets,
 )
 
 
@@ -213,10 +214,15 @@ def test_criterion_6_upper_membership_equivalence():
 
 def _convergence_homs() -> list:
     """The complete homs between library lattices <= 5, each with the
-    order and star reports of the sweep over every filter."""
+    order and star reports of the sweep over every filter, its limits
+    taken by the definitions."""
     pool = [p for _, p in library_lattices(5)]
     return [
-        (hom, all_filter_limit_sweep(hom, order_limit_mask), all_filter_limit_sweep(hom, star_limit_mask))
+        (
+            hom,
+            all_filter_limit_sweep(hom, order_limits_definitional),
+            all_filter_limit_sweep(hom, star_limits_by_subsets),
+        )
         for dom in pool
         for cod in pool
         for hom in enumerate_homs(dom, cod)
@@ -238,8 +244,8 @@ def _convergence_gate(homs) -> bool:
 # (mutant, function, code replaced, replacement)
 SWEEP_MUTANTS = [
     ("image on the domain", "image_filter", "image |= 1 << mapping[low.bit_length() - 1]", "image |= low"),
-    ("image limits read on the domain", "_limit_sweep", "limits_of(cod, image_filter(h, gen))",
-     "limits_of(dom, image_filter(h, gen))"),
+    ("image limits read on the domain", "_limit_sweep", "limit_mask(cod, image_filter(h, gen))",
+     "limit_mask(dom, image_filter(h, gen))"),
     ("image point read on the domain", "_limit_sweep", "(image_points >> h.mapping[y])", "(image_points >> y)"),
     ("first point skipped", "_limit_sweep", "for x in range(dom.n):", "for x in range(1, dom.n):"),
 ]
@@ -262,7 +268,7 @@ def test_criterion_7_convergence_preserved_by_complete_homs(monkeypatch):
                     ok = ok and order_convergence_is_pointlike(p)
                     for gen in range(1, p.full_mask + 1):
                         point = gen if not gen & (gen - 1) else 0
-                        ok = ok and star_limit_mask(p, gen) == point
+                        ok = ok and star_limits_by_subsets(p, gen) == point
     # the degeneracy law, asserted exhaustively on the same instance family
     for p in pool:
         ok = ok and order_convergence_is_pointlike(p)
@@ -400,53 +406,58 @@ def _limit_cases() -> list:
     return cases
 
 
-def _limits_gate(cases) -> bool:
-    """True when the limit routes, read through the filters module (so a
-    mutant patched in is the one run), give the masks of every case."""
-    return all(
-        filters_mod.order_limit_mask(p, gen) == order and filters_mod.star_limit_mask(p, gen) == star
-        for p, gen, order, star in cases
+def _pointlike_posets() -> list:
+    """Every labelled poset on 5 points and 200 seeded random posets on
+    6-10 points, lattices or not."""
+    rng = Random(19)
+    return list(all_posets(5)) + [random_poset(rng.randint(6, 10), rng) for _ in range(200)]
+
+
+def _limits_gate(cases, posets) -> bool:
+    """True when the limit route and the pointlike check, read through the
+    filters module (so a mutant patched in is the one run), give the
+    order and star masks of every case and pass on every poset."""
+    return all(filters_mod.limit_mask(p, gen) == order == star for p, gen, order, star in cases) and all(
+        filters_mod.order_convergence_is_pointlike(p) for p in posets
     )
 
 
+_CLOSED_FORM = "return 0 if gen & (gen - 1) else gen"
 # (mutant, function, code replaced, replacement)
 LIMIT_MUTANTS = [
+    ("points converge nowhere", "limit_mask", _CLOSED_FORM, "return 0"),
+    ("every generator converges to itself", "limit_mask", _CLOSED_FORM, "return gen"),
+    ("lowest bit of any generator", "limit_mask", _CLOSED_FORM, "return gen & -gen"),
     (
-        "no supremum comparison", "order_limit_mask",
-        "x is None or x != p.supremum_mask(p.lower_bounds_mask(gen))", "x is None",
+        "pointlike check without the supremum comparison", "order_convergence_is_pointlike",
+        "x is not None and x == p.supremum_mask(p.lower_bounds_mask(gen))", "x is not None",
     ),
-    ("point filter converges nowhere", "order_limit_mask", "return gen\n", "return 0\n"),
-    ("star is the last reach", "star_limit_mask", "star &= r", "star = r"),
-    ("star starts empty", "star_limit_mask", "star = -1", "star = 0"),
-]
-# equivalent on finite posets by the degeneracy law (a filter order-converges
-# only when its generator is a point): the limits of the other subsets are
-# empty, and the singletons alone already empty the AND of a larger generator
-LIMIT_EQUIVALENT = [
-    ("reach without the smaller subsets", "star_limit_mask", "r |= reach[m ^ low]", "pass"),
-    ("limit of the whole generator", "star_limit_mask", "r = order_limit_mask(p, m)", "r = order_limit_mask(p, gen)"),
+    # only a poset that is not a lattice has a generator with neither bound
+    ("pointlike check equating two missing bounds", "order_convergence_is_pointlike", "x is not None and ", ""),
 ]
 
 
 def test_criterion_9f_gate_one_limit_per_filter(monkeypatch):
-    cases = _limit_cases()
+    cases, posets = _limit_cases(), _pointlike_posets()
     singletons = sum(not gen & (gen - 1) for _, gen, _, _ in cases)
-    ok = _limits_gate(cases) and (len(cases), singletons) == (4785, 1029)
-    missed, caught_equivalent = [], []
-    for mutants, out, caught_expected in ((LIMIT_MUTANTS, missed, True), (LIMIT_EQUIVALENT, caught_equivalent, False)):
-        for label, name, old, new in mutants:
-            with monkeypatch.context() as patch:
-                patch.setattr(filters_mod, name, _mutant(getattr(filters_mod, name), old, new))
-                if _limits_gate(cases) == caught_expected:
-                    out.append(label)
-    ok = ok and not missed and not caught_equivalent
+    non_lattices = sum(not p.certificate.is_lattice for p in posets)
+    ok = _limits_gate(cases, posets) and (len(cases), singletons, len(posets)) == (4785, 1029, 4431)
+    # the star oracle the convergence sweeps of gate 7 read agrees with the per-point one
+    ok = ok and all(star_limits_by_subsets(p, gen) == star for p, gen, _, star in cases)
+    missed = []
+    for label, name, old, new in LIMIT_MUTANTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(filters_mod, name, _mutant(getattr(filters_mod, name), old, new))
+            if _limits_gate(cases, posets):
+                missed.append(label)
+    ok = ok and not missed
     report(
         "9f",
-        f"order-limit and star-limit masks equal the per-point definitions on {len(cases)} filters "
-        f"({singletons} point filters; posets <= 4, library lattices <= 8); seeded mutants "
-        f"({', '.join(m[0] for m in LIMIT_MUTANTS)}) missed: {', '.join(missed) or 'none'}; "
-        f"{', '.join(m[0] for m in LIMIT_EQUIVALENT)} survive as equivalent, since a filter "
-        f"order-converges only when its generator is a point (caught: {', '.join(caught_equivalent) or 'none'})",
+        f"a filter converges, in order and in star, exactly to its one-point generator: the closed form equals "
+        f"the per-point definitions on {len(cases)} filters ({singletons} point filters; posets <= 4, library "
+        f"lattices <= 8), and the definitional pointlike check passes on {len(posets)} posets ({non_lattices} "
+        f"not lattices; every poset on 5 points, seeded random on 6-10); seeded mutants "
+        f"({', '.join(m[0] for m in LIMIT_MUTANTS)}) missed: {', '.join(missed) or 'none'}",
         ok,
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from ordlab import campaigns, catalog, cli, filters, limits, morphisms, topology
 from ordlab.breadth import has_breadth_at_most
 from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, run_campaign
-from ordlab.catalog import all_lattices, all_posets, chain, m3, two
+from ordlab.catalog import all_lattices, all_posets, all_posets_up_to, chain, m3, two
 from ordlab.errors import LimitExceededError
 from ordlab.limits import Limits, default_limits
 from ordlab.order_core import boolean_power, build_poset, poset_to_dict, product
@@ -158,6 +159,41 @@ def test_converge_outputs_are_pinned(capsys):
         digest.update(json.dumps([args, code, out, err]).encode())
         calls += 1
     assert (calls, digest.hexdigest()) == (CONVERGE_CALLS, CONVERGE_SHA256)
+
+
+def _non_lattice_converge_calls():
+    """``ordlab converge -`` on every labelled poset with up to 4 points
+    that is not a lattice, read on stdin: each single label, the first two
+    labels and all labels, in both modes."""
+    for p in all_posets_up_to(4):
+        if p.certificate.is_lattice:
+            continue
+        doc = json.dumps(poset_to_dict(p))
+        for generator in [[label] for label in p.labels] + [list(p.labels[:2]), list(p.labels)]:
+            for mode in ("order", "star"):
+                yield doc, ["converge", "-", "--generator", ",".join(generator), "--mode", mode]
+
+
+# posets, calls and the digest of each call's poset, arguments, exit code,
+# stdout and stderr, recorded before the limits took the closed form
+NON_LATTICE_POSETS, NON_LATTICE_CALLS = 197, 2334
+NON_LATTICE_SHA256 = "deb10c17f5709b8c8ff9e12350c635eaf2369e93649278229b90fcae56dff29f"
+
+
+def test_converge_on_non_lattices_is_pinned(monkeypatch, capsys):
+    # one parser for all the calls: parsing keeps no state on it, and
+    # building it is most of an in-process call
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    digest, docs, calls = hashlib.sha256(), set(), 0
+    for doc, args in _non_lattice_converge_calls():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([doc, args, code, out, err]).encode())
+        docs.add(doc)
+        calls += 1
+    assert (len(docs), calls, digest.hexdigest()) == (NON_LATTICE_POSETS, NON_LATTICE_CALLS, NON_LATTICE_SHA256)
 
 
 class TestCampaigns:

@@ -5,12 +5,11 @@ from ordlab import (
     SetFilter,
     boolean_power,
     chain,
+    limit_mask,
     m3,
     n5,
     order_converges,
-    order_limit_mask,
     star_converges,
-    star_limit_mask,
     super_filters,
     upper_iff_downset,
 )
@@ -27,6 +26,7 @@ from oracles import (
     naive_filter_members,
     naive_filter_upper,
     satisfies_filter_axioms,
+    star_limits_by_subsets,
 )
 
 
@@ -36,11 +36,11 @@ class TestConstruction:
             SetFilter(chain(2), 0)
 
     def test_limit_routes_check_the_generator(self):
-        for route in (order_limit_mask, star_limit_mask):
-            with pytest.raises(MalformedInputError, match="nonempty"):
-                route(chain(2), 0)
+        with pytest.raises(MalformedInputError, match="nonempty"):
+            limit_mask(chain(2), 0)
+        for gen in (0b100, -1):
             with pytest.raises(MalformedInputError, match="out of range"):
-                route(chain(2), 0b100)
+                limit_mask(chain(2), gen)
 
     def test_members_are_exactly_the_supersets(self):
         p = n5()
@@ -184,14 +184,15 @@ class TestStarConvergence:
         for p in lattices:
             for gen in range(1, p.full_mask + 1):
                 f = SetFilter(p, gen)
+                assert star_limits_by_subsets(p, gen) == (0 if gen & (gen - 1) else gen)
                 for x in range(p.n):
                     assert star_converges(f, x) == (gen == 1 << x)
 
     def test_large_generator_stops_early(self):
-        # 2^64 super-filters: the sweep must stop once no point is left
+        # 2^64 super-filters: the closed form walks none of them
         c = chain(64)
-        assert star_limit_mask(c, c.full_mask) == 0
-        assert star_limit_mask(c, 1 << 63) == 1 << 63
+        assert limit_mask(c, c.full_mask) == 0
+        assert limit_mask(c, 1 << 63) == 1 << 63
 
 
 class TestUpperIffDownset:

@@ -27,7 +27,7 @@ from ordlab import (
 )
 from ordlab.catalog import all_lattices, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
-from ordlab.filters import order_convergence_is_pointlike, order_limit_mask
+from ordlab.filters import order_convergence_is_pointlike
 from ordlab.morphisms import hom_from_dict, hom_to_dict
 from ordlab.topology import from_closed_subbasis
 
@@ -37,6 +37,7 @@ from oracles import (
     is_complete_hom_exhaustive,
     iter_monotone_maps,
     naive_is_complete_hom,
+    order_limits_definitional,
 )
 
 
@@ -271,7 +272,7 @@ class TestConvergenceChecks:
             assert order_convergence_is_pointlike(L)
             for h in enumerate_homs(L, M):
                 quick = check_image_convergence(h)
-                assert quick.passed and quick == all_filter_limit_sweep(h, order_limit_mask)
+                assert quick.passed and quick == all_filter_limit_sweep(h, order_limits_definitional)
 
 
 class TestImageFilterInclusion:

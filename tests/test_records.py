@@ -20,7 +20,7 @@ from ordlab.breadth import BreadthReport, compute_breadth
 from ordlab.campaigns import CampaignResult, CampaignSpec
 from ordlab.catalog import chain, m3
 from ordlab.errors import MalformedInputError
-from ordlab.filters import SetFilter, order_limit_mask, star_limit_mask, super_filters
+from ordlab.filters import SetFilter, limit_mask, super_filters
 from ordlab.limits import Limits
 from ordlab.morphisms import (
     CheckReport,
@@ -157,12 +157,12 @@ def test_post_init_hook_runs_once_per_filter(monkeypatch):
     with pytest.raises(MalformedInputError):
         SetFilter(p, p.mask_of_labels([]))
     assert calls == [0]
-    # the limit routes and the hom sweeps work on generator masks and
+    # the limit route and the hom sweeps work on generator masks and
     # build no filter
     del calls[:]
     hom = classify([0, 1, 1, 2], chain(4), chain(3))
     assert image_filter(hom, 0b110) == 0b010
-    assert order_limit_mask(p, 0b110) == 0 and star_limit_mask(p, 0b100) == 0b100
+    assert limit_mask(p, 0b110) == 0 and limit_mask(p, 0b100) == 0b100
     assert check_image_convergence(hom).passed and check_star_preservation(hom).passed
     assert calls == []
 
