@@ -24,10 +24,10 @@ _EXPORTS = {
     "filters": "SetFilter limit_mask order_converges star_converges super_filters upper_iff_downset",
     "limits": "Limits default_limits",
     "morphisms": "Classification LatticeHom check_image_convergence check_image_filter_inclusion "
-    "check_star_preservation classify enumerate_homs image_filter image_table is_continuous "
-    "preimage_interval_analysis preimage_scan",
-    "order_core": "LatticeCert Poset are_order_isomorphic boolean_power build_poset certify_lattice "
-    "poset_from_dict poset_to_dict product variant_distributive_identity_holds",
+    "check_star_preservation classify enumerate_homs image_filter is_continuous preimage_interval_analysis "
+    "preimage_scan",
+    "order_core": "LatticeCert Poset are_order_isomorphic boolean_power build_poset poset_from_dict "
+    "poset_to_dict product variant_distributive_identity_holds",
     "topology": "FiniteTopology from_closed_subbasis from_open_subbasis interval_topology is_discrete "
     "is_hausdorff is_t1 lower_topology product_topology topologies_equal topology_to_dict upper_topology",
 }

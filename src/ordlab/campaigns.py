@@ -8,12 +8,13 @@ loudly with a re-checkable witness.
 
 One table, :data:`CAMPAIGNS`, describes every campaign and one loop,
 :func:`run_campaign`, runs it.  The sources and checks look the functions
-of ``catalog``, ``topology``, ``morphisms``, ``filters`` and ``breadth``
-up through the module at call time, so replacing such a module attribute
-(a test double, a tracing wrapper) reaches every campaign; the
-``order_core`` names are imported directly.  A check builds its subset
-tables unguarded: its instance source holds each size to the subset cap
-once, before the first instance of that size reaches the check.
+of ``catalog``, ``topology``, ``morphisms`` and ``breadth`` up through
+the module at call time, so replacing such a module attribute (a test
+double, a tracing wrapper) reaches every campaign; the ``order_core``
+names, the subset tables among them, are imported directly.  A check
+builds its subset tables unguarded: its instance source holds each size
+to the subset cap once, before the first instance of that size reaches
+the check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import breadth as breadth_mod
 from . import catalog
-from . import filters as filters_mod
 from . import morphisms as morph
 from . import topology as topo
 from .errors import MalformedInputError
@@ -33,6 +33,7 @@ from .limits import check_subset_elements
 from .order_core import (
     Poset,
     Record,
+    _downset_member_table,
     _image_table,
     boolean_power,
     mask_of,
@@ -181,7 +182,7 @@ def _check_fact_1_1(p: Poset) -> tuple[int, Optional[dict]]:
     # all (generator, point) pairs at once: the first failing pair, generator-
     # major and point-minor, is the lowest bit of the first differing entry
     upper = subset_intersection_table(p.up, p.full_mask)
-    downs = filters_mod._downset_member_table(p)
+    downs = _downset_member_table(p)
     if upper == downs:
         return p.full_mask * p.n, None
     gen = next(m for m in range(len(upper)) if upper[m] != downs[m])
@@ -212,7 +213,7 @@ def _check_prop_2_1(instance) -> tuple[int, Optional[dict]]:
     # the full scan covers the principal intervals [bottom, x] and [x, top]
     hom, t_dom, t_cod = instance
     scan = morph.preimage_scan(hom)
-    if scan.all_interval_or_empty and morph.is_continuous(hom, t_dom, t_cod):
+    if scan.all_interval_or_empty and morph.is_continuous(hom.mapping, t_dom, t_cod):
         return 1, None
     return 1, {
         "check": "preimage-intervals-and-continuity",
@@ -221,22 +222,19 @@ def _check_prop_2_1(instance) -> tuple[int, Optional[dict]]:
     }
 
 
-def _limits_preserved(report, check: str, hom) -> tuple[int, Optional[dict]]:
+def _limits_preserved(sweep: Callable, check: str, hom) -> tuple[int, Optional[dict]]:
+    report = sweep(hom)
     if report.passed:
         return 1, None
     return 1, {"check": check, "hom": morph.hom_to_dict(hom), "witness": report.witness}
 
 
 def _check_lemma_2(instance) -> tuple[int, Optional[dict]]:
-    hom = instance[0]
-    report = morph.check_image_convergence(hom)
-    return _limits_preserved(report, "image-order-convergence", hom)
+    return _limits_preserved(morph.check_image_convergence, "image-order-convergence", instance[0])
 
 
 def _check_star_preservation(instance) -> tuple[int, Optional[dict]]:
-    hom = instance[0]
-    report = morph.check_star_preservation(hom)
-    return _limits_preserved(report, "image-star-convergence", hom)
+    return _limits_preserved(morph.check_star_preservation, "image-star-convergence", instance[0])
 
 
 def _check_lemma_3(instance) -> tuple[int, Optional[dict]]:

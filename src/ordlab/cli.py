@@ -28,7 +28,6 @@ from .limits import default_limits
 from .order_core import (
     Poset,
     boolean_power,
-    certify_lattice,
     poset_from_dict,
     poset_to_dict,
     product,
@@ -60,10 +59,6 @@ def _read_json(path: str) -> object:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_poset(path: str) -> Poset:
-    return poset_from_dict(_read_json(path))
-
-
 def _resolve_poset(ref: object) -> Poset:
     """Inline object, library name, or file path."""
     if isinstance(ref, dict):
@@ -71,7 +66,7 @@ def _resolve_poset(ref: object) -> Poset:
     if isinstance(ref, str):
         if ref in catalog.poset_names():
             return catalog.named_poset(ref)
-        return _load_poset(ref)
+        return poset_from_dict(_read_json(ref))
     raise MalformedInputError(f"cannot interpret poset reference {ref!r}")
 
 
@@ -81,7 +76,7 @@ def _label(p: Poset, x: Optional[int]) -> Optional[str]:
 
 def _cmd_check(args) -> int:
     p = _resolve_poset(args.poset)
-    cert = certify_lattice(p)
+    cert = p.certificate
     doc = {
         "carrier": p.n,
         "is_lattice": cert.is_lattice,
@@ -99,7 +94,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_breadth(args) -> int:
     p = _resolve_poset(args.poset)
-    if not certify_lattice(p).is_complete:
+    if not p.certificate.is_complete:
         raise MalformedInputError("breadth is defined on complete lattices")
     report = breadth_mod.compute_breadth(p)
     _emit({"breadth": report.breadth, "witness": p.labels_of(report.witness)})
@@ -166,7 +161,7 @@ def _cmd_hom(args) -> int:
     continuity = {}
     for kind in _TOPOLOGY_KINDS:
         t_dom, t_cod = _make_topology(kind, hom.domain), _make_topology(kind, hom.codomain)
-        continuity[kind] = morph.is_continuous(hom, t_dom, t_cod)
+        continuity[kind] = morph.is_continuous(hom.mapping, t_dom, t_cod)
     doc = {
         "classification": hom.classification.render(),
         "interval_preimages": _scan_doc(morph.preimage_scan(hom), hom),
@@ -177,13 +172,27 @@ def _cmd_hom(args) -> int:
     return EXIT_OK
 
 
+def _generator_labels(p: Poset, text: str) -> list[str]:
+    """The labels a comma-separated generator names: from each piece on, the
+    shortest run of pieces that is a label of ``p``, such as ``(0,1)``."""
+    pieces = [s for s in text.split(",") if s]
+    known, labels, i = set(p.labels), [], 0
+    while i < len(pieces):
+        j = next((j for j in range(i + 1, len(pieces) + 1) if ",".join(pieces[i:j]) in known), None)
+        if j is None:
+            return pieces  # for mask_of_labels to name the first unknown piece
+        labels.append(",".join(pieces[i:j]))
+        i = j
+    return labels
+
+
 def _cmd_converge(args) -> int:
     p = _resolve_poset(args.poset)
-    labels = [s for s in args.generator.split(",") if s]
+    labels = _generator_labels(p, args.generator)
     if not labels:
         raise MalformedInputError("empty generator")
     gen = p.mask_of_labels(labels)
-    if not certify_lattice(p).is_complete:
+    if not p.certificate.is_complete:
         sys.stderr.write(
             "warning: poset is not a complete lattice; convergence is false wherever a bound is missing\n"
         )
@@ -255,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_converge = sub.add_parser("converge", help="order/star convergence points of a filter")
     p_converge.add_argument("poset")
-    p_converge.add_argument("--generator", required=True, help="comma-separated labels")
+    p_converge.add_argument("--generator", required=True, help="comma-separated labels, e.g. a,b or (0,1),(1,0)")
     p_converge.add_argument("--mode", choices=("order", "star"), default="order")
     p_converge.set_defaults(func=_cmd_converge)
 

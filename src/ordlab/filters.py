@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import MalformedInputError
 from .limits import check_subset_elements
-from .order_core import Poset, Record, iter_bits
+from .order_core import Poset, Record, iter_bits, subset_intersection_table
 
 
 def _check_generator(p: Poset, gen: int) -> None:
@@ -99,27 +99,13 @@ def star_converges(f: SetFilter, x: int) -> bool:
 def upper_iff_downset(f: SetFilter, x: int, upper_bounds: Optional[Sequence[int]] = None) -> bool:
     """Whether the two sides of Fact 1.1 agree (they always should): x
     bounds f from above iff the down-set of x is a member of f.  The upper
-    side is read from ``upper_bounds``, the poset's ``upper_bounds_table()``,
+    side is read from ``upper_bounds[gen]``, the poset's upper-bounds table,
     built for this call (under the subset cap) when not given."""
     p, gen = f.parent, f.generator
     if upper_bounds is None:
-        upper_bounds = p.upper_bounds_table()
+        check_subset_elements(p.n, "upper-bounds table")
+        upper_bounds = subset_intersection_table(p.up, p.full_mask)
     return bool((upper_bounds[gen] >> x) & 1) == (p.down[x] & gen == gen)
-
-
-def _downset_member_table(p: Poset) -> list[int]:
-    """``table[m]`` is the set of points x whose down-set is a member of
-    the filter generated by m, scattered from the subsets of each
-    ``down[x]``: ``table == p.upper_bounds_table()`` is Fact 1.1 at once.
-    Unguarded: callers hold ``p.n`` to the subset cap first."""
-    table = [0] * (p.full_mask + 1)
-    table[0] = p.full_mask  # the empty set lies in every down-set
-    for x, row in enumerate(p.down):
-        bit, sub = 1 << x, row
-        while sub:
-            table[sub] |= bit
-            sub = (sub - 1) & row
-    return table
 
 
 def convergence_points(f: SetFilter) -> list[int]:

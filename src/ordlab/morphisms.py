@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import MalformedInputError
 from .filters import limit_mask
 from .limits import check_maps, check_subset_elements
-from .order_core import Poset, Record, _image_table, iter_bits
+from .order_core import Poset, Record, _image_table, iter_bits, poset_to_dict
 from .topology import FiniteTopology
 
 
@@ -47,20 +47,14 @@ class LatticeHom(Record):
         object.__setattr__(self, "classification", classification)
 
     @cached_property
-    def fibers(self) -> tuple[int, ...]:
-        """``fibers[v]`` is the mask of domain elements mapped to v."""
-        out = [0] * self.codomain.n
-        for i, v in enumerate(self.mapping):
-            out[v] |= 1 << i
-        return tuple(out)
-
-    @cached_property
     def bound_preimages(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(above, below)``: ``above[x]`` is the preimage of the up-set of x
         and ``below[y]`` that of the down-set of y, both ORs of fibres."""
         cod = self.codomain
-        above, below = [0] * cod.n, [0] * cod.n
-        for v, fiber in enumerate(self.fibers):
+        above, below, fibers = [0] * cod.n, [0] * cod.n, [0] * cod.n
+        for i, v in enumerate(self.mapping):
+            fibers[v] |= 1 << i
+        for v, fiber in enumerate(fibers):
             if not fiber:
                 continue
             for rows, out in ((cod.down, above), (cod.up, below)):
@@ -70,15 +64,6 @@ class LatticeHom(Record):
                     out[low.bit_length() - 1] |= fiber
                     rest ^= low
         return tuple(above), tuple(below)
-
-
-MapLike = Union[LatticeHom, Sequence[int]]
-
-
-def _mapping_of(f: MapLike) -> tuple[int, ...]:
-    if isinstance(f, LatticeHom):
-        return f.mapping
-    return tuple(f)
 
 
 def _maps_rows_into(mapping: Sequence[int], dom_rows: Sequence[int], cod_rows: Sequence[int]) -> bool:
@@ -270,7 +255,7 @@ def preimage_scan(h: LatticeHom, *, principal_only: bool = False) -> PreimageSca
     return PreimageScan(True, len(pairs), None, None)
 
 
-def is_continuous(f: MapLike, t_dom: FiniteTopology, t_cod: FiniteTopology) -> bool:
+def is_continuous(mapping: Sequence[int], t_dom: FiniteTopology, t_cod: FiniteTopology) -> bool:
     """Continuity read off the minimal-neighborhood tables.
 
     On a finite (Alexandrov) space f is continuous exactly when
@@ -282,7 +267,6 @@ def is_continuous(f: MapLike, t_dom: FiniteTopology, t_cod: FiniteTopology) -> b
     family is built.  Agreement with the literal closed-family definition
     is acceptance gate 9e.
     """
-    mapping = _mapping_of(f)
     if len(mapping) != t_dom.carrier_size:
         raise ValueError("map does not match the domain carrier")
     if any(not (0 <= v < t_cod.carrier_size) for v in mapping):
@@ -290,11 +274,10 @@ def is_continuous(f: MapLike, t_dom: FiniteTopology, t_cod: FiniteTopology) -> b
     return _maps_rows_into(mapping, t_dom.min_nbhd, t_cod.min_nbhd)
 
 
-def image_filter(f: MapLike, gen: int) -> int:
-    """The image of ``gen``: the generator of the filter generated by the
-    pointwise images of the members, since every member's image contains
-    it and it is itself the image of a member."""
-    mapping = _mapping_of(f)
+def image_filter(mapping: Sequence[int], gen: int) -> int:
+    """The image of ``gen`` under ``mapping``: the generator of the filter
+    generated by the pointwise images of the members, since every member's
+    image contains it and it is itself the image of a member."""
     image = 0
     while gen:
         low = gen & -gen
@@ -329,7 +312,7 @@ def _limit_sweep(h: LatticeHom, what: str) -> CheckReport:
         points = limit_mask(dom, gen)
         if not points:
             continue
-        image_points = limit_mask(cod, image_filter(h, gen))
+        image_points = limit_mask(cod, image_filter(h.mapping, gen))
         for y in iter_bits(points):
             checked += 1
             if not (image_points >> h.mapping[y]) & 1:
@@ -344,27 +327,20 @@ def check_image_convergence(h: LatticeHom) -> CheckReport:
     return _limit_sweep(h, "image-convergence")
 
 
-def image_table(f: MapLike) -> list[int]:
-    """``table[m]`` is the image of the domain subset m, for every mask m
-    of the domain carrier (one increasing pass over the masks)."""
-    mapping = _mapping_of(f)
-    check_subset_elements(len(mapping), "image table")
-    return _image_table(mapping)
-
-
 def check_image_filter_inclusion(
-    f: MapLike, coarse: int, fine: int, images: Optional[Sequence[int]] = None
+    mapping: Sequence[int], coarse: int, fine: int, images: Optional[Sequence[int]] = None
 ) -> bool:
     """Given the generators of nested filters (``fine`` a subset of
     ``coarse``), verify the image of the fine one contains that of the coarse one.
 
-    The images are read from ``images``, the map's :func:`image_table`,
-    when given; else the table is built for this call (under the subset cap).
+    The images are read from ``images``, the map's image table by subset
+    mask, when given; else the table is built for this call (under the subset cap).
     """
     if fine & ~coarse:
         raise ValueError("second filter must contain the first (nested generators)")
     if images is None:
-        images = image_table(f)
+        check_subset_elements(len(mapping), "image table")
+        images = _image_table(mapping)
     return images[fine] & ~images[coarse] == 0
 
 
@@ -375,8 +351,6 @@ def check_star_preservation(h: LatticeHom) -> CheckReport:
 
 
 def hom_to_dict(h: LatticeHom) -> dict:
-    from .order_core import poset_to_dict
-
     return {
         "domain": poset_to_dict(h.domain),
         "codomain": poset_to_dict(h.codomain),

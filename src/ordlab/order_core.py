@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import MalformedInputError
-from .limits import check_elements, check_power_of_two, check_product, check_subset_elements
+from .limits import check_elements, check_power_of_two, check_product
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -64,6 +64,20 @@ def _image_table(mapping: Sequence[int]) -> list[int]:
     (domain index -> codomain index), for every mask m; unguarded, so the
     caller holds ``len(mapping)`` to the subset-enumeration limit."""
     return subset_union_table([1 << v for v in mapping])
+
+
+def _downset_member_table(p: Poset) -> list[int]:
+    """``table[m]`` is the set of points x whose down-set is a member of the
+    filter generated by m, scattered from the subsets of each ``down[x]``;
+    by Fact 1.1 it is the upper-bounds table.  Unguarded, like the above."""
+    table = [0] * (p.full_mask + 1)
+    table[0] = p.full_mask  # the empty set lies in every down-set
+    for x, row in enumerate(p.down):
+        bit, sub = 1 << x, row
+        while sub:
+            table[sub] |= bit
+            sub = (sub - 1) & row
+    return table
 
 
 class Poset:
@@ -160,58 +174,20 @@ class Poset:
         return True
 
     def upper_bounds_mask(self, mask: int) -> int:
-        out = self.full_mask
-        up = self.up
-        while mask:
-            low = mask & -mask
-            out &= up[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return _bounds_mask(self.up, mask, self.full_mask)
 
     def lower_bounds_mask(self, mask: int) -> int:
-        out = self.full_mask
-        down = self.down
-        while mask:
-            low = mask & -mask
-            out &= down[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    # Whole-carrier tables, one entry per subset mask; callers hold them
-    # for as long as they sweep, the poset does not cache them.
-
-    def upper_bounds_table(self) -> list[int]:
-        """``table[m] == upper_bounds_mask(m)`` for every subset mask m."""
-        check_subset_elements(self.n, "upper-bounds table")
-        return subset_intersection_table(self.up, self.full_mask)
+        return _bounds_mask(self.down, mask, self.full_mask)
 
     def upper_bounds(self, mask: int) -> int:
         """Elements above every member of the subset; the carrier when empty."""
         return self.upper_bounds_mask(_mask_arg(self, mask))
 
     def infimum_mask(self, mask: int) -> Optional[int]:
-        lb = self.lower_bounds_mask(mask)
-        down = self.down
-        rest = lb
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            if not lb & ~down[x]:
-                return x
-            rest ^= low
-        return None
+        return _spanning_member(self.lower_bounds_mask(mask), self.down)
 
     def supremum_mask(self, mask: int) -> Optional[int]:
-        ub = self.upper_bounds_mask(mask)
-        up = self.up
-        rest = ub
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            if not ub & ~up[x]:
-                return x
-            rest ^= low
-        return None
+        return _spanning_member(self.upper_bounds_mask(mask), self.up)
 
     def infimum(self, mask: int) -> Optional[int]:
         """Largest lower bound, or None when absent.  inf(empty) is the top."""
@@ -255,7 +231,31 @@ class Poset:
 
     @cached_property
     def certificate(self) -> "LatticeCert":
-        return _certify(self)
+        """The lattice certificate, built on first access; its ``is_lattice``
+        is :func:`_is_lattice` on the rows."""
+        is_lattice = _is_lattice(self.down, self.up)
+        # On a finite carrier a lattice with bottom and top has all infima and
+        # suprema; the test suite checks the equivalence against the literal
+        # all-subsets definition.
+        is_complete = is_lattice
+        is_distributive = False
+        if is_lattice:
+            join = self.join_table
+            # A finite lattice is distributive exactly when every
+            # join-irreducible j is join-prime: j <= a v b gives j <= a or
+            # j <= b (Birkhoff's representation theorem; Davey and Priestley,
+            # "Introduction to Lattices and Order", ch. 5).  j is
+            # join-irreducible when the elements strictly below it have a
+            # greatest one, i.e. form a principal down-set.
+            down, rows = self.down, set(self.down)
+            irr = sum(1 << j for j, row in enumerate(down) if row ^ (1 << j) in rows)
+            # symmetric in a and b, and it cannot fail when they are comparable
+            is_distributive = all(
+                not irr & down[join[a][b]] & ~(down[a] | down[b])
+                for a in range(self.n)
+                for b in range(a + 1, self.n)
+            )
+        return LatticeCert(self, is_lattice, is_complete, is_distributive, self.bottom, self.top)
 
     # -- structure ------------------------------------------------------
 
@@ -274,6 +274,30 @@ class Poset:
     def dual(self) -> "Poset":
         """Same carrier with the order reversed."""
         return Poset._from_rows(self.labels, self.up, self.down)
+
+
+def _bounds_mask(rows: Sequence[int], mask: int, full: int) -> int:
+    """The AND of ``rows[i]`` over the bits i of ``mask``, ``full`` when it is
+    empty: a subset's upper bounds on the ``up`` rows, lower on ``down``."""
+    out = full
+    while mask:
+        low = mask & -mask
+        out &= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _spanning_member(bounds: int, rows: Sequence[int]) -> Optional[int]:
+    """The x in ``bounds`` whose row holds all of ``bounds``, or None: the
+    greatest lower bound on the ``down`` rows, the least upper on ``up``."""
+    rest = bounds
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        if not bounds & ~rows[x]:
+            return x
+        rest ^= low
+    return None
 
 
 def _transpose(down: tuple[int, ...]) -> tuple[int, ...]:
@@ -440,38 +464,6 @@ def _pairs_have_joins(up: Sequence[int]) -> bool:
             if row & other not in rows:
                 return False
     return True
-
-
-def _certify(p: Poset) -> LatticeCert:
-    is_lattice = _is_lattice(p.down, p.up)
-    # On a finite carrier a lattice with bottom and top has all infima and
-    # suprema; the test suite checks the equivalence against the literal
-    # all-subsets definition.
-    is_complete = is_lattice
-    is_distributive = False
-    if is_lattice:
-        join = p.join_table
-        # A finite lattice is distributive exactly when every
-        # join-irreducible j is join-prime: j <= a v b gives j <= a or
-        # j <= b (Birkhoff's representation theorem; Davey and Priestley,
-        # "Introduction to Lattices and Order", ch. 5).  j is
-        # join-irreducible when the elements strictly below it have a
-        # greatest one, i.e. form a principal down-set.
-        down, rows = p.down, set(p.down)
-        irr = sum(1 << j for j, row in enumerate(down) if row ^ (1 << j) in rows)
-        # symmetric in a and b, and it cannot fail when they are comparable
-        is_distributive = all(
-            not irr & down[join[a][b]] & ~(down[a] | down[b])
-            for a in range(p.n)
-            for b in range(a + 1, p.n)
-        )
-    return LatticeCert(p, is_lattice, is_complete, is_distributive, p.bottom, p.top)
-
-
-def certify_lattice(p: Poset) -> LatticeCert:
-    """Lattice certificate, computed on first access and cached on the
-    poset; its ``is_lattice`` is :func:`_is_lattice` on the rows."""
-    return p.certificate
 
 
 def variant_distributive_identity_holds(p: Poset) -> bool:

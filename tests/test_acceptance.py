@@ -2,9 +2,10 @@
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them all).  The oracle gates in criterion 9 justify the shortcuts used
-elsewhere: principal filter representation, the generator route for the
-filter upper set, the breadth size-bound reduction, and the finite
-complete-homomorphism test, continuity read off neighbourhood tables,
+elsewhere: principal filter representation, the bound queries and the
+generator route for the filter upper set, the breadth size-bound
+reduction, and the finite complete-homomorphism test, continuity read
+off neighbourhood tables,
 the closed-form order and star limits of a filter, the subset tables
 (bounds, closures, images) with the enumerated order rows, and the
 pruned hom search, the preimage scan by lookup, the complete homs taken
@@ -71,14 +72,15 @@ from ordlab.catalog import (
 )
 from ordlab.errors import MalformedInputError
 from ordlab.filters import order_convergence_is_pointlike, order_converges
-from ordlab.morphisms import _search, image_table
+from ordlab.morphisms import _search
 from ordlab.order_core import (
     Poset,
+    _image_table,
     _is_lattice,
     are_order_isomorphic,
-    certify_lattice,
     mask_of,
     poset_to_dict,
+    subset_intersection_table,
     subset_union_table,
 )
 
@@ -98,12 +100,15 @@ from oracles import (
     members_of,
     naive_down_closure,
     naive_image,
+    naive_infimum,
     naive_is_continuous,
     naive_is_distributive,
+    naive_lower_bounds,
     naive_order_converges,
     naive_preimage_scan,
     naive_product_rows,
     naive_star_converges,
+    naive_supremum,
     naive_transpose,
     naive_up_closure,
     naive_upper_bounds,
@@ -203,7 +208,7 @@ def test_criterion_6_upper_membership_equivalence():
     checked = 0
     rng = Random(2026)
     for p in list(all_posets_up_to(5)) + [random_poset(rng.randint(2, 5), rng) for _ in range(500)]:
-        upper_bounds = p.upper_bounds_table()
+        upper_bounds = subset_intersection_table(p.up, p.full_mask)
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
             for x in range(p.n):
@@ -229,25 +234,39 @@ def _convergence_homs() -> list:
     ]
 
 
-def _convergence_gate(homs) -> bool:
-    """True when the point-filter sweeps, read through the morphisms
-    module (so a mutant patched in is the one run), pass and equal the
-    sweeps over every filter on every hom."""
-    return all(
-        order.passed and star.passed
-        and morph_mod.check_image_convergence(hom) == order
-        and morph_mod.check_star_preservation(hom) == star
-        for hom, order, star in homs
-    )
+def _sweep_outcomes(homs) -> tuple[int, int]:
+    """``(wrong, raised)``: the homs on which the point-filter sweeps, read
+    through the morphisms module (so a mutant patched in is the one run),
+    fail or differ from the sweeps over every filter, and those on which
+    they raise the generator range check instead of reporting."""
+    wrong = raised = 0
+    for hom, order, star in homs:
+        try:
+            wrong += not (
+                order.passed and star.passed
+                and morph_mod.check_image_convergence(hom) == order
+                and morph_mod.check_star_preservation(hom) == star
+            )
+        except MalformedInputError:  # an image generator outside the poset read
+            raised += 1
+    return wrong, raised
 
 
-# (mutant, function, code replaced, replacement)
+# (mutant, function, code replaced, replacement); caught only by a wrong
+# report on some hom, not by the generator range check raising
 SWEEP_MUTANTS = [
     ("image on the domain", "image_filter", "image |= 1 << mapping[low.bit_length() - 1]", "image |= low"),
-    ("image limits read on the domain", "_limit_sweep", "limit_mask(cod, image_filter(h, gen))",
-     "limit_mask(dom, image_filter(h, gen))"),
     ("image point read on the domain", "_limit_sweep", "(image_points >> h.mapping[y])", "(image_points >> y)"),
     ("first point skipped", "_limit_sweep", "for x in range(dom.n):", "for x in range(1, dom.n):"),
+    ("image generator widened by the bottom", "_limit_sweep", "limit_mask(cod, image_filter(h.mapping, gen))",
+     "limit_mask(cod, image_filter(h.mapping, gen) | 1 << cod.bottom)"),
+]
+# equivalent under the closed form, which reads the generator and not the
+# order: a point generator's limit is itself on any poset it lies in, so
+# the mutant reports right or raises the range check, and must survive
+SWEEP_EQUIVALENT = [
+    ("image limits read on the domain", "_limit_sweep", "limit_mask(cod, image_filter(h.mapping, gen))",
+     "limit_mask(dom, image_filter(h.mapping, gen))"),
 ]
 
 
@@ -278,23 +297,25 @@ def test_criterion_7_convergence_preserved_by_complete_homs(monkeypatch):
                 ok = ok and star_converges(f, x) == (gen == 1 << x)
                 ok = ok and order_converges(f, x) == (gen == 1 << x)
     homs = _convergence_homs()
-    ok = ok and _convergence_gate(homs)
-    missed = []
-    for label, name, old, new in SWEEP_MUTANTS:
+    ok = ok and _sweep_outcomes(homs) == (0, 0)
+    equivalent = {m[0] for m in SWEEP_EQUIVALENT}
+    missed, survived, raised = [], [], []
+    for label, name, old, new in SWEEP_MUTANTS + SWEEP_EQUIVALENT:
         with monkeypatch.context() as patch:
             patch.setattr(morph_mod, name, _mutant(getattr(morph_mod, name), old, new))
-            try:
-                caught = not _convergence_gate(homs)
-            except MalformedInputError:  # an image generator outside the poset read
-                caught = True
-            if not caught:
-                missed.append(label)
-    ok = ok and not missed
+            wrong, raising = _sweep_outcomes(homs)
+        if not wrong:
+            (survived if label in equivalent else missed).append(label)
+        if raising:
+            raised.append(f"{label} on {raising}")
+    ok = ok and not missed and len(survived) == len(SWEEP_EQUIVALENT)
     report(
         7,
         f"order and star convergence preserved by {len(homs)} complete homs, point-filter sweeps equal to "
         f"the all-filter sweeps; convergence pointlike on {pooled} hom-campaign pool lattices; seeded "
-        f"mutants ({', '.join(m[0] for m in SWEEP_MUTANTS)}) missed: {', '.join(missed) or 'none'}",
+        f"mutants ({', '.join(m[0] for m in SWEEP_MUTANTS)}) missed: {', '.join(missed) or 'none'}; "
+        f"equivalent under the closed form, surviving: {', '.join(survived) or 'none'}; the generator range "
+        f"check raised instead of a report for {', '.join(raised) or 'no mutant'} of the homs",
         ok,
     )
 
@@ -329,18 +350,65 @@ def test_criterion_9a_gate_filters_are_principal():
     report("9a", "every family satisfying the filter axioms on carriers <= 4 is principal", ok)
 
 
-def test_criterion_9b_gate_upper_set_via_generator():
+def _bound_cases() -> list:
+    """Every subset mask of the posets <= 4, the library posets <= 6 and 50
+    seeded random posets on 5-6 points, with its upper and lower bounds,
+    infimum and supremum by the per-element definitions."""
     pool = list(all_posets_up_to(4))
     pool += [p for _, p in library_posets(6)]
     rng = Random(99)
     pool += [random_poset(rng.randint(5, 6), rng) for _ in range(50)]
-    ok = True
+    cases = []
     for p in pool:
-        for gen in range(1, p.full_mask + 1):
-            f = SetFilter(p, gen)
-            ok = ok and p.upper_bounds_mask(gen) == filter_upper_definitional(f)
-            ok = ok and p.lower_bounds_mask(gen) == filter_lower_definitional(f)
-    report("9b", "filter upper/lower sets: generator route equals definitional union", ok)
+        for m in range(p.full_mask + 1):
+            s = members_of(m)
+            bounds = mask_from(naive_upper_bounds(p, s)), mask_from(naive_lower_bounds(p, s))
+            cases.append((p, m, bounds, naive_infimum(p, s), naive_supremum(p, s)))
+    return cases
+
+
+def _bounds_gate(cases) -> bool:
+    """True when the bound queries, whose shared loops are read through
+    the order_core module (so a mutant patched in is the one run), give
+    every case's definitional answers."""
+    return all(
+        (p.upper_bounds_mask(m), p.lower_bounds_mask(m)) == bounds
+        and p.infimum_mask(m) == inf and p.supremum_mask(m) == sup
+        for p, m, bounds, inf, sup in cases
+    )
+
+
+# (mutant, function, code replaced, replacement)
+BOUND_MUTANTS = [
+    ("bound loop starting from no element", "_bounds_mask", "out = full", "out = 0"),
+    ("bound loop joining the rows", "_bounds_mask", "out &= rows[", "out |= rows["),
+    ("scan returning the first bound untested", "_spanning_member", "if not bounds & ~rows[x]:", "if True:"),
+]
+
+
+def test_criterion_9b_gate_upper_set_via_generator(monkeypatch):
+    cases = _bound_cases()
+    ok = _bounds_gate(cases)
+    # a filter's upper and lower sets, the unions over its members, are
+    # the bounds of its generator
+    for p, m, bounds, _, _ in cases:
+        if m:
+            f = SetFilter(p, m)
+            ok = ok and (filter_upper_definitional(f), filter_lower_definitional(f)) == bounds
+    missed = []
+    for label, name, old, new in BOUND_MUTANTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(core_mod, name, _mutant(getattr(core_mod, name), old, new))
+            if _bounds_gate(cases):
+                missed.append(label)
+    ok = ok and not missed
+    report(
+        "9b",
+        f"bounds, infima and suprema equal the per-element definitions on {len(cases)} subset masks, and "
+        f"filter upper/lower sets equal the definitional unions; seeded mutants "
+        f"({', '.join(m[0] for m in BOUND_MUTANTS)}) missed: {', '.join(missed) or 'none'}",
+        ok,
+    )
 
 
 def test_criterion_9c_gate_breadth_reduction():
@@ -471,7 +539,7 @@ def test_criterion_9g_gate_subset_tables():
             # the enumeration hands over its up rows; they must be the transpose
             p._validate()
             ok = ok and Poset(p.labels, p.down).up == p.up
-            upper = p.upper_bounds_table()
+            upper = subset_intersection_table(p.up, p.full_mask)
             down_cl, up_cl = subset_union_table(p.down), subset_union_table(p.up)
             ok = ok and len(upper) == len(down_cl) == len(up_cl) == 1 << n
             for m in range(1 << n):
@@ -483,7 +551,7 @@ def test_criterion_9g_gate_subset_tables():
     for a, b in itertools.product(range(1, 5), repeat=2):
         for mapping in itertools.product(range(b), repeat=a):
             maps += 1
-            images = image_table(mapping)
+            images = _image_table(mapping)
             ok = ok and len(images) == 1 << a
             ok = ok and all(images[m] == mask_from(naive_image(mapping, members_of(m))) for m in range(1 << a))
     ok = ok and (posets, maps) == (4473, 494)
@@ -624,7 +692,7 @@ def test_criterion_9h_d_gate_join_prime_distributivity():
     ok = len(pool) == 6815 + 3
     non_distributive = 0
     for p in pool:
-        fast = certify_lattice(p).is_distributive
+        fast = p.certificate.is_distributive
         ok = ok and fast == naive_is_distributive(p)
         non_distributive += not fast
     ok = ok and non_distributive > 0
@@ -658,7 +726,7 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
         return table
 
     # the unguarded builders the checks read
-    monkeypatch.setattr(filters_mod, "_downset_member_table", flipping(filters_mod._downset_member_table))
+    monkeypatch.setattr(campaigns_mod, "_downset_member_table", flipping(campaigns_mod._downset_member_table))
     monkeypatch.setattr(campaigns_mod, "_image_table", flipping(campaigns_mod._image_table))
 
     def spoils(entries, bits, count):
@@ -674,7 +742,7 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
         posets += 1
         for bits in spoils(p.full_mask + 1, p.n, 1):
             runs += 1
-            upper = p.upper_bounds_table()
+            upper = subset_intersection_table(p.up, p.full_mask)
             for gen, x in bits:
                 upper[gen] ^= 1 << x
             checked, first = per_pair_fact_1_1(p, upper)
@@ -700,7 +768,7 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
             # b + 1 bits: a spoiled image may name a point outside the codomain
             for bits in spoils(1 << a, b + 1, 2):
                 map_runs += 1
-                images = image_table(mapping)
+                images = _image_table(mapping)
                 for entry, bit in bits:
                     images[entry] ^= 1 << bit
                 checked, first = per_pair_lemma_3(dom, mapping, images)
@@ -765,7 +833,7 @@ def test_criterion_9k_gate_lattice_census():
     lattices = 0
     for p in pool:
         literal = is_lattice_literal(p)
-        ok = ok and _is_lattice(p.down, p.up) == literal == certify_lattice(p).is_lattice
+        ok = ok and _is_lattice(p.down, p.up) == literal == p.certificate.is_lattice
         lattices += literal
     ok = ok and (len(bounded), lattices) == (6570, 1 + 2 + 6 + 36 + 380 + 6390)
 

@@ -18,7 +18,6 @@ import pytest
 from ordlab import breadth as breadth_mod
 from ordlab import campaigns as campaigns_mod
 from ordlab import catalog, cli
-from ordlab import filters as filters_mod
 from ordlab import morphisms as morph
 from ordlab import topology as topo
 from ordlab.campaigns import CampaignSpec, _random_lattices, _random_posets, run_campaign
@@ -146,7 +145,7 @@ COUNTEREXAMPLES = [
     # the 1,000th (generator, point) pair is generator 0b1011, point 1 of
     # the 33rd poset; flipping that bit of its down-set table makes it the
     # first mismatch
-    ("fact-1-1", 5, filters_mod, "_downset_member_table", 33, _flip(0b1011, 1), 1000,
+    ("fact-1-1", 5, campaigns_mod, "_downset_member_table", 33, _flip(0b1011, 1), 1000,
      ["check", "generator", "point", "poset"],
      "6b4d03c55fc1f81308ac302b155811fc1527efd36b189d4aadba4ed173294f41"),
     ("hausdorff", 8, topo, "is_hausdorff", 5, lambda r: False, 5,

@@ -13,7 +13,7 @@ from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, run_campaign
 from ordlab.catalog import all_lattices, all_posets, all_posets_up_to, chain, m3, two
 from ordlab.errors import LimitExceededError
 from ordlab.limits import Limits, default_limits
-from ordlab.order_core import boolean_power, build_poset, poset_to_dict, product
+from ordlab.order_core import Poset, boolean_power, build_poset, poset_to_dict, product
 
 
 def run_cli(args, stdin=None, env=None, timeout=None):
@@ -53,8 +53,10 @@ GUARDED = [
     ("super_filters", "super-filter enumeration", lambda: filters.SetFilter(chain(6), 0b111111),
      filters.super_filters),
     ("order_convergence_is_pointlike", "pointlike check", lambda: chain(6), filters.order_convergence_is_pointlike),
-    ("upper_bounds_table", "upper-bounds table", lambda: chain(3), lambda p: p.upper_bounds_table()),
-    ("image_table", "image table", lambda: (0, 1, 2), morphisms.image_table),
+    ("upper_iff_downset", "upper-bounds table", lambda: filters.SetFilter(chain(3), 1),
+     lambda f: filters.upper_iff_downset(f, 0)),
+    ("check_image_filter_inclusion", "image table", lambda: (0, 1, 2),
+     lambda m: morphisms.check_image_filter_inclusion(m, 1, 1)),
     ("all_posets", "upper-bounds table", lambda: _census_built(4), all_posets),
     ("all_lattices", "upper-bounds table", lambda: _census_built(4), all_lattices),
     ("has_breadth_at_most", "breadth check", lambda: chain(3), lambda p: has_breadth_at_most(p, 1)),
@@ -147,8 +149,10 @@ def _converge_calls():
 
 
 # exit codes, stdout and stderr of the calls above, recorded before the
-# filter routes took generator masks
-CONVERGE_CALLS, CONVERGE_SHA256 = 346, "7d39add56507a7bb67757ac014f761b64857002d5b78e79fcd0356dbbb1e153d"
+# filter routes took generator masks and re-recorded when labels holding
+# commas became nameable: only the 82 calls naming a label of 2xchain3,
+# 2xchain4, chain3xchain3 or 2xM3 changed, from exit 2 to exit 0
+CONVERGE_CALLS, CONVERGE_SHA256 = 346, "3965e45af70bb774d89af12f29a0bb67765689e8aaebf6876ef382ff0931dd98"
 
 
 def test_converge_outputs_are_pinned(capsys):
@@ -159,6 +163,24 @@ def test_converge_outputs_are_pinned(capsys):
         digest.update(json.dumps([args, code, out, err]).encode())
         calls += 1
     assert (calls, digest.hexdigest()) == (CONVERGE_CALLS, CONVERGE_SHA256)
+
+
+def test_converge_names_every_single_label(monkeypatch, capsys):
+    # product labels hold commas, as in (0,1): each must name its point,
+    # on every library poset and on a product of a product read on stdin
+    nested = product([catalog.named_poset("2xchain3"), two()])
+    cases = [(name, catalog.named_poset(name)) for name in catalog.poset_names()] + [("-", nested)]
+    calls = 0
+    for ref, p in cases:
+        for label in p.labels:
+            if ref == "-":
+                monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(poset_to_dict(p))))
+            code = cli.main(["converge", ref, "--generator", label])
+            out, _ = capsys.readouterr()
+            assert code == 0, (ref, label)
+            assert json.loads(out)["limits"] == [label]
+            calls += 1
+    assert "((0,1),1)" in nested.labels and calls > 100
 
 
 def _non_lattice_converge_calls():
@@ -426,6 +448,6 @@ class TestCli:
         def broken(p):
             raise ValueError("internal bug")
 
-        monkeypatch.setattr(cli, "certify_lattice", broken)
+        monkeypatch.setattr(Poset, "certificate", property(broken))
         with pytest.raises(ValueError, match="internal bug"):
             cli.main(["check", "M3"])

@@ -8,7 +8,6 @@ from ordlab import (
     OrdlabError,
     are_order_isomorphic,
     boolean_power,
-    certify_lattice,
     chain,
     m3,
     n5,
@@ -62,10 +61,10 @@ class TestNamedPosets:
 
     def test_shapes(self):
         assert two().n == 2 and two().labels == ("0", "1")
-        assert m3().n == 5 and not certify_lattice(m3()).is_distributive
-        assert n5().n == 5 and not certify_lattice(n5()).is_distributive
+        assert m3().n == 5 and not m3().certificate.is_distributive
+        assert n5().n == 5 and not n5().certificate.is_distributive
         assert are_order_isomorphic(antichain_bounded(2), boolean_power(2))
-        assert certify_lattice(antichain_bounded(4)).is_lattice
+        assert antichain_bounded(4).certificate.is_lattice
 
     def test_library_contains_required_structures(self):
         names = [name for name, _ in library_posets(16)]
@@ -82,7 +81,7 @@ class TestNamedPosets:
 
     def test_library_lattices_are_lattices(self):
         for _, p in library_lattices(16):
-            assert certify_lattice(p).is_lattice
+            assert p.certificate.is_lattice
 
 
 class TestAllPosets:
@@ -156,7 +155,7 @@ class TestPackedFamily:
 
     def test_lattices_are_the_certified_posets(self):
         for n in range(1, 7):
-            assert list(all_lattices(n)) == [p for p in all_posets(n) if certify_lattice(p).is_lattice]
+            assert list(all_lattices(n)) == [p for p in all_posets(n) if p.certificate.is_lattice]
 
     def test_nine_points_exceed_the_packed_limit(self):
         with pytest.raises(LimitExceededError):
@@ -192,7 +191,7 @@ class TestRandomLattice:
     def test_certified(self):
         for seed in range(25):
             p = random_lattice(2 + seed % 6, seed)
-            assert certify_lattice(p).is_lattice
+            assert p.certificate.is_lattice
             assert p.n == 2 + seed % 6
 
     def test_size_two_is_the_chain(self):
@@ -203,11 +202,11 @@ class TestRandomLattice:
         # a draw keeps its lattice only when it has the requested size
         rng = Random(0)
         kept = [p for p in (_random_distributive_lattice(5, rng) for _ in range(300)) if p is not None]
-        assert len(kept) >= 10 and all(p.n == 5 and certify_lattice(p).is_distributive for p in kept)
+        assert len(kept) >= 10 and all(p.n == 5 and p.certificate.is_distributive for p in kept)
 
     def test_mixed_mode_produces_non_distributive_samples(self):
         found = any(
-            not certify_lattice(random_lattice(6, seed)).is_distributive for seed in range(40)
+            not random_lattice(6, seed).certificate.is_distributive for seed in range(40)
         )
         assert found
 

@@ -15,6 +15,7 @@ from ordlab import (
 )
 from ordlab.catalog import all_lattices, all_posets_up_to, iso_representatives, library_posets
 from ordlab.filters import convergence_points, order_convergence_is_pointlike
+from ordlab.order_core import subset_intersection_table
 
 from conftest import seeded_posets
 from oracles import (
@@ -206,7 +207,7 @@ class TestUpperIffDownset:
 
     def test_small_campaign(self):
         for p in all_posets_up_to(4):
-            upper_bounds = p.upper_bounds_table()
+            upper_bounds = subset_intersection_table(p.up, p.full_mask)
             for gen in range(1, p.full_mask + 1):
                 f = SetFilter(p, gen)
                 for x in range(p.n):

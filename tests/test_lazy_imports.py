@@ -39,11 +39,11 @@ EXPORTS = {
     "limits": ["Limits", "default_limits"],
     "morphisms": [
         "Classification", "LatticeHom", "check_image_convergence", "check_image_filter_inclusion",
-        "check_star_preservation", "classify", "enumerate_homs", "image_filter", "image_table", "is_continuous",
+        "check_star_preservation", "classify", "enumerate_homs", "image_filter", "is_continuous",
         "preimage_interval_analysis", "preimage_scan",
     ],
     "order_core": [
-        "LatticeCert", "Poset", "are_order_isomorphic", "boolean_power", "build_poset", "certify_lattice",
+        "LatticeCert", "Poset", "are_order_isomorphic", "boolean_power", "build_poset",
         "poset_from_dict", "poset_to_dict", "product", "variant_distributive_identity_holds",
     ],
     "topology": [
@@ -86,15 +86,16 @@ def test_a_command_loads_only_the_modules_it_uses():
     optional = {"ordlab.topology", "ordlab.morphisms", "ordlab.filters", "ordlab.breadth"}
     assert not optional & set(steps["check 2^3"])
     assert optional & set(steps["hausdorff 2^3"]) == {"ordlab.topology"}
-    # lemma-3 reads its image tables from order_core, not through morphisms
-    # (the steps accumulate: topology is hausdorff's)
+    # lemma-3 and fact-1-1 read their subset tables from order_core, not
+    # through morphisms or filters (the steps accumulate: topology is
+    # hausdorff's)
     assert optional & set(steps["campaign lemma-3 --limit 2"]) == {"ordlab.topology"}
-    assert optional & set(steps["campaign fact-1-1 --limit 2"]) == {"ordlab.topology", "ordlab.filters"}
+    assert optional & set(steps["campaign fact-1-1 --limit 2"]) == {"ordlab.topology"}
 
 
 def test_export_table():
     assert sorted(ordlab.__all__) == sorted(name for names in EXPORTS.values() for name in names)
-    assert len(ordlab.__all__) == 69
+    assert len(ordlab.__all__) == 67
     for module, names in EXPORTS.items():
         owner = importlib.import_module(f"ordlab.{module}")
         for name in names:

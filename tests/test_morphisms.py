@@ -15,7 +15,6 @@ from ordlab import (
     classify,
     enumerate_homs,
     image_filter,
-    image_table,
     interval_topology,
     is_continuous,
     lower_topology,
@@ -29,6 +28,7 @@ from ordlab.catalog import all_lattices, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
 from ordlab.filters import order_convergence_is_pointlike
 from ordlab.morphisms import hom_from_dict, hom_to_dict
+from ordlab.order_core import _image_table
 from ordlab.topology import from_closed_subbasis
 
 from oracles import (
@@ -184,7 +184,7 @@ class TestContinuity:
     def test_complete_homs_interval_continuous(self):
         for (_, L), (_, M) in itertools.product(library_lattices(4), repeat=2):
             for h in enumerate_homs(L, M):
-                assert is_continuous(h, interval_topology(L), interval_topology(M))
+                assert is_continuous(h.mapping, interval_topology(L), interval_topology(M))
 
     def test_everything_into_indiscrete_is_continuous(self):
         b2 = boolean_power(2)
@@ -213,11 +213,11 @@ class TestImageFilter:
     def test_examples(self):
         b2 = boolean_power(2)
         ident = classify(range(4), b2, b2)
-        assert image_filter(ident, 0b0110) == 0b0110
+        assert image_filter(ident.mapping, 0b0110) == 0b0110
         col = collapse_hom()
-        assert col.codomain.labels_of(image_filter(col, 0b0110)) == ["1"]
+        assert col.codomain.labels_of(image_filter(col.mapping, 0b0110)) == ["1"]
         const = classify([2, 2], two(), chain(3))
-        assert image_filter(const, 0b11) == 0b100
+        assert image_filter(const.mapping, 0b11) == 0b100
 
     def test_matches_filter_generated_by_image_base(self):
         for (_, L), (_, M) in itertools.product(library_lattices(4), repeat=2):
@@ -289,7 +289,7 @@ class TestImageFilterInclusion:
             for b in range(1, 4):
                 dom, cod = chain(a), chain(b)
                 for mapping in itertools.product(range(b), repeat=a):
-                    images = image_table(mapping)
+                    images = _image_table(mapping)
                     for coarse_gen in range(1, dom.full_mask + 1):
                         fine_gen = coarse_gen
                         while fine_gen:

@@ -9,7 +9,6 @@ from ordlab import (
     are_order_isomorphic,
     boolean_power,
     build_poset,
-    certify_lattice,
     chain,
     m3,
     poset_from_dict,
@@ -185,15 +184,15 @@ class TestInfimum:
 class TestCertify:
     def test_boolean_powers(self):
         for n in range(1, 5):
-            cert = certify_lattice(boolean_power(n))
+            cert = boolean_power(n).certificate
             assert cert.is_lattice and cert.is_complete and cert.is_distributive
 
     def test_m3_not_distributive(self):
-        cert = certify_lattice(m3())
+        cert = m3().certificate
         assert cert.is_lattice and cert.is_complete and not cert.is_distributive
 
     def test_antichain_not_lattice(self):
-        cert = certify_lattice(build_poset(["x", "y"], []))
+        cert = build_poset(["x", "y"], []).certificate
         assert not cert.is_lattice and not cert.is_complete
 
     def test_completeness_shortcut_matches_literal(self):
@@ -201,12 +200,12 @@ class TestCertify:
         pool += [q for _, q in library_posets(6)]
         pool += seeded_posets(60, range(5, 7), seed=17)
         for p in pool:
-            assert certify_lattice(p).is_complete == is_complete_literal(p)
+            assert p.certificate.is_complete == is_complete_literal(p)
 
     def test_early_exit_without_bottom(self):
         p = random_poset(64, Random(5))
         assert p.bottom is None
-        assert not certify_lattice(p).is_lattice
+        assert not p.certificate.is_lattice
         assert "join_table" not in p.__dict__ and "meet_table" not in p.__dict__
 
     def test_early_exit_at_first_missing_join(self):
@@ -214,12 +213,12 @@ class TestCertify:
         p = build_poset(["0", "a", "b", "c", "d", "1"],
                         [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
         assert (p.bottom, p.top) == (0, 5)
-        assert not certify_lattice(p).is_lattice
+        assert not p.certificate.is_lattice
         assert "join_table" not in p.__dict__ and "meet_table" not in p.__dict__
 
     def test_pair_tables_match_naive_oracle(self):
         for p in list(all_posets_up_to(4)) + [m3(), boolean_power(3)]:
-            certify_lattice(p)  # seeds the join table on lattices
+            p.certificate  # seeds the join table on lattices
             for i, j in itertools.product(range(p.n), repeat=2):
                 pair = frozenset((i, j))
                 assert p.meet_table[i][j] == naive_infimum(p, pair)
@@ -278,7 +277,7 @@ class TestBooleanPower:
     def test_small_shapes(self):
         assert are_order_isomorphic(boolean_power(1), chain(2))
         b2 = boolean_power(2)
-        assert b2.n == 4 and certify_lattice(b2).is_lattice
+        assert b2.n == 4 and b2.certificate.is_lattice
         assert are_order_isomorphic(b2, build_poset(["b", "x", "y", "t"], [(0, 1), (0, 2), (1, 3), (2, 3)]))
         b3 = boolean_power(3)
         assert b3.n == 8

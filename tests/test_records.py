@@ -112,7 +112,7 @@ def test_record_is_immutable_and_compared_by_value(cls):
 
 def test_cached_tables_leave_equality_alone():
     hom, top = _hom(), interval_topology(m3())
-    assert hom.fibers == (0b001, 0b110) and top.opens()
+    assert hom.bound_preimages == ((0b111, 0b110), (0b001, 0b111)) and top.opens()
     assert hom == _hom() and hash(hom) == hash(_hom())
     assert top == interval_topology(m3()) and hash(top) == hash(interval_topology(m3()))
 
@@ -161,7 +161,7 @@ def test_post_init_hook_runs_once_per_filter(monkeypatch):
     # build no filter
     del calls[:]
     hom = classify([0, 1, 1, 2], chain(4), chain(3))
-    assert image_filter(hom, 0b110) == 0b010
+    assert image_filter(hom.mapping, 0b110) == 0b010
     assert limit_mask(p, 0b110) == 0 and limit_mask(p, 0b100) == 0b100
     assert check_image_convergence(hom).passed and check_star_preservation(hom).passed
     assert calls == []
