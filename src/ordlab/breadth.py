@@ -10,7 +10,9 @@ subsets of size n+1: if every (n+1)-subset has an n-subset with the
 same infimum, any larger subset can drop members one at a time without
 changing its infimum until n are left.  The oracle gate in the test
 suite checks it against the literal definition over every subset on
-every lattice with up to six elements.
+every lattice with up to six elements.  The breadth itself is the size
+of the largest irredundant set of meet-irreducibles; gate 9i checks it
+against the loop over the bounds 1, 2, ... and the literal definition.
 """
 
 from __future__ import annotations
@@ -74,31 +76,63 @@ def is_irredundant(lattice: Poset, mask: int) -> bool:
     return True
 
 
+def _meet_irreducible_breadth(lattice: Poset) -> int:
+    """The size of the largest irredundant set of meet-irreducibles, and at
+    least 1: the breadth of a finite lattice.
+
+    m is meet-irreducible when it has exactly one upper cover c, that is
+    when the elements strictly above m are the up-set of c (so the top is
+    not).  Given irredundant a_1..a_k, let b_i be the infimum of the a_j
+    with j != i; b_i is not below a_i, so some meet-irreducible m_i above
+    a_i is not above b_i, and the infimum of the m_j with j != i, being
+    above b_i, is not below m_i: the m_i are k distinct irredundant
+    meet-irreducibles (Davey and Priestley, "Introduction to Lattices and
+    Order").
+
+    Two sets have the same infimum exactly when they have the same lower
+    bounds, the AND of their down rows.  Irredundance is hereditary, so
+    the sets grow one meet-irreducible at a time, in index order, each
+    kept with its lower bounds and those of each set one member short; a
+    new member keeps the set irredundant when the grown set's lower bounds
+    differ from all of those.
+    """
+    ups = set(lattice.up)
+    rows = [lattice.down[m] for m, row in enumerate(lattice.up) if row ^ (1 << m) in ups]
+    size, sets = 0, [(0, lattice.full_mask, ())]
+    while True:
+        grown = []
+        for start, lower, drops in sets:
+            for i in range(start, len(rows)):
+                row = rows[i]
+                dropped = (*(d & row for d in drops), lower)
+                if lower & row not in dropped:
+                    grown.append((i + 1, lower & row, dropped))
+        if not grown:
+            return max(size, 1)
+        size, sets = size + 1, grown
+
+
 def compute_breadth(lattice: Poset) -> BreadthReport:
-    """Least n with breadth <= n, plus an irredundant witness of that size.
+    """Least n with breadth <= n, plus an irredundant witness of that size:
+    the first n-subset of the carrier that :func:`has_breadth_at_most`
+    finds to violate breadth <= n-1.
 
     The one-element lattice is degenerate: its breadth is 1 but no
     single element is irredundant (the empty subset already reaches the
     top), so the witness is the empty set there.
     """
     _require_complete_lattice(lattice)
-    last_violation: Optional[int] = None
-    n = 1
-    while True:
-        holds, violation = has_breadth_at_most(lattice, n)
-        if holds:
-            break
-        last_violation = violation
-        n += 1
-    if last_violation is not None:
+    check_subset_elements(lattice.n, "breadth check")
+    n = _meet_irreducible_breadth(lattice)
+    if n > 1:
         # no single drop keeps the violation's infimum, so no proper
         # subset does either: every set between the two would share it
-        witness = last_violation
+        witness = has_breadth_at_most(lattice, n - 1).counterexample
     elif lattice.n >= 2:
         witness = 1 << lattice.bottom
     else:
         witness = 0
-    if witness and not is_irredundant(lattice, witness):
+    if witness is None or (witness and not is_irredundant(lattice, witness)):
         raise AssertionError("internal error: computed witness is redundant")
     return BreadthReport(lattice, n, witness)
 

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import LimitExceededError, OrdlabError
 from .limits import check_subset_elements
 from .order_core import (
+    LIBRARY_NAMES,
     Poset,
     _pairs_have_joins,
     are_order_isomorphic,
@@ -68,42 +69,29 @@ def n5() -> Poset:
     )
 
 
-_NAMED = {
-    "1": lambda: chain(1),
-    "2": two,
-    "chain2": two,
-    "chain3": lambda: chain(3),
-    "chain4": lambda: chain(4),
-    "chain5": lambda: chain(5),
-    "chain6": lambda: chain(6),
-    "chain7": lambda: chain(7),
-    "chain8": lambda: chain(8),
-    "2^1": lambda: boolean_power(1),
-    "2^2": lambda: boolean_power(2),
-    "2^3": lambda: boolean_power(3),
-    "2^4": lambda: boolean_power(4),
-    "M2": lambda: antichain_bounded(2),
-    "M3": m3,
-    "M4": lambda: antichain_bounded(4),
-    "M5": lambda: antichain_bounded(5),
-    "N5": n5,
-    "2xchain3": lambda: product([two(), chain(3)]),
-    "2xchain4": lambda: product([two(), chain(4)]),
-    "chain3xchain3": lambda: product([chain(3), chain(3)]),
-    "2xM3": lambda: product([two(), m3()]),
-}
-
-
 def named_poset(name: str) -> Poset:
-    try:
-        factory = _NAMED[name]
-    except KeyError:
-        raise KeyError(f"unknown poset name {name!r}") from None
-    return factory()
+    """The library poset ``name``, one of ``order_core.LIBRARY_NAMES``, read
+    off its name: ``AxB`` is the product of A and B, ``2^k`` the k-bit
+    vectors, ``M3`` and ``N5`` the diamond and the pentagon, another ``Mk``
+    the k atoms between a bottom and a top, and ``chaink`` or ``k`` the
+    k-chain."""
+    if name not in LIBRARY_NAMES:
+        raise KeyError(f"unknown poset name {name!r}")
+    if "x" in name:
+        return product([named_poset(factor) for factor in name.split("x")])
+    if name == "M3":
+        return m3()
+    if name == "N5":
+        return n5()
+    if name.startswith("M"):
+        return antichain_bounded(int(name[1:]))
+    if name.startswith("2^"):
+        return boolean_power(int(name[2:]))
+    return chain(int(name.removeprefix("chain")))
 
 
 def poset_names() -> list[str]:
-    return sorted(_NAMED)
+    return sorted(LIBRARY_NAMES)
 
 
 def library_posets(max_size: int) -> list[tuple[str, Poset]]:
@@ -113,7 +101,7 @@ def library_posets(max_size: int) -> list[tuple[str, Poset]]:
     and products of chains, subject to the size cap.
     """
     seen: dict[str, Poset] = {}
-    for name in sorted(_NAMED):
+    for name in poset_names():
         p = named_poset(name)
         if p.n <= max_size:
             seen[name] = p

@@ -26,6 +26,7 @@ from . import topology as topo
 from .errors import LimitExceededError, MalformedInputError
 from .limits import default_limits
 from .order_core import (
+    LIBRARY_NAMES,
     Poset,
     boolean_power,
     poset_from_dict,
@@ -64,7 +65,7 @@ def _resolve_poset(ref: object) -> Poset:
     if isinstance(ref, dict):
         return poset_from_dict(ref)
     if isinstance(ref, str):
-        if ref in catalog.poset_names():
+        if ref in LIBRARY_NAMES:
             return catalog.named_poset(ref)
         return poset_from_dict(_read_json(ref))
     raise MalformedInputError(f"cannot interpret poset reference {ref!r}")
@@ -225,6 +226,18 @@ def _cmd_campaign(args) -> int:
     return EXIT_OK
 
 
+class _CampaignNames:
+    """``campaigns.CAMPAIGN_NAMES`` as argparse ``choices``, read only when
+    a campaign name is checked or the campaign usage is printed, so that
+    building the parser does not load ``campaigns``."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in campaigns.CAMPAIGN_NAMES
+
+    def __iter__(self):
+        return iter(campaigns.CAMPAIGN_NAMES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordlab",
@@ -269,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_converge.set_defaults(func=_cmd_converge)
 
     p_campaign = sub.add_parser("campaign", help="run a verification campaign")
-    p_campaign.add_argument("name", choices=campaigns.CAMPAIGN_NAMES)
+    # set after add_argument, which formats the choices of the argument it adds
+    p_campaign.add_argument("name").choices = _CampaignNames()
     p_campaign.add_argument(
         "--limit",
         type=int,

@@ -15,8 +15,8 @@ import enum
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from . import filters
 from .errors import MalformedInputError
-from .filters import limit_mask
 from .limits import check_maps, check_subset_elements
 from .order_core import Poset, Record, _image_table, iter_bits, poset_to_dict
 from .topology import FiniteTopology
@@ -298,7 +298,7 @@ def _limit_sweep(h: LatticeHom, what: str) -> CheckReport:
     filter on the codomain; one check per (F, y).
 
     On any finite poset a filter converges, in order or in star, exactly
-    to the point of a one-point generator (see :func:`limit_mask`), so
+    to the point of a one-point generator (see :func:`filters.limit_mask`), so
     the other filters add no check and the report (checks and first
     witness, in increasing generator order) is that of the sweep over
     every filter, for either mode.  Acceptance gate 7 compares the two.
@@ -309,10 +309,10 @@ def _limit_sweep(h: LatticeHom, what: str) -> CheckReport:
     checked = 0
     for x in range(dom.n):
         gen = 1 << x
-        points = limit_mask(dom, gen)
+        points = filters.limit_mask(dom, gen)
         if not points:
             continue
-        image_points = limit_mask(cod, image_filter(h.mapping, gen))
+        image_points = filters.limit_mask(cod, image_filter(h.mapping, gen))
         for y in iter_bits(points):
             checked += 1
             if not (image_points >> h.mapping[y]) & 1:

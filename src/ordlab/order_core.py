@@ -579,6 +579,15 @@ def are_order_isomorphic(a: Poset, b: Poset) -> bool:
     return extend(0)
 
 
+# The library posets' names.  ``catalog.named_poset`` builds each one from
+# its name, and the CLI reads this table, so that a library name wins over
+# a file of that name without loading ``catalog`` for a file path.
+LIBRARY_NAMES = frozenset(
+    "1 2 chain2 chain3 chain4 chain5 chain6 chain7 chain8 2^1 2^2 2^3 2^4 M2 M3 M4 M5 N5 "
+    "2xchain3 2xchain4 chain3xchain3 2xM3".split()
+)
+
+
 def poset_to_dict(p: Poset) -> dict:
     """JSON-ready form: labels plus the sorted cover list."""
     return {"labels": list(p.labels), "covers": [list(c) for c in p.covers()]}

@@ -7,12 +7,13 @@ the bitmask implementations they check.  The exceptions are the literal
 all-subsets routes (completeness, complete homs, filter upper/lower
 sets, breadth), the per-point and per-filter convergence definitions,
 the convergence sweep over every filter (:func:`all_filter_limit_sweep`),
+the breadth loop over the bounds 1, 2, ... (:func:`breadth_by_bounds`),
 the closed-family continuity check, the filter a base generates, the
 triple distributive law and the pairwise class census
 (:func:`iso_representatives_pairwise`), which run the package's bound
-queries, pair tables, super-filters, open-family materialization and
-isomorphism test (themselves gated against the routes above) to check
-the shortcuts built on them.
+queries, pair tables, super-filters, open-family materialization,
+isomorphism test and breadth size-bound reduction (themselves gated
+against the routes above) to check the shortcuts built on them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Optional
 
+from ordlab.breadth import has_breadth_at_most
 from ordlab.catalog import two
 from ordlab.filters import SetFilter, super_filters, upper_iff_downset
 from ordlab.morphisms import CheckReport, LatticeHom, check_image_filter_inclusion, classify
@@ -615,3 +617,21 @@ def iso_representatives_pairwise(posets: Iterable[Poset]) -> list[Poset]:
                 kept.append(p)
         reps.extend(kept)
     return reps
+
+
+def breadth_by_bounds(p: Poset) -> tuple[int, int]:
+    """The breadth and witness by deciding breadth <= 1, 2, ... with the
+    size-bound reduction until a bound holds; the witness is the last
+    violation found, the bottom when breadth <= 1 holds, and empty on one
+    element."""
+    last_violation = None
+    n = 1
+    while True:
+        holds, violation = has_breadth_at_most(p, n)
+        if holds:
+            break
+        last_violation = violation
+        n += 1
+    if last_violation is not None:
+        return n, last_violation
+    return n, (1 << p.bottom) if p.n >= 2 else 0

@@ -4,7 +4,8 @@ Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them all).  The oracle gates in criterion 9 justify the shortcuts used
 elsewhere: principal filter representation, the bound queries and the
 generator route for the filter upper set, the breadth size-bound
-reduction, and the finite complete-homomorphism test, continuity read
+reduction and the breadth read off the meet-irreducibles, and the finite
+complete-homomorphism test, continuity read
 off neighbourhood tables,
 the closed-form order and star limits of a filter, the subset tables
 (bounds, closures, images) with the enumerated order rows, and the
@@ -50,6 +51,7 @@ from ordlab import (
     upper_iff_downset,
     upper_topology,
 )
+from ordlab import breadth as breadth_mod
 from ordlab import campaigns as campaigns_mod
 from ordlab import catalog as catalog_mod
 from ordlab import filters as filters_mod
@@ -88,6 +90,8 @@ from oracles import (
     all_filter_families,
     all_filter_limit_sweep,
     are_isomorphic_brute_force,
+    breadth_by_bounds,
+    breadth_literal,
     collapse_to_two,
     filter_lower_definitional,
     filter_upper_definitional,
@@ -706,6 +710,59 @@ def test_criterion_9h_d_gate_join_prime_distributivity():
 
 def _labels(p, mask):
     return [p.labels[i] for i in range(p.n) if mask >> i & 1]
+
+
+# (mutant, code replaced in ``_meet_irreducible_breadth``, replacement)
+BREADTH_MUTANTS = [
+    ("join-irreducibles", "enumerate(lattice.up) if row ^ (1 << m) in ups",
+     "enumerate(lattice.down) if row ^ (1 << m) in set(lattice.down)"),
+    ("only the new member's drop checked", "dropped = (*(d & row for d in drops), lower)", "dropped = (lower,)"),
+    ("growth stopped one size early", "return max(size, 1)", "return max(size - 1, 1)"),
+    ("no floor at 1", "return max(size, 1)", "return size"),
+]
+# the top's down row is the whole carrier, so adding it never changes a
+# set's lower bounds and it joins no irredundant set: the mutant must survive
+BREADTH_EQUIVALENT = [
+    ("at most one upper cover", "if row ^ (1 << m) in ups", "if row ^ (1 << m) in ups or row == 1 << m"),
+]
+
+
+def _breadth_agrees(pool, expected) -> bool:
+    """compute_breadth gives the expected (breadth, witness) on every
+    lattice of the pool, stopping at the first that differs or raises."""
+    try:
+        return all((r.breadth, r.witness) == e for r, e in zip(map(compute_breadth, pool), expected))
+    except AssertionError:  # no irredundant witness of the breadth found
+        return False
+
+
+def test_criterion_9i_gate_meet_irreducible_breadth(monkeypatch):
+    """compute_breadth reads the breadth off the meet-irreducibles; it must
+    give the breadth and witness of the loop over the bounds on every
+    labelled lattice with up to six elements and every library lattice,
+    the literal breadth on the classes, and catch seeded mutants."""
+    pool = [p for n in range(1, 7) for p in all_lattices(n)] + [p for _, p in library_lattices(20)]
+    expected = [breadth_by_bounds(p) for p in pool]
+    ok = len(pool) == 6835 and _breadth_agrees(pool, expected)
+    reps = iso_representatives([p for n in range(1, 7) for p in all_lattices(n)])
+    ok = ok and all(compute_breadth(p).breadth == breadth_literal(p) for p in reps)
+    equivalent = {m[0] for m in BREADTH_EQUIVALENT}
+    missed, survived = [], []
+    for label, old, new in BREADTH_MUTANTS + BREADTH_EQUIVALENT:
+        with monkeypatch.context() as patch:
+            mutant = _mutant(breadth_mod._meet_irreducible_breadth, old, new)
+            patch.setattr(breadth_mod, "_meet_irreducible_breadth", mutant)
+            if _breadth_agrees(pool, expected):
+                (survived if label in equivalent else missed).append(label)
+    ok = ok and not missed and len(survived) == len(BREADTH_EQUIVALENT)
+    report(
+        "9i",
+        f"breadth by meet-irreducibles equals the loop over the bounds (breadth and witness) on {len(pool)} "
+        f"lattices and the literal breadth on {len(reps)} classes (<= 6); seeded mutants "
+        f"({', '.join(m[0] for m in BREADTH_MUTANTS)}) missed: {', '.join(missed) or 'none'}; equivalent, "
+        f"surviving: {', '.join(survived) or 'none'}",
+        ok,
+    )
 
 
 def test_criterion_9j_gate_table_campaign_checks(monkeypatch):

@@ -13,11 +13,17 @@ from ordlab import (
     n5,
     build_poset,
 )
-from ordlab.catalog import all_lattices, iso_representatives, library_lattices
+from ordlab.catalog import all_lattices, antichain_bounded, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
-from ordlab.order_core import mask_of
+from ordlab.order_core import Poset, mask_of
 
-from oracles import breadth_literal, has_breadth_at_most_literal, naive_breadth, naive_has_breadth_at_most
+from oracles import (
+    breadth_by_bounds,
+    breadth_literal,
+    has_breadth_at_most_literal,
+    naive_breadth,
+    naive_has_breadth_at_most,
+)
 
 
 class TestHasBreadthAtMost:
@@ -104,6 +110,24 @@ class TestComputeBreadth:
             if report.witness:
                 assert is_irredundant(p, report.witness)
                 assert report.witness.bit_count() == report.breadth
+
+    @pytest.mark.parametrize("lattice", [chain(20), antichain_bounded(18)], ids=["chain20", "M18"])
+    def test_meet_irreducibles_cost_no_more_infima_than_the_bounds(self, monkeypatch, lattice):
+        # at the subset cap: a 20-chain has 19 meet-irreducibles, M18 has 18
+        # atoms and every pair of them is irredundant
+        calls = []
+        infimum_mask = Poset.infimum_mask
+
+        def counting(self, mask):
+            calls.append(mask)
+            return infimum_mask(self, mask)
+
+        monkeypatch.setattr(Poset, "infimum_mask", counting)
+        report = compute_breadth(lattice)
+        searched = len(calls)
+        calls.clear()
+        assert (report.breadth, report.witness) == breadth_by_bounds(lattice)
+        assert searched <= len(calls)
 
 
 class TestCoatoms:

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,10 +18,12 @@ from ordlab.limits import Limits, default_limits
 from ordlab.order_core import Poset, boolean_power, build_poset, poset_to_dict, product
 
 
-def run_cli(args, stdin=None, env=None, timeout=None):
-    import os
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
+
+def run_cli(args, stdin=None, env=None, timeout=None, cwd=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -29,6 +33,7 @@ def run_cli(args, stdin=None, env=None, timeout=None):
         text=True,
         env=full_env,
         timeout=timeout,
+        cwd=cwd,
     )
 
 
@@ -216,6 +221,112 @@ def test_converge_on_non_lattices_is_pinned(monkeypatch, capsys):
         docs.add(doc)
         calls += 1
     assert (len(docs), calls, digest.hexdigest()) == (NON_LATTICE_POSETS, NON_LATTICE_CALLS, NON_LATTICE_SHA256)
+
+
+_NAMES = "{breadth-2n,fact-1-1,hausdorff,lemma-2,lemma-3,product-lemma,prop-2-1,star-preservation}"
+_CAMPAIGN_USAGE = (
+    "usage: ordlab campaign [-h] [--limit LIMIT] [--trials TRIALS] [--seed SEED]\n"
+    f"                       {_NAMES}\n"
+)
+
+# (arguments, exit code, stdout, stderr) of ``ordlab``, recorded on Python
+# 3.11 at 80 columns; other versions of argparse may word or wrap them
+# otherwise, and the test after compares with a tuple of names on each
+PARSER_PINS = [
+    (
+        ["--help"],
+        0,
+        "usage: ordlab [-h]\n"
+        "              {check,breadth,topology,hausdorff,product,boolean,hom,converge,campaign}\n"
+        "              ...\n"
+        "\n"
+        "Finite order-theory laboratory: certificates, topologies, convergence,\n"
+        "breadth, campaigns.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {check,breadth,topology,hausdorff,product,boolean,hom,converge,campaign}\n"
+        "    check               lattice certificate for a poset\n"
+        "    breadth             breadth and an irredundant witness\n"
+        "    topology            dump a generated topology\n"
+        "    hausdorff           separation properties of a generated topology\n"
+        "    product             pointwise-ordered product of posets\n"
+        "    boolean             the lattice of n-bit vectors\n"
+        "    hom                 classify a map and analyze preimages/continuity\n"
+        "    converge            order/star convergence points of a filter\n"
+        "    campaign            run a verification campaign\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    (
+        ["campaign", "--help"],
+        0,
+        _CAMPAIGN_USAGE
+        + "\n"
+        "positional arguments:\n"
+        f"  {_NAMES}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --limit LIMIT         instance size limit; the default and the largest\n"
+        "                        accepted value (the cap) are per campaign\n"
+        "  --trials TRIALS       seeded random instances, drawn from --seed (breadth-2n\n"
+        "                        and product-lemma draw none and only echo --trials and\n"
+        "                        --seed)\n"
+        "  --seed SEED\n",
+        "",
+    ),
+    (
+        ["campaign", "nosuch"],
+        2,
+        "",
+        _CAMPAIGN_USAGE
+        + "ordlab campaign: error: argument name: invalid choice: 'nosuch' (choose from 'breadth-2n', "
+        "'fact-1-1', 'hausdorff', 'lemma-2', 'lemma-3', 'product-lemma', 'prop-2-1', 'star-preservation')\n",
+    ),
+    (
+        ["campaign"],
+        2,
+        "",
+        _CAMPAIGN_USAGE + "ordlab campaign: error: the following arguments are required: name\n",
+    ),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11's argparse")
+@pytest.mark.parametrize("args, code, stdout, stderr", PARSER_PINS, ids=[" ".join(p[0]) for p in PARSER_PINS])
+def test_parser_output_is_pinned(args, code, stdout, stderr):
+    res = run_cli(args, env={"COLUMNS": "80"})
+    assert (res.returncode, res.stdout, res.stderr) == (code, stdout, stderr)
+
+
+
+@pytest.mark.parametrize("args", [p[0] for p in PARSER_PINS], ids=[" ".join(p[0]) for p in PARSER_PINS])
+def test_campaign_choices_read_late_print_as_a_tuple(monkeypatch, capsys, args):
+    # on every Python: the parser's output is what it is with the names as a tuple
+    monkeypatch.setenv("COLUMNS", "80")
+    outputs = []
+    for eager in (False, True):
+        parser = cli.build_parser()
+        if eager:
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            action = next(a for a in sub.choices["campaign"]._actions if a.dest == "name")
+            assert tuple(action.choices) == CAMPAIGN_NAMES
+            action.choices = CAMPAIGN_NAMES
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args(args)
+        outputs.append((exited.value.code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+def test_library_name_takes_precedence_over_a_file(tmp_path):
+    (tmp_path / "M3").write_text(json.dumps({"labels": ["x", "y"], "covers": [[0, 1]]}))
+    res = run_cli(["check", "M3"], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["carrier"] == 5
+    # the file is still read under any other name
+    res = run_cli(["check", str(tmp_path / "M3")])
+    assert json.loads(res.stdout)["carrier"] == 2
 
 
 class TestCampaigns:

@@ -1,11 +1,8 @@
-import itertools
-
 import pytest
 from random import Random
 
 from ordlab import (
     LimitExceededError,
-    OrdlabError,
     are_order_isomorphic,
     boolean_power,
     chain,

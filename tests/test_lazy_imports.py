@@ -78,7 +78,7 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
     return out
 
 
-def test_a_command_loads_only_the_modules_it_uses():
+def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     commands = ["check 2^3", "hausdorff 2^3", "campaign lemma-3 --limit 2", "campaign fact-1-1 --limit 2"]
     steps = json.loads(_fresh("-c", FOOTPRINT, *commands).stdout)
     assert steps["registered"] == ["ordlab." + m for m in SUBMODULES]
@@ -91,6 +91,21 @@ def test_a_command_loads_only_the_modules_it_uses():
     # hausdorff's)
     assert optional & set(steps["campaign lemma-3 --limit 2"]) == {"ordlab.topology"}
     assert optional & set(steps["campaign fact-1-1 --limit 2"]) == {"ordlab.topology"}
+
+    # on files, no command reads a library or campaign name, and a hom reads
+    # no filter (the steps accumulate in this order)
+    square = ordlab.poset_to_dict(ordlab.boolean_power(2))
+    poset, hom = tmp_path / "square.json", tmp_path / "hom.json"
+    poset.write_text(json.dumps(square))
+    hom.write_text(json.dumps({"domain": square, "codomain": square, "map": {x: x for x in square["labels"]}}))
+    commands = [f"check {poset}", f"hausdorff {poset}", f"breadth {poset}", f"hom {hom}"]
+    steps = json.loads(_fresh("-c", FOOTPRINT, *commands).stdout)
+    assert steps["import"] == ["ordlab", "ordlab.cli", "ordlab.errors", "ordlab.limits", "ordlab.order_core"]
+    names = {"ordlab.catalog", "ordlab.campaigns"}
+    assert not names & set(steps[f"check {poset}"])
+    assert (names | optional) & set(steps[f"hausdorff {poset}"]) == {"ordlab.topology"}
+    assert (names | optional) & set(steps[f"breadth {poset}"]) == {"ordlab.topology", "ordlab.breadth"}
+    assert (names | optional) & set(steps[f"hom {hom}"]) == {"ordlab.topology", "ordlab.breadth", "ordlab.morphisms"}
 
 
 def test_export_table():

@@ -18,7 +18,6 @@ from ordlab import (
     interval_topology,
     is_continuous,
     lower_topology,
-    m3,
     preimage_interval_analysis,
     preimage_scan,
     two,

@@ -21,7 +21,7 @@ from ordlab import (
     two,
     upper_topology,
 )
-from ordlab.catalog import all_posets_up_to, library_posets, random_poset
+from ordlab.catalog import all_posets_up_to, library_posets
 from ordlab.errors import LimitExceededError
 from ordlab.topology import FiniteTopology
 
