@@ -5,23 +5,21 @@ already the infimum of at most n of its elements.  Subsets here are
 nonempty subsets of the carrier (the empty set is harmless either way:
 its infimum, the top, is achieved by the empty subfamily).
 
-The bound is decided by the size-bound reduction, which only inspects
-subsets of size n+1: if every (n+1)-subset has an n-subset with the
-same infimum, any larger subset can drop members one at a time without
-changing its infimum until n are left.  The oracle gate in the test
-suite checks it against the literal definition over every subset on
-every lattice with up to six elements.  The breadth itself is the size
-of the largest irredundant set of meet-irreducibles; gate 9i checks it
-against the loop over the bounds 1, 2, ... and the literal definition.
+One walk over the irredundant sets (:func:`_irredundant_sets`) answers
+every question here.  Breadth <= n fails exactly when some (n+1)-subset
+is irredundant (a larger subset can drop members one at a time, keeping
+its infimum, until n are left), and the first one in lexicographic order
+is the counterexample; the breadth is the size of the largest irredundant
+set of meet-irreducibles.  The test suite's oracle gates check both
+against the literal definition and a scan of the (n+1)-subsets.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .limits import check_subset_elements
-from .order_core import Poset, _mask_arg, mask_of
+from .order_core import Poset, _mask_arg
 
 
 class BreadthCheck(NamedTuple):
@@ -36,27 +34,47 @@ class BreadthReport(NamedTuple):
 
 
 def _require_complete_lattice(lattice: Poset) -> None:
-    cert = lattice.certificate
-    if not cert.is_complete:
+    if not lattice.certificate.is_complete:
         raise ValueError("breadth is defined on complete lattices")
 
 
+def _irredundant_sets(rows: Sequence[int], full: int, most: int) -> Iterator[int]:
+    """Every irredundant set of at most ``most`` indices into the down
+    rows ``rows`` (of a lattice with carrier mask ``full``), as a mask of
+    indices, depth first in index order, so the sets of one size come in
+    lexicographic order.
+
+    Two sets have the same infimum exactly when they have the same lower
+    bounds, the AND of their down rows, and a set is irredundant when no
+    single member can be dropped (were a smaller subset to keep the
+    infimum, so would every set between).  Irredundance is hereditary, so
+    only irredundant sets grow, each kept with its lower bounds and those
+    of each set one member short; a new member keeps the set irredundant
+    when the grown set's lower bounds differ from all of those.
+    """
+
+    def grow(start: int, members: int, lower: int, drops: tuple[int, ...]) -> Iterator[int]:
+        yield members
+        if len(drops) < most:
+            for i in range(start, len(rows)):
+                row = rows[i]
+                dropped = (*(d & row for d in drops), lower)
+                if lower & row not in dropped:
+                    yield from grow(i + 1, members | 1 << i, lower & row, dropped)
+
+    return grow(0, 0, full, ())
+
+
 def has_breadth_at_most(lattice: Poset, n: int) -> BreadthCheck:
-    """Decide breadth <= n, returning a violating (n+1)-subset on failure."""
+    """Decide breadth <= n, returning the first irredundant (n+1)-subset on
+    failure."""
     _require_complete_lattice(lattice)
     if n < 1:
         raise ValueError("breadth bound must be positive")
     check_subset_elements(lattice.n, "breadth check")
-    for combo in itertools.combinations(range(lattice.n), n + 1):
-        subset = mask_of(combo)
-        target = lattice.infimum_mask(subset)
-        reducible = False
-        for drop in combo:
-            if lattice.infimum_mask(subset & ~(1 << drop)) == target:
-                reducible = True
-                break
-        if not reducible:
-            return BreadthCheck(False, subset)
+    for members in _irredundant_sets(lattice.down, lattice.full_mask, n + 1):
+        if members.bit_count() > n:
+            return BreadthCheck(False, members)
     return BreadthCheck(True, None)
 
 
@@ -88,28 +106,10 @@ def _meet_irreducible_breadth(lattice: Poset) -> int:
     above b_i, is not below m_i: the m_i are k distinct irredundant
     meet-irreducibles (Davey and Priestley, "Introduction to Lattices and
     Order").
-
-    Two sets have the same infimum exactly when they have the same lower
-    bounds, the AND of their down rows.  Irredundance is hereditary, so
-    the sets grow one meet-irreducible at a time, in index order, each
-    kept with its lower bounds and those of each set one member short; a
-    new member keeps the set irredundant when the grown set's lower bounds
-    differ from all of those.
     """
     ups = set(lattice.up)
     rows = [lattice.down[m] for m, row in enumerate(lattice.up) if row ^ (1 << m) in ups]
-    size, sets = 0, [(0, lattice.full_mask, ())]
-    while True:
-        grown = []
-        for start, lower, drops in sets:
-            for i in range(start, len(rows)):
-                row = rows[i]
-                dropped = (*(d & row for d in drops), lower)
-                if lower & row not in dropped:
-                    grown.append((i + 1, lower & row, dropped))
-        if not grown:
-            return max(size, 1)
-        size, sets = size + 1, grown
+    return max(max(map(int.bit_count, _irredundant_sets(rows, lattice.full_mask, len(rows)))), 1)
 
 
 def compute_breadth(lattice: Poset) -> BreadthReport:
@@ -125,8 +125,6 @@ def compute_breadth(lattice: Poset) -> BreadthReport:
     check_subset_elements(lattice.n, "breadth check")
     n = _meet_irreducible_breadth(lattice)
     if n > 1:
-        # no single drop keeps the violation's infimum, so no proper
-        # subset does either: every set between the two would share it
         witness = has_breadth_at_most(lattice, n - 1).counterexample
     elif lattice.n >= 2:
         witness = 1 << lattice.bottom

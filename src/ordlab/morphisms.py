@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from . import filters
 from .errors import MalformedInputError
 from .limits import check_maps, check_subset_elements
 from .order_core import Poset, Record, _image_table, iter_bits, poset_to_dict
-from .topology import FiniteTopology
+
+if TYPE_CHECKING:  # for is_continuous's annotation: the convergence campaigns load no topology
+    from .topology import FiniteTopology
 
 
 class Classification(enum.IntEnum):

@@ -5,15 +5,16 @@ indices, bounds are found by scanning with scalar ``leq`` queries, and
 families are enumerated exhaustively.  These routes share no code with
 the bitmask implementations they check.  The exceptions are the literal
 all-subsets routes (completeness, complete homs, filter upper/lower
-sets, breadth), the per-point and per-filter convergence definitions,
-the convergence sweep over every filter (:func:`all_filter_limit_sweep`),
-the breadth loop over the bounds 1, 2, ... (:func:`breadth_by_bounds`),
-the closed-family continuity check, the filter a base generates, the
-triple distributive law and the pairwise class census
-(:func:`iso_representatives_pairwise`), which run the package's bound
-queries, pair tables, super-filters, open-family materialization,
-isomorphism test and breadth size-bound reduction (themselves gated
-against the routes above) to check the shortcuts built on them.
+sets, breadth), the scan of the (n+1)-subsets for a breadth violation
+(:func:`breadth_violation_by_combinations`) and the breadth loop over
+the bounds 1, 2, ... on it (:func:`breadth_by_bounds`), the per-point
+and per-filter convergence definitions, the convergence sweep over every
+filter (:func:`all_filter_limit_sweep`), the closed-family continuity
+check, the filter a base generates, the triple distributive law and the
+pairwise class census (:func:`iso_representatives_pairwise`), which run
+the package's bound queries, pair tables, super-filters, open-family
+materialization and isomorphism test (themselves gated against the
+routes above) to check the shortcuts built on them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Optional
 
-from ordlab.breadth import has_breadth_at_most
 from ordlab.catalog import two
 from ordlab.filters import SetFilter, super_filters, upper_iff_downset
 from ordlab.morphisms import CheckReport, LatticeHom, check_image_filter_inclusion, classify
@@ -619,15 +619,27 @@ def iso_representatives_pairwise(posets: Iterable[Poset]) -> list[Poset]:
     return reps
 
 
+def breadth_violation_by_combinations(p: Poset, n: int) -> tuple[bool, Optional[int]]:
+    """``(holds, counterexample)`` of breadth <= n by scanning the
+    (n+1)-subsets in ``itertools.combinations`` order for the first from
+    which no single member can be dropped keeping the infimum."""
+    for combo in itertools.combinations(range(p.n), n + 1):
+        subset = mask_of(combo)
+        target = p.infimum_mask(subset)
+        if all(p.infimum_mask(subset & ~(1 << drop)) != target for drop in combo):
+            return False, subset
+    return True, None
+
+
 def breadth_by_bounds(p: Poset) -> tuple[int, int]:
     """The breadth and witness by deciding breadth <= 1, 2, ... with the
-    size-bound reduction until a bound holds; the witness is the last
+    scan of the (n+1)-subsets until a bound holds; the witness is the last
     violation found, the bottom when breadth <= 1 holds, and empty on one
     element."""
     last_violation = None
     n = 1
     while True:
-        holds, violation = has_breadth_at_most(p, n)
+        holds, violation = breadth_violation_by_combinations(p, n)
         if holds:
             break
         last_violation = violation

@@ -26,6 +26,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 from random import Random
 
 from ordlab import (
@@ -92,6 +93,7 @@ from oracles import (
     are_isomorphic_brute_force,
     breadth_by_bounds,
     breadth_literal,
+    breadth_violation_by_combinations,
     collapse_to_two,
     filter_lower_definitional,
     filter_upper_definitional,
@@ -130,6 +132,43 @@ def report(num, description, ok):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {description}"
     print(line, flush=True)
     assert ok, line
+
+
+def _mutant(fn, old: str, new: str):
+    """``fn`` recompiled from its source with ``old``, which occurs there
+    once, replaced by ``new``, in a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    code = compile(
+        source.replace(old, new), f"<mutant {fn.__name__}>", "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    exec(code, namespace)
+    return namespace[fn.__name__]
+
+
+def _seeded_mutants(patch, module, mutants, agrees, equivalent=(), caught=()) -> tuple[list[str], list[str]]:
+    """Run the gate's comparison ``agrees`` once per mutant ``(label,
+    function of module, code replaced, replacement)``, patched in every
+    loaded ordlab module that holds the original; a mutant that raises one
+    of ``caught`` is caught.  Returns the labels of ``mutants`` the gate
+    missed and of the ``equivalent`` mutants that survived."""
+    passed = []
+    for _, name, old, new in [*mutants, *equivalent]:
+        original = getattr(module, name)
+        mutant = _mutant(original, old, new)
+        with patch.context() as scoped:
+            for key, loaded in list(sys.modules.items()):
+                if key.split(".")[0] == "ordlab" and type(loaded) is types.ModuleType:
+                    for attr in [a for a, value in vars(loaded).items() if value is original]:
+                        scoped.setattr(loaded, attr, mutant)
+            try:
+                passed.append(agrees())
+            except caught:
+                passed.append(False)
+    missed = [m[0] for m, ok in zip(mutants, passed) if ok]
+    return missed, [m[0] for m, ok in zip(equivalent, passed[len(mutants):]) if ok]
 
 
 def test_criterion_1_breadth_of_boolean_powers():
@@ -302,16 +341,15 @@ def test_criterion_7_convergence_preserved_by_complete_homs(monkeypatch):
                 ok = ok and order_converges(f, x) == (gen == 1 << x)
     homs = _convergence_homs()
     ok = ok and _sweep_outcomes(homs) == (0, 0)
-    equivalent = {m[0] for m in SWEEP_EQUIVALENT}
-    missed, survived, raised = [], [], []
-    for label, name, old, new in SWEEP_MUTANTS + SWEEP_EQUIVALENT:
-        with monkeypatch.context() as patch:
-            patch.setattr(morph_mod, name, _mutant(getattr(morph_mod, name), old, new))
-            wrong, raising = _sweep_outcomes(homs)
-        if not wrong:
-            (survived if label in equivalent else missed).append(label)
-        if raising:
-            raised.append(f"{label} on {raising}")
+    raising = []
+
+    def sweeps_agree():
+        wrong, raised = _sweep_outcomes(homs)
+        raising.append(raised)
+        return not wrong
+
+    missed, survived = _seeded_mutants(monkeypatch, morph_mod, SWEEP_MUTANTS, sweeps_agree, SWEEP_EQUIVALENT)
+    raised = [f"{m[0]} on {r}" for m, r in zip(SWEEP_MUTANTS + SWEEP_EQUIVALENT, raising) if r]
     ok = ok and not missed and len(survived) == len(SWEEP_EQUIVALENT)
     report(
         7,
@@ -399,12 +437,7 @@ def test_criterion_9b_gate_upper_set_via_generator(monkeypatch):
         if m:
             f = SetFilter(p, m)
             ok = ok and (filter_upper_definitional(f), filter_lower_definitional(f)) == bounds
-    missed = []
-    for label, name, old, new in BOUND_MUTANTS:
-        with monkeypatch.context() as patch:
-            patch.setattr(core_mod, name, _mutant(getattr(core_mod, name), old, new))
-            if _bounds_gate(cases):
-                missed.append(label)
+    missed, _ = _seeded_mutants(monkeypatch, core_mod, BOUND_MUTANTS, lambda: _bounds_gate(cases))
     ok = ok and not missed
     report(
         "9b",
@@ -420,8 +453,15 @@ def test_criterion_9c_gate_breadth_reduction():
     ok = len(reps) == 25
     for lattice in reps:
         for n in range(1, lattice.n + 1):
-            ok = ok and has_breadth_at_most(lattice, n).holds == has_breadth_at_most_literal(lattice, n)
-    report("9c", f"breadth size-bound reduction agrees with the definition on {len(reps)} lattice classes (<= 6)", ok)
+            check = has_breadth_at_most(lattice, n)
+            ok = ok and check.holds == has_breadth_at_most_literal(lattice, n)
+            ok = ok and tuple(check) == breadth_violation_by_combinations(lattice, n)
+    report(
+        "9c",
+        f"breadth size-bound reduction agrees with the definition on {len(reps)} lattice classes (<= 6), and "
+        f"its counterexample is the first irredundant (n+1)-subset of the scan in combinations order",
+        ok,
+    )
 
 
 def test_criterion_9d_gate_complete_hom_shortcut():
@@ -516,12 +556,7 @@ def test_criterion_9f_gate_one_limit_per_filter(monkeypatch):
     ok = _limits_gate(cases, posets) and (len(cases), singletons, len(posets)) == (4785, 1029, 4431)
     # the star oracle the convergence sweeps of gate 7 read agrees with the per-point one
     ok = ok and all(star_limits_by_subsets(p, gen) == star for p, gen, _, star in cases)
-    missed = []
-    for label, name, old, new in LIMIT_MUTANTS:
-        with monkeypatch.context() as patch:
-            patch.setattr(filters_mod, name, _mutant(getattr(filters_mod, name), old, new))
-            if _limits_gate(cases, posets):
-                missed.append(label)
+    missed, _ = _seeded_mutants(monkeypatch, filters_mod, LIMIT_MUTANTS, lambda: _limits_gate(cases, posets))
     ok = ok and not missed
     report(
         "9f",
@@ -646,20 +681,6 @@ def _complete_homs_on_prop_2_1_pool() -> tuple[int, int, int]:
     return homs, duplicates, not_complete
 
 
-def _mutant(fn, old: str, new: str):
-    """``fn`` recompiled from its source with ``old``, which occurs there
-    once, replaced by ``new``, in a copy of its module's namespace."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, old
-    namespace = dict(vars(inspect.getmodule(fn)))
-    code = compile(
-        source.replace(old, new), f"<mutant {fn.__name__}>", "exec",
-        flags=__future__.annotations.compiler_flag, dont_inherit=True,
-    )
-    exec(code, namespace)
-    return namespace[fn.__name__]
-
-
 # (mutant, function, code replaced, replacement)
 HOM_SEARCH_MUTANTS = [
     ("no top pin", "enumerate_homs", "pins[domain.top] &= 1 << codomain.top", "pass"),
@@ -674,12 +695,9 @@ def test_criterion_9h_c_gate_complete_homs_from_search(monkeypatch):
     them; classify must agree on every one, and the gate must catch
     seeded mutants of the search."""
     ok = _complete_homs_on_prop_2_1_pool() == (5451, 0, 0)
-    missed = []
-    for label, name, old, new in HOM_SEARCH_MUTANTS:
-        with monkeypatch.context() as patch:
-            patch.setattr(morph_mod, name, _mutant(getattr(morph_mod, name), old, new))
-            if _complete_homs_on_prop_2_1_pool()[2] == 0:
-                missed.append(label)
+    missed, _ = _seeded_mutants(
+        monkeypatch, morph_mod, HOM_SEARCH_MUTANTS, lambda: _complete_homs_on_prop_2_1_pool()[2] == 0
+    )
     ok = ok and not missed
     report(
         "9h(c)",
@@ -708,52 +726,53 @@ def test_criterion_9h_d_gate_join_prime_distributivity():
     )
 
 
-def _labels(p, mask):
-    return [p.labels[i] for i in range(p.n) if mask >> i & 1]
-
-
-# (mutant, code replaced in ``_meet_irreducible_breadth``, replacement)
+_BREADTH_SIZES = "len(rows)))), 1)"
+_BREADTH_DROPS = "dropped = (*(d & row for d in drops), lower)"
+# (mutant, function, code replaced, replacement)
 BREADTH_MUTANTS = [
-    ("join-irreducibles", "enumerate(lattice.up) if row ^ (1 << m) in ups",
+    ("join-irreducibles", "_meet_irreducible_breadth", "enumerate(lattice.up) if row ^ (1 << m) in ups",
      "enumerate(lattice.down) if row ^ (1 << m) in set(lattice.down)"),
-    ("only the new member's drop checked", "dropped = (*(d & row for d in drops), lower)", "dropped = (lower,)"),
-    ("growth stopped one size early", "return max(size, 1)", "return max(size - 1, 1)"),
-    ("no floor at 1", "return max(size, 1)", "return size"),
+    ("only the new member's drop checked", "_irredundant_sets", _BREADTH_DROPS, "dropped = (lower,)"),
+    ("growth stopped one size early", "_meet_irreducible_breadth", _BREADTH_SIZES, "len(rows) - 1))), 1)"),
+    ("no floor at 1", "_meet_irreducible_breadth", _BREADTH_SIZES, "len(rows)))), 0)"),
+    # the witness: the first irredundant set of its size in combinations order
+    ("children visited in reverse index order", "_irredundant_sets", "for i in range(start, len(rows)):",
+     "for i in reversed(range(start, len(rows))):"),
+    ("the new member's own drop unchecked", "_irredundant_sets", _BREADTH_DROPS,
+     "dropped = tuple(d & row for d in drops)"),
+    ("a set one short returned", "has_breadth_at_most", "members.bit_count() > n", "members.bit_count() >= n"),
 ]
 # the top's down row is the whole carrier, so adding it never changes a
 # set's lower bounds and it joins no irredundant set: the mutant must survive
 BREADTH_EQUIVALENT = [
-    ("at most one upper cover", "if row ^ (1 << m) in ups", "if row ^ (1 << m) in ups or row == 1 << m"),
+    ("at most one upper cover", "_meet_irreducible_breadth", "if row ^ (1 << m) in ups",
+     "if row ^ (1 << m) in ups or row == 1 << m"),
 ]
 
 
 def _breadth_agrees(pool, expected) -> bool:
     """compute_breadth gives the expected (breadth, witness) on every
-    lattice of the pool, stopping at the first that differs or raises."""
-    try:
-        return all((r.breadth, r.witness) == e for r, e in zip(map(compute_breadth, pool), expected))
-    except AssertionError:  # no irredundant witness of the breadth found
-        return False
+    lattice of the pool, stopping at the first that differs."""
+    return all((r.breadth, r.witness) == e for r, e in zip(map(compute_breadth, pool), expected))
 
 
 def test_criterion_9i_gate_meet_irreducible_breadth(monkeypatch):
-    """compute_breadth reads the breadth off the meet-irreducibles; it must
-    give the breadth and witness of the loop over the bounds on every
-    labelled lattice with up to six elements and every library lattice,
-    the literal breadth on the classes, and catch seeded mutants."""
+    """compute_breadth reads the breadth off the meet-irreducibles and the
+    witness off the same walk over the carrier; it must give the breadth
+    and witness of the loop over the bounds, on the oracles' subset scan,
+    on every labelled lattice with up to six elements and every library
+    lattice, the literal breadth on the classes, and catch seeded mutants
+    of the walk and its two readers."""
     pool = [p for n in range(1, 7) for p in all_lattices(n)] + [p for _, p in library_lattices(20)]
     expected = [breadth_by_bounds(p) for p in pool]
     ok = len(pool) == 6835 and _breadth_agrees(pool, expected)
     reps = iso_representatives([p for n in range(1, 7) for p in all_lattices(n)])
     ok = ok and all(compute_breadth(p).breadth == breadth_literal(p) for p in reps)
-    equivalent = {m[0] for m in BREADTH_EQUIVALENT}
-    missed, survived = [], []
-    for label, old, new in BREADTH_MUTANTS + BREADTH_EQUIVALENT:
-        with monkeypatch.context() as patch:
-            mutant = _mutant(breadth_mod._meet_irreducible_breadth, old, new)
-            patch.setattr(breadth_mod, "_meet_irreducible_breadth", mutant)
-            if _breadth_agrees(pool, expected):
-                (survived if label in equivalent else missed).append(label)
+    # compute_breadth raises AssertionError when it finds no irredundant witness
+    missed, survived = _seeded_mutants(
+        monkeypatch, breadth_mod, BREADTH_MUTANTS, lambda: _breadth_agrees(pool, expected), BREADTH_EQUIVALENT,
+        caught=(AssertionError,),
+    )
     ok = ok and not missed and len(survived) == len(BREADTH_EQUIVALENT)
     report(
         "9i",
@@ -811,7 +830,7 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
                 witness = {
                     "poset": poset_to_dict(p),
                     "check": "upper-iff-downset",
-                    "generator": _labels(p, gen),
+                    "generator": p.labels_of(gen),
                     "point": p.labels[x],
                 }
             ok = ok and _check_fact_1_1(p) == (checked, witness)
@@ -839,8 +858,8 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
                         "domain": poset_to_dict(dom),
                         "codomain": poset_to_dict(cod),
                         "map": list(mapping),
-                        "coarse_generator": _labels(dom, coarse),
-                        "fine_generator": _labels(dom, fine),
+                        "coarse_generator": dom.labels_of(coarse),
+                        "fine_generator": dom.labels_of(fine),
                     }
                 ok = ok and _check_lemma_3((dom, cod, mapping)) == (checked, witness)
                 flips["bits"] = ()
@@ -1003,19 +1022,10 @@ def test_criterion_9m_gate_box_rows(monkeypatch):
         up = Poset._from_rows(p.labels, p.down).up
         ok = ok and up == Poset(p.labels, p.down).up == naive_transpose(p.down) == p.up
 
-    missed = []
-    for label, name, old, new in BOX_ROWS_MUTANTS:
-        with monkeypatch.context() as patch:
-            mutant = _mutant(getattr(core_mod, name), old, new)
-            patch.setattr(core_mod, name, mutant)
-            if name == "_box_rows":
-                patch.setattr(topo_mod, name, mutant)
-            try:
-                caught = not _box_rows_gate(cases)
-            except (ValueError, IndexError):  # e.g. a neighbourhood table of the wrong size
-                caught = True
-            if not caught:
-                missed.append(label)
+    # a mutant that raises, e.g. on a neighbourhood table of the wrong size, is caught
+    missed, _ = _seeded_mutants(
+        monkeypatch, core_mod, BOX_ROWS_MUTANTS, lambda: _box_rows_gate(cases), caught=(ValueError, IndexError)
+    )
     ok = ok and not missed
     report(
         "9m",
@@ -1100,12 +1110,7 @@ def test_criterion_9n_gate_memoised_census(monkeypatch):
     classes = iso_representatives(all_posets(6))
     ok = ok and len(classes) == 318 and _rows_digest(classes) == POSET_CLASSES_6_SHA256
 
-    missed = []
-    for label, name, old, new in CENSUS_MUTANTS:
-        with monkeypatch.context() as patch:
-            patch.setattr(catalog_mod, name, _mutant(getattr(catalog_mod, name), old, new))
-            if _census_gate(cases):
-                missed.append(label)
+    missed, _ = _seeded_mutants(monkeypatch, catalog_mod, CENSUS_MUTANTS, lambda: _census_gate(cases))
     ok = ok and not missed
     report(
         "9n",

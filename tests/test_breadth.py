@@ -13,13 +13,14 @@ from ordlab import (
     n5,
     build_poset,
 )
-from ordlab.catalog import all_lattices, antichain_bounded, iso_representatives, library_lattices
+from ordlab.catalog import all_lattices, antichain_bounded, iso_representatives, library_lattices, named_poset
 from ordlab.errors import LimitExceededError
 from ordlab.order_core import Poset, mask_of
 
 from oracles import (
     breadth_by_bounds,
     breadth_literal,
+    breadth_violation_by_combinations,
     has_breadth_at_most_literal,
     naive_breadth,
     naive_has_breadth_at_most,
@@ -45,6 +46,13 @@ class TestHasBreadthAtMost:
         for _, p in library_lattices(6):
             for n in range(1, p.n + 1):
                 assert has_breadth_at_most(p, n).holds == has_breadth_at_most_literal(p, n)
+
+    def test_counterexample_is_the_first_violating_combination(self):
+        # the walk's first irredundant (n+1)-set is the scan's first violation
+        pool = [p for n in range(1, 7) for p in all_lattices(n)] + [p for _, p in library_lattices(20)]
+        for p in pool:
+            for n in range(1, p.n + 1):
+                assert tuple(has_breadth_at_most(p, n)) == breadth_violation_by_combinations(p, n)
 
     def test_monotone_in_the_bound(self):
         for _, p in library_lattices(6):
@@ -128,6 +136,22 @@ class TestComputeBreadth:
         calls.clear()
         assert (report.breadth, report.witness) == breadth_by_bounds(lattice)
         assert searched <= len(calls)
+
+    @pytest.mark.parametrize("name", ["2^4", "2xM3"])
+    def test_only_the_witness_recheck_computes_infima(self, monkeypatch, name):
+        # the search ANDs down rows: only is_irredundant's re-check of the
+        # witness computes infima, one per subset of it
+        lattice = named_poset(name)
+        calls = []
+        infimum_mask = Poset.infimum_mask
+
+        def counting(self, mask):
+            calls.append(mask)
+            return infimum_mask(self, mask)
+
+        monkeypatch.setattr(Poset, "infimum_mask", counting)
+        report = compute_breadth(lattice)
+        assert 0 < len(calls) <= 2 ** report.breadth
 
 
 class TestCoatoms:

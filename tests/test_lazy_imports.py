@@ -107,6 +107,13 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path):
     assert (names | optional) & set(steps[f"breadth {poset}"]) == {"ordlab.topology", "ordlab.breadth"}
     assert (names | optional) & set(steps[f"hom {hom}"]) == {"ordlab.topology", "ordlab.breadth", "ordlab.morphisms"}
 
+    # the convergence campaigns build no topology: morphisms imports
+    # FiniteTopology only for an annotation (the steps accumulate)
+    commands = ["campaign lemma-2 --limit 3", "campaign star-preservation --limit 3"]
+    steps = json.loads(_fresh("-c", FOOTPRINT, *commands).stdout)
+    for command in commands:
+        assert optional & set(steps[command]) == {"ordlab.morphisms", "ordlab.filters"}, command
+
 
 def test_export_table():
     assert sorted(ordlab.__all__) == sorted(name for names in EXPORTS.values() for name in names)
