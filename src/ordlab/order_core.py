@@ -112,10 +112,10 @@ class Poset:
         n = self.n
         if n < 1:
             raise MalformedInputError("poset needs at least one element")
-        if len(set(self.labels)) != n:
-            raise MalformedInputError("duplicate label")
         if any(not isinstance(lab, str) for lab in self.labels):
             raise MalformedInputError("labels must be strings")
+        if len(set(self.labels)) != n:
+            raise MalformedInputError("duplicate label")
         if len(self.down) != n:
             raise MalformedInputError("relation size does not match label count")
         for i, row in enumerate(self.down):
@@ -238,23 +238,7 @@ class Poset:
         # suprema; the test suite checks the equivalence against the literal
         # all-subsets definition.
         is_complete = is_lattice
-        is_distributive = False
-        if is_lattice:
-            join = self.join_table
-            # A finite lattice is distributive exactly when every
-            # join-irreducible j is join-prime: j <= a v b gives j <= a or
-            # j <= b (Birkhoff's representation theorem; Davey and Priestley,
-            # "Introduction to Lattices and Order", ch. 5).  j is
-            # join-irreducible when the elements strictly below it have a
-            # greatest one, i.e. form a principal down-set.
-            down, rows = self.down, set(self.down)
-            irr = sum(1 << j for j, row in enumerate(down) if row ^ (1 << j) in rows)
-            # symmetric in a and b, and it cannot fail when they are comparable
-            is_distributive = all(
-                not irr & down[join[a][b]] & ~(down[a] | down[b])
-                for a in range(self.n)
-                for b in range(a + 1, self.n)
-            )
+        is_distributive = is_lattice and _is_distributive(self.down, self.join_table)
         return LatticeCert(self, is_lattice, is_complete, is_distributive, self.bottom, self.top)
 
     # -- structure ------------------------------------------------------
@@ -298,6 +282,19 @@ def _spanning_member(bounds: int, rows: Sequence[int]) -> Optional[int]:
             return x
         rest ^= low
     return None
+
+
+def _is_distributive(down: Sequence[int], join: Sequence[Sequence[int]]) -> bool:
+    """A finite lattice, given by its ``down`` rows and join table, is
+    distributive exactly when every join-irreducible j is join-prime: j <= a v b
+    gives j <= a or j <= b (Birkhoff's representation theorem; Davey and
+    Priestley, "Introduction to Lattices and Order", ch. 5).  j is
+    join-irreducible when the elements strictly below it have a greatest one,
+    i.e. form a principal down-set."""
+    n, rows = len(down), set(down)
+    irr = sum(1 << j for j, row in enumerate(down) if row ^ (1 << j) in rows)
+    # symmetric in a and b, and it cannot fail when they are comparable
+    return all(not irr & down[join[a][b]] & ~(down[a] | down[b]) for a in range(n) for b in range(a + 1, n))
 
 
 def _transpose(down: tuple[int, ...]) -> tuple[int, ...]:
@@ -383,12 +380,17 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Pos
     if n < 1:
         raise MalformedInputError("poset needs at least one element")
     check_elements(n, "poset")
+    if any(not isinstance(lab, str) for lab in labels):
+        raise MalformedInputError("labels must be strings")
     if len(set(labels)) != n:
         raise MalformedInputError("duplicate label")
     edges = []
     seen = set()
     for pair in covers:
-        i, j = pair
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise MalformedInputError(f"bad cover entry: {pair!r}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise MalformedInputError(f"cover index out of range: {(i, j)}")
         if i == j:

@@ -91,9 +91,18 @@ def _gate_9h_lattices() -> tuple[Poset, ...]:
     return _library_lattices_5() + tuple(catalog_mod.random_lattice(4 + i % 2, 4100 + i) for i in range(6))
 
 
+@cache
+def _breadth_table() -> tuple:
+    """Every labelled lattice with up to six elements and every library
+    lattice, with the breadth, witness and violations of the loop over the
+    bounds."""
+    pool = [*_lattices_to_6(), *(p for _, p in library_lattices(20))]
+    return tuple((p, oracles.breadth_by_bounds(p)) for p in pool)
+
+
 def release_pools() -> None:
     """Drop the shared pools: held for the rest of a session, they slow every later garbage collection."""
-    for pool in (_lattices_to_6, _lattice_classes, _library_lattices_5, _gate_9h_lattices):
+    for pool in (_lattices_to_6, _lattice_classes, _library_lattices_5, _gate_9h_lattices, _breadth_table):
         pool.cache_clear()
 
 
@@ -210,11 +219,26 @@ def _breadth_bound(p: Poset, n: int) -> tuple:
     return check.holds, *check
 
 
+def _breadth_bounds_on_table(cases) -> tuple:
+    """The bound for every n on the lattices of the gate 9i table: the scan's
+    violation below the breadth, and (True, None) from the breadth up, as
+    irredundance is hereditary."""
+    table = _breadth_table()
+    return len(table), all(
+        breadth_mod.has_breadth_at_most(p, n) == ((False, violations[n - 1]) if n < b else (True, None))
+        for p, (b, _, violations) in table for n in range(1, p.n + 1)
+    )
+
+
 def _complete_hom_cases():
+    """Every map between the lattice classes <= 5, and between the library
+    lattices <= 4, with its all-subsets answer."""
     reps = [p for p in _lattice_classes() if p.n <= 5]
-    return len(reps), [
+    library = [p for _, p in library_lattices(4)]
+    return len(reps), len(library), [
         (m, dom, cod, oracles.is_complete_hom_exhaustive(m, dom, cod))
-        for dom in reps for cod in reps for m in itertools.product(range(cod.n), repeat=dom.n)
+        for pool in (reps, library) for dom in pool for cod in pool
+        for m in itertools.product(range(cod.n), repeat=dom.n)
     ]
 
 
@@ -352,12 +376,8 @@ def _distributivity_cases():
 
 
 def _breadth_cases():
-    """Every labelled lattice with up to six elements and every library
-    lattice, with the breadth and witness of the loop over the bounds; the
-    lattice classes <= 6 with their literal breadth."""
-    pool = [*_lattices_to_6(), *(p for _, p in library_lattices(20))]
-    classes = _lattice_classes()
-    return [(p, oracles.breadth_by_bounds(p)) for p in pool], [(p, oracles.breadth_literal(p)) for p in classes]
+    """The gate 9i table; the lattice classes <= 6 with their literal breadth."""
+    return _breadth_table(), [(p, oracles.breadth_literal(p)) for p in _lattice_classes()]
 
 
 _BREADTH_SIZES = "len(rows)))), 1)"
@@ -442,9 +462,13 @@ def _census(cases) -> tuple:
     )
 
 
-def _poset_classes_6(cases) -> tuple:
+def _class_counts(cases) -> tuple:
+    """The class counts of the posets on 1-6 points (OEIS A000112) and of the
+    lattices on 1-6 points (OEIS A006966), and the 6-point poset classes'
+    digest."""
     classes = catalog_mod.iso_representatives(all_posets(6))
-    return len(classes), rows_digest(classes) == POSET_CLASSES_6_SHA256
+    counts = [len(reps) for _, reps in cases[:11]]
+    return [*counts[:5], len(classes)], counts[5:], rows_digest(classes) == POSET_CLASSES_6_SHA256
 
 
 GATES = (
@@ -489,19 +513,23 @@ GATES = (
     ),
     Gate("9c", "test_criterion_9c_gate_breadth_reduction", breadth_mod, ("has_breadth_at_most", "_irredundant_sets"),
         ("has_breadth_at_most_literal", "breadth_violation_by_combinations"),
-        _breadth_bound_cases, lambda cases: (len({id(p) for p, *_ in cases}), agree(_breadth_bound, cases)), (25, True),
+        _breadth_bound_cases, lambda cases: (len({id(p) for p, *_ in cases}), agree(_breadth_bound, cases)),
+        (25, True, 6835, True),
         "breadth size-bound reduction agrees with the definition on {0} lattice classes (<= 6), and its "
-        "counterexample is the first irredundant (n+1)-subset of the scan in combinations order",
+        "counterexample is the first irredundant (n+1)-subset of the scan in combinations order, also for every n "
+        "on the {2} lattices of the gate 9i table",
+        once=_breadth_bounds_on_table,
         mutants=(("sets of at most n members walked", "has_breadth_at_most", "lattice.full_mask, n + 1)",
                   "lattice.full_mask, n)"),),
         campaigns={"has_breadth_at_most": ("breadth-2n",), "_irredundant_sets": ("breadth-2n",)},
     ),
     Gate("9d", "test_criterion_9d_gate_complete_hom_shortcut", morph_mod, ("classify",),
         ("is_complete_hom_exhaustive",), _complete_hom_cases,
-        lambda cases: (cases[0], len(cases[1]), agree(lambda *m: morph_mod.classify(*m).classification == COMPLETE_HOM,
-                                                       cases[1])),
-        (10, 98214, True),
-        "complete-hom shortcut equals the all-subsets definition ({1} maps, {0} lattice classes <= 5)",
+        lambda cases: (*cases[:2], len(cases[2]),
+                       agree(lambda *m: morph_mod.classify(*m).classification == COMPLETE_HOM, cases[2])),
+        (10, 6, 98214 + 2906, True),
+        "complete-hom shortcut equals the all-subsets definition ({2} maps, {0} lattice classes <= 5 and {1} "
+        "library lattices <= 4)",
         mutants=(("complete without the top compared", "classify",
                   "m[domain.bottom] == codomain.bottom and m[domain.top] == codomain.top",
                   "m[domain.bottom] == codomain.bottom"),),
@@ -579,18 +607,28 @@ GATES = (
         ),
         campaigns={"enumerate_homs": HOM_CAMPAIGNS, "_search": HOM_CAMPAIGNS},
     ),
-    Gate("9h(d)", "test_criterion_9h_d_gate_join_prime_distributivity", core_mod, ("Poset.certificate",),
-        ("naive_is_distributive",), _distributivity_cases,
+    Gate("9h(d)", "test_criterion_9h_d_gate_join_prime_distributivity", core_mod,
+        ("Poset.certificate", "_is_distributive"), ("naive_is_distributive",), _distributivity_cases,
         lambda cases: (len(cases), sum(not c[-1] for c in cases),
-                       agree(lambda p: p.certificate.is_distributive, cases)),
-        (6818, 4010, True),
+                       agree(lambda p: core_mod._is_distributive(p.down, p.join_table), cases)),
+        (6818, 4010, True, True),
         "join-prime distributivity equals the triple law on {0} lattices (all labelled lattices <= 6, 2^6, "
-        "2^3x2^3, chain64; {1} not distributive)",
+        "2^3x2^3, chain64; {1} not distributive), and the certificate reads it",
+        once=lambda cases: (agree(lambda p: p.certificate.is_distributive, cases),),
+        mutants=(
+            ("every element counted join-irreducible", "_is_distributive", " if row ^ (1 << j) in rows", ""),
+            # the down row of the meet of a and b
+            ("meet read for the join", "_is_distributive", "down[join[a][b]]", "(down[a] & down[b])"),
+        ),
+        # a pair of equal elements is comparable, and a comparable pair never fails
+        equivalent=(("pair loop from b = a", "_is_distributive", "range(a + 1, n)", "range(a, n)"),),
+        campaigns={"_is_distributive": ("breadth-2n", *HOM_CAMPAIGNS)},
     ),
     Gate("9i", "test_criterion_9i_gate_meet_irreducible_breadth", breadth_mod,
         ("compute_breadth", "_meet_irreducible_breadth", "_irredundant_sets", "has_breadth_at_most"),
         ("breadth_by_bounds", "breadth_literal"), _breadth_cases,
-        lambda cases: (len(cases[0]), len(cases[1]), agree(lambda p: breadth_mod.compute_breadth(p)[1:], cases[0]),
+        lambda cases: (len(cases[0]), len(cases[1]),
+                       all(breadth_mod.compute_breadth(p)[1:] == expected[:2] for p, expected in cases[0]),
                        agree(lambda p: breadth_mod.compute_breadth(p).breadth, cases[1])),
         (6835, 25, True, True),
         "breadth by meet-irreducibles equals the loop over the bounds (breadth and witness) on {0} lattices and the "
@@ -649,11 +687,14 @@ GATES = (
     Gate("9n", "test_criterion_9n_gate_memoised_census", catalog_mod,
         ("iso_representatives", "_normal_code", "_extend_posets", "all_posets"),
         ("iso_representatives_pairwise", "relabelled"),
-        _census_cases, _census, (20, 4473 + 6815 + 8 + 8 * 24, [1, 3, 19, 219, 4231], True, True, 318, True),
+        _census_cases, _census,
+        (20, 4473 + 6815 + 8 + 8 * 24, [1, 3, 19, 219, 4231], True, True, [1, 2, 5, 16, 63, 318], [1, 1, 1, 2, 5, 15],
+         True),
         "iso_representatives by normal code keeps the pairwise representatives in order on {0} pools of {1} posets "
         "(the posets <= 5, the lattices <= 6, the profile twins and 8 x 24 seeded posets on 7-9 points with their "
-        "relabellings); the census counts {2}; the {5} classes of 6-point posets match their pinned digest",
-        once=_poset_classes_6,
+        "relabellings); the census counts {2}; the class counts {5} of the posets and {6} of the lattices on 1-6 "
+        "points; the 318 classes of 6-point posets match their pinned digest",
+        once=_class_counts,
         mutants=(
             ("code is the sorted profile", "_normal_code", "return tuple(code)", "return tuple(sorted(profile))"),
             ("no confirm on a miss", "iso_representatives",

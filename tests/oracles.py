@@ -86,41 +86,6 @@ def naive_supremum(p: Poset, subset: frozenset[int]) -> Optional[int]:
     return None
 
 
-def naive_is_complete(p: Poset) -> bool:
-    elems = list(range(p.n))
-    for r in range(p.n + 1):
-        for combo in itertools.combinations(elems, r):
-            s = frozenset(combo)
-            if naive_infimum(p, s) is None or naive_supremum(p, s) is None:
-                return False
-    return True
-
-
-def naive_has_breadth_at_most(p: Poset, n: int) -> bool:
-    elems = list(range(p.n))
-    for r in range(1, p.n + 1):
-        for combo in itertools.combinations(elems, r):
-            target = naive_infimum(p, frozenset(combo))
-            found = False
-            for k in range(0, min(n, r) + 1):
-                for small in itertools.combinations(combo, k):
-                    if naive_infimum(p, frozenset(small)) == target:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return False
-    return True
-
-
-def naive_breadth(p: Poset) -> int:
-    n = 1
-    while not naive_has_breadth_at_most(p, n):
-        n += 1
-    return n
-
-
 def naive_filter_members(p: Poset, generator: frozenset[int]) -> set[frozenset[int]]:
     """All supersets of the generator, via direct enumeration."""
     rest = [x for x in range(p.n) if x not in generator]
@@ -138,20 +103,6 @@ def filter_from_base(p: Poset, base_sets: Iterable[int]) -> SetFilter:
     for mask in base_sets:
         gen &= mask
     return SetFilter(p, gen)
-
-
-def naive_filter_upper(p: Poset, generator: frozenset[int]) -> frozenset[int]:
-    out: set[int] = set()
-    for member in naive_filter_members(p, generator):
-        out |= naive_upper_bounds(p, member)
-    return frozenset(out)
-
-
-def naive_filter_lower(p: Poset, generator: frozenset[int]) -> frozenset[int]:
-    out: set[int] = set()
-    for member in naive_filter_members(p, generator):
-        out |= naive_lower_bounds(p, member)
-    return frozenset(out)
 
 
 def all_filter_families(carrier: int) -> list[set[int]]:
@@ -244,23 +195,6 @@ def projection_preimages(factors: list[FiniteTopology]) -> list[int]:
 
 def naive_transpose(down: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 << j for j, row in enumerate(down) if (row >> i) & 1) for i in range(len(down)))
-
-
-def naive_is_complete_hom(mapping: tuple[int, ...], dom: Poset, cod: Poset) -> bool:
-    elems = list(range(dom.n))
-    for r in range(dom.n + 1):
-        for combo in itertools.combinations(elems, r):
-            s = frozenset(combo)
-            image = frozenset(mapping[x] for x in s)
-            inf_d = naive_infimum(dom, s)
-            sup_d = naive_supremum(dom, s)
-            if inf_d is None or sup_d is None:
-                return False
-            if mapping[inf_d] != naive_infimum(cod, image):
-                return False
-            if mapping[sup_d] != naive_supremum(cod, image):
-                return False
-    return True
 
 
 def naive_order_converges(f: SetFilter, x: int) -> bool:
@@ -631,19 +565,17 @@ def breadth_violation_by_combinations(p: Poset, n: int) -> tuple[bool, Optional[
     return True, None
 
 
-def breadth_by_bounds(p: Poset) -> tuple[int, int]:
-    """The breadth and witness by deciding breadth <= 1, 2, ... with the
-    scan of the (n+1)-subsets until a bound holds; the witness is the last
-    violation found, the bottom when breadth <= 1 holds, and empty on one
-    element."""
-    last_violation = None
-    n = 1
+def breadth_by_bounds(p: Poset) -> tuple[int, int, list[int]]:
+    """The breadth, its witness and the violations, by deciding breadth <= 1,
+    2, ... with the scan of the (n+1)-subsets until a bound holds:
+    ``violations[n - 1]`` is the scan's counterexample to breadth <= n for
+    each n below the breadth.  The witness is the last violation, the bottom
+    when breadth <= 1 holds, and empty on one element."""
+    violations = []
     while True:
-        holds, violation = breadth_violation_by_combinations(p, n)
+        holds, violation = breadth_violation_by_combinations(p, len(violations) + 1)
         if holds:
             break
-        last_violation = violation
-        n += 1
-    if last_violation is not None:
-        return n, last_violation
-    return n, (1 << p.bottom) if p.n >= 2 else 0
+        violations.append(violation)
+    witness = violations[-1] if violations else (1 << p.bottom) if p.n >= 2 else 0
+    return len(violations) + 1, witness, violations

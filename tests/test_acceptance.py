@@ -11,6 +11,7 @@ and gate 9k are written out below.
 """
 
 import __future__
+import ast
 import inspect
 import itertools
 import json
@@ -22,6 +23,7 @@ import time
 import types
 from collections import defaultdict
 from functools import lru_cache, wraps
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -176,12 +178,15 @@ def test_criterion_6_upper_membership_equivalence():
     rng = Random(2026)
     for p in list(all_posets_up_to(5)) + [random_poset(rng.randint(2, 5), rng) for _ in range(500)]:
         upper_bounds = subset_intersection_table(p.up, p.full_mask)
+        # without a table each call builds one, so only on the small posets
+        tables = (upper_bounds, None) if p.n <= 4 else (upper_bounds,)
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
             for x in range(p.n):
                 checked += 1
-                ok = ok and upper_iff_downset(f, x, upper_bounds)
-    report(6, f"upper-bound membership iff down-set membership ({checked} checks)", ok)
+                ok = ok and all(upper_iff_downset(f, x, table) for table in tables)
+    report(6, f"upper-bound membership iff down-set membership ({checked} checks; on posets <= 4 also without "
+              "the upper-bounds table)", ok)
 
 
 def test_criterion_8_image_filters_respect_inclusion():
@@ -191,13 +196,16 @@ def test_criterion_8_image_filters_respect_inclusion():
         for b in range(1, 5):
             dom, cod = chain(a), chain(b)
             for mapping in itertools.product(range(b), repeat=a):
+                images = _image_table(mapping)
                 for coarse in range(1, dom.full_mask + 1):
                     fine = coarse
                     while fine:
                         checked += 1
                         ok = ok and check_image_filter_inclusion(mapping, coarse, fine)
+                        ok = ok and check_image_filter_inclusion(mapping, coarse, fine, images)
                         fine = (fine - 1) & coarse
-    report(8, f"image filters preserve containment ({checked} map/filter-pair checks)", ok)
+    report(8, f"image filters preserve containment ({checked} map/filter-pair checks, with and without the "
+              "image table)", ok)
 
 
 def test_criterion_9a_gate_filters_are_principal():
@@ -314,12 +322,16 @@ def test_criterion_9k_gate_lattice_census():
     ok = True
     bounded = [p for p in all_posets(6) if p.full_mask in p.up and p.full_mask in p.down]
     pool = list(all_posets_up_to(5)) + bounded
-    lattices = 0
+    found = []
     for p in pool:
         literal = is_lattice_literal(p)
         ok = ok and _is_lattice(p.down, p.up) == literal == p.certificate.is_lattice
-        lattices += literal
+        if literal:
+            found.append(p)
+    lattices = len(found)
     ok = ok and (len(bounded), lattices) == (6570, 1 + 2 + 6 + 36 + 380 + 6390)
+    # a finite lattice is bounded, so these are all the lattices on 1-6 points
+    ok = ok and found == [p for n in range(1, 7) for p in all_lattices(n)]
 
     # plus the profile twins
     small = list(all_posets_up_to(4)) + profile_twins()
@@ -343,7 +355,7 @@ def test_criterion_9k_gate_lattice_census():
         f"row lattice test and certificate equal the pairwise sup/inf definition on {len(pool)} posets "
         f"(<= 5 and the 6,570 bounded ones on 6; {lattices} lattices), bit-level isomorphism equals "
         f"brute-force permutation on {pairs} pairs of posets <= 4 and four on 6-7 points "
-        f"({isomorphic} isomorphic), and "
+        f"({isomorphic} isomorphic), all_lattices(1..6) are those {lattices} lattices in census order, and "
         "all_posets(1..6) rows and the 6-point lattice representatives match their pinned digests",
         ok,
     )
@@ -421,6 +433,20 @@ def test_gate_registry_resolves():
         for name, names in (row.campaigns or {}).items():
             assert name in row.names, f"gate {row.num}: {name} reaches campaigns but is not a name of the row"
             assert set(names) <= set(CAMPAIGN_NAMES), f"gate {row.num}: unknown campaigns {names}"
+
+
+def test_every_oracle_has_a_reader():
+    """Every top-level function of tests/oracles.py is named in a row's
+    oracles or imported by a test module."""
+    read = {name for row in GATES for name in row.oracles}
+    for path in Path(__file__).parent.glob("*.py"):
+        read |= {
+            alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles" for alias in node.names
+        }
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    orphans = [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name not in read]
+    assert not orphans, f"oracles read by no row and imported by no test module: {orphans}"
 
 
 def test_gate_campaigns_are_the_callers(monkeypatch):

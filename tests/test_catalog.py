@@ -102,12 +102,6 @@ class TestAllPosets:
     def test_lattice_counts(self):
         assert [len(all_lattices(n)) for n in range(1, 7)] == [1, 2, 6, 36, 380, 6390]
 
-    def test_iso_class_counts(self):
-        # unlabelled posets, OEIS A000112
-        assert [len(iso_representatives(all_posets(n))) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
-        # unlabelled lattices, OEIS A006966
-        assert [len(iso_representatives(all_lattices(n))) for n in range(1, 7)] == [1, 1, 1, 2, 5, 15]
-
     def test_iso_classes_on_64_points(self):
         # the normal code relabels row by row, with no table over the 2^64
         # subsets: two labellings of the chain, 2^6 and a shuffled copy, and
@@ -149,10 +143,6 @@ class TestPackedFamily:
         assert [(p.down, p.up) for p in all_posets(2)] == [
             ((1, 2), (1, 2)), ((3, 2), (1, 3)), ((1, 3), (3, 2))
         ]
-
-    def test_lattices_are_the_certified_posets(self):
-        for n in range(1, 7):
-            assert list(all_lattices(n)) == [p for p in all_posets(n) if p.certificate.is_lattice]
 
     def test_nine_points_exceed_the_packed_limit(self):
         with pytest.raises(LimitExceededError):

@@ -15,17 +15,12 @@ from ordlab import (
 )
 from ordlab.catalog import all_lattices, all_posets_up_to, iso_representatives, library_posets
 from ordlab.filters import convergence_points, order_convergence_is_pointlike
-from ordlab.order_core import subset_intersection_table
 
 from conftest import seeded_posets
 from oracles import (
-    all_filter_families,
     filter_lower_definitional,
     filter_upper_definitional,
-    members_of,
-    naive_filter_lower,
     naive_filter_members,
-    naive_filter_upper,
     satisfies_filter_axioms,
     star_limits_by_subsets,
 )
@@ -77,29 +72,8 @@ class TestUpperLower:
                 assert p.upper_bounds_mask(f.generator) == filter_upper_definitional(f)
                 assert p.lower_bounds_mask(f.generator) == filter_lower_definitional(f)
 
-    def test_definitional_route_matches_naive_oracle(self):
-        p = m3()
-        for gen in range(1, p.full_mask + 1):
-            f = SetFilter(p, gen)
-            members = frozenset(i for i in range(p.n) if (gen >> i) & 1)
-            assert members_of(filter_upper_definitional(f)) == naive_filter_upper(p, members)
-            assert members_of(filter_lower_definitional(f)) == naive_filter_lower(p, members)
-
 
 class TestPrincipality:
-    def test_every_axiom_family_is_principal(self):
-        # on carriers up to 4: the families satisfying the three axioms
-        # are exactly the supersets-of-a-fixed-nonempty-set families
-        for carrier in range(1, 5):
-            families = all_filter_families(carrier)
-            assert len(families) == (1 << carrier) - 1
-            for fam in families:
-                gen = (1 << carrier) - 1
-                for member in fam:
-                    gen &= member
-                assert gen != 0
-                assert fam == {m for m in range(1 << carrier) if m & gen == gen}
-
     def test_axiom_checker_agrees_with_members(self):
         p = chain(4)
         assert satisfies_filter_axioms(4, SetFilter(p, 0b0110).members())
@@ -204,12 +178,3 @@ class TestUpperIffDownset:
         assert upper_iff_downset(f, top)  # both sides true
         g = SetFilter(b2, (1 << a) | (1 << b))
         assert upper_iff_downset(g, a)  # both sides false
-
-    def test_small_campaign(self):
-        for p in all_posets_up_to(4):
-            upper_bounds = subset_intersection_table(p.up, p.full_mask)
-            for gen in range(1, p.full_mask + 1):
-                f = SetFilter(p, gen)
-                for x in range(p.n):
-                    assert upper_iff_downset(f, x)
-                    assert upper_iff_downset(f, x, upper_bounds)

@@ -352,6 +352,18 @@ class TestValidation:
         with pytest.raises(MalformedInputError, match="out of range"):
             Poset(["a", "b"], (-1, 0b10))
 
+    def test_bad_labels_and_covers_rejected(self):
+        from ordlab.order_core import Poset
+
+        # the string test runs before the duplicate test hashes the labels
+        with pytest.raises(MalformedInputError, match="labels must be strings"):
+            Poset([["a"]], [1])
+        with pytest.raises(MalformedInputError, match="labels must be strings"):
+            build_poset([1, 2], [(0, 1)])
+        for entry in ((0, 1, 2), 5):
+            with pytest.raises(MalformedInputError, match="bad cover entry"):
+                build_poset(["a", "b", "c"], [entry])
+
     def test_unknown_label(self):
         with pytest.raises(MalformedInputError, match="unknown label"):
             chain(2).mask_of_labels(["nope"])

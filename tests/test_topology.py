@@ -14,7 +14,6 @@ from ordlab import (
     is_t1,
     lower_topology,
     m3,
-    product,
     product_topology,
     topologies_equal,
     topology_to_dict,
@@ -136,22 +135,6 @@ class TestIntervalTopology:
         lhs = interval_topology(boolean_power(3))
         rhs = product_topology([interval_topology(two())] * 3)
         assert topologies_equal(lhs, rhs)
-
-    def test_product_lemma_pairs_and_triples(self):
-        import itertools
-
-        factories = [two, lambda: chain(3), lambda: boolean_power(2), m3]
-        for arity in (2, 3):
-            for combo in itertools.combinations_with_replacement(factories, arity):
-                factors = [f() for f in combo]
-                size = 1
-                for f in factors:
-                    size *= f.n
-                if size > 64:
-                    continue
-                lhs = interval_topology(product(factors))
-                rhs = product_topology([interval_topology(f) for f in factors])
-                assert topologies_equal(lhs, rhs)
 
 
 class TestProductTopology:
