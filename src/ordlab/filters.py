@@ -12,11 +12,9 @@ materialize its ``members``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from .errors import MalformedInputError
 from .limits import check_subset_elements
-from .order_core import Poset, Record, iter_bits, subset_intersection_table
+from .order_core import Poset, Record, iter_bits
 
 
 def _check_generator(p: Poset, gen: int) -> None:
@@ -96,16 +94,11 @@ def star_converges(f: SetFilter, x: int) -> bool:
     return limit_mask(f.parent, f.generator) == 1 << x
 
 
-def upper_iff_downset(f: SetFilter, x: int, upper_bounds: Optional[Sequence[int]] = None) -> bool:
+def upper_iff_downset(f: SetFilter, x: int) -> bool:
     """Whether the two sides of Fact 1.1 agree (they always should): x
-    bounds f from above iff the down-set of x is a member of f.  The upper
-    side is read from ``upper_bounds[gen]``, the poset's upper-bounds table,
-    built for this call (under the subset cap) when not given."""
+    bounds f from above iff the down-set of x is a member of f."""
     p, gen = f.parent, f.generator
-    if upper_bounds is None:
-        check_subset_elements(p.n, "upper-bounds table")
-        upper_bounds = subset_intersection_table(p.up, p.full_mask)
-    return bool((upper_bounds[gen] >> x) & 1) == (p.down[x] & gen == gen)
+    return bool((p.upper_bounds_mask(gen) >> x) & 1) == (p.down[x] & gen == gen)
 
 
 def convergence_points(f: SetFilter) -> list[int]:

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from . import filters
 from .errors import MalformedInputError
-from .limits import check_maps, check_subset_elements
-from .order_core import Poset, Record, _image_table, iter_bits, poset_to_dict
+from .limits import check_maps
+from .order_core import Poset, Record, iter_bits, poset_to_dict
 
 if TYPE_CHECKING:  # for is_continuous's annotation: the convergence campaigns load no topology
     from .topology import FiniteTopology
@@ -329,21 +329,12 @@ def check_image_convergence(h: LatticeHom) -> CheckReport:
     return _limit_sweep(h, "image-convergence")
 
 
-def check_image_filter_inclusion(
-    mapping: Sequence[int], coarse: int, fine: int, images: Optional[Sequence[int]] = None
-) -> bool:
+def check_image_filter_inclusion(mapping: Sequence[int], coarse: int, fine: int) -> bool:
     """Given the generators of nested filters (``fine`` a subset of
-    ``coarse``), verify the image of the fine one contains that of the coarse one.
-
-    The images are read from ``images``, the map's image table by subset
-    mask, when given; else the table is built for this call (under the subset cap).
-    """
+    ``coarse``), verify the image of the fine one contains that of the coarse one."""
     if fine & ~coarse:
         raise ValueError("second filter must contain the first (nested generators)")
-    if images is None:
-        check_subset_elements(len(mapping), "image table")
-        images = _image_table(mapping)
-    return images[fine] & ~images[coarse] == 0
+    return image_filter(mapping, fine) & ~image_filter(mapping, coarse) == 0
 
 
 def check_star_preservation(h: LatticeHom) -> CheckReport:

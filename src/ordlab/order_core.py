@@ -110,12 +110,7 @@ class Poset:
 
     def _validate(self) -> None:
         n = self.n
-        if n < 1:
-            raise MalformedInputError("poset needs at least one element")
-        if any(not isinstance(lab, str) for lab in self.labels):
-            raise MalformedInputError("labels must be strings")
-        if len(set(self.labels)) != n:
-            raise MalformedInputError("duplicate label")
+        _check_labels(self.labels)
         if len(self.down) != n:
             raise MalformedInputError("relation size does not match label count")
         for i, row in enumerate(self.down):
@@ -367,38 +362,40 @@ class LatticeCert(NamedTuple):
     top: Optional[int]
 
 
+def _check_labels(labels: Sequence[str]) -> None:
+    """At least one label, at most the element cap, strings (before hashing them) and no two equal."""
+    if not labels:
+        raise MalformedInputError("poset needs at least one element")
+    check_elements(len(labels), "poset")
+    if any(not isinstance(lab, str) for lab in labels):
+        raise MalformedInputError("labels must be strings")
+    if len(set(labels)) != len(labels):
+        raise MalformedInputError("duplicate label")
+
+
 def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Poset:
     """Build a poset from its cover relation (Hasse edges).
 
     The order is the reflexive-transitive closure of the covers.  Inputs
-    that are not genuine cover relations are rejected: cycles, duplicate
-    edges, and edges already implied by transitivity all raise
-    :class:`MalformedInputError`.
+    that are not genuine cover relations are rejected: entries that are
+    not two ints, cycles, duplicate edges, and edges already implied by
+    transitivity all raise :class:`MalformedInputError`.
     """
     labels = list(labels)
+    _check_labels(labels)
     n = len(labels)
-    if n < 1:
-        raise MalformedInputError("poset needs at least one element")
-    check_elements(n, "poset")
-    if any(not isinstance(lab, str) for lab in labels):
-        raise MalformedInputError("labels must be strings")
-    if len(set(labels)) != n:
-        raise MalformedInputError("duplicate label")
-    edges = []
-    seen = set()
+    edges: dict[tuple[int, int], None] = {}  # not a set: the implied-edge test names the first in input order
     for pair in covers:
-        try:
-            i, j = pair
-        except (TypeError, ValueError):
-            raise MalformedInputError(f"bad cover entry: {pair!r}") from None
+        i, j = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (None, None)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j)):
+            raise MalformedInputError(f"bad cover entry: {pair!r}")
         if not (0 <= i < n and 0 <= j < n):
             raise MalformedInputError(f"cover index out of range: {(i, j)}")
         if i == j:
             raise MalformedInputError(f"cycle detected at element {i}")
-        if (i, j) in seen:
+        if (i, j) in edges:
             raise MalformedInputError(f"duplicate cover {(i, j)}")
-        seen.add((i, j))
-        edges.append((i, j))
+        edges[i, j] = None
 
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
@@ -604,13 +601,4 @@ def poset_from_dict(doc: object) -> Poset:
         raise MalformedInputError('poset document needs "labels": [string, ...]')
     if not isinstance(covers, list):
         raise MalformedInputError('poset document needs "covers": [[i, j], ...]')
-    pairs = []
-    for item in covers:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise MalformedInputError(f"bad cover entry: {item!r}")
-        pairs.append((item[0], item[1]))
-    return build_poset(labels, pairs)
+    return build_poset(labels, covers)

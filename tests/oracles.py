@@ -23,8 +23,8 @@ import itertools
 from typing import Callable, Iterable, Iterator, Optional
 
 from ordlab.catalog import two
-from ordlab.filters import SetFilter, super_filters, upper_iff_downset
-from ordlab.morphisms import CheckReport, LatticeHom, check_image_filter_inclusion, classify
+from ordlab.filters import SetFilter, super_filters
+from ordlab.morphisms import CheckReport, LatticeHom, classify
 from ordlab.order_core import Poset, are_order_isomorphic, boolean_power, iter_bits, mask_of
 from ordlab.topology import FiniteTopology
 
@@ -452,28 +452,30 @@ def all_filter_limit_sweep(h: LatticeHom, limits_of: Callable[[Poset, int], int]
 
 
 def per_pair_fact_1_1(p: Poset, upper_bounds: list[int]) -> tuple[int, Optional[tuple[int, int]]]:
-    """Fact 1.1 one (generator, point) pair at a time, generator-major:
-    the pairs checked and the first failing ``(generator, point)``."""
+    """Fact 1.1 one (generator, point) pair at a time, generator-major, on
+    the given upper-bounds table: x bounds the filter from above iff its
+    down-set is a member.  The pairs checked and the first failing
+    ``(generator, point)``."""
     checked = 0
     for gen in range(1, p.full_mask + 1):
-        f = SetFilter(p, gen)
         for x in range(p.n):
             checked += 1
-            if not upper_iff_downset(f, x, upper_bounds):
+            if bool((upper_bounds[gen] >> x) & 1) != (p.down[x] & gen == gen):
                 return checked, (gen, x)
     return checked, None
 
 
 def per_pair_lemma_3(dom: Poset, mapping, images: list[int]) -> tuple[int, Optional[tuple[int, int]]]:
     """Lemma 3 one nested filter pair at a time, each coarse generator with
-    its subsets in decreasing order: the pairs checked and the first
-    failing ``(coarse, fine)``."""
+    its subsets in decreasing order, on the given image table: the image of
+    the fine generator holds that of the coarse one.  The pairs checked and
+    the first failing ``(coarse, fine)``."""
     checked = 0
     for coarse in range(1, dom.full_mask + 1):
         fine = coarse
         while fine:
             checked += 1
-            if not check_image_filter_inclusion(mapping, coarse, fine, images):
+            if images[fine] & ~images[coarse]:
                 return checked, (coarse, fine)
             fine = (fine - 1) & coarse
     return checked, None

@@ -177,16 +177,12 @@ def test_criterion_6_upper_membership_equivalence():
     checked = 0
     rng = Random(2026)
     for p in list(all_posets_up_to(5)) + [random_poset(rng.randint(2, 5), rng) for _ in range(500)]:
-        upper_bounds = subset_intersection_table(p.up, p.full_mask)
-        # without a table each call builds one, so only on the small posets
-        tables = (upper_bounds, None) if p.n <= 4 else (upper_bounds,)
         for gen in range(1, p.full_mask + 1):
             f = SetFilter(p, gen)
             for x in range(p.n):
                 checked += 1
-                ok = ok and all(upper_iff_downset(f, x, table) for table in tables)
-    report(6, f"upper-bound membership iff down-set membership ({checked} checks; on posets <= 4 also without "
-              "the upper-bounds table)", ok)
+                ok = ok and upper_iff_downset(f, x)
+    report(6, f"upper-bound membership iff down-set membership ({checked} checks)", ok)
 
 
 def test_criterion_8_image_filters_respect_inclusion():
@@ -196,16 +192,13 @@ def test_criterion_8_image_filters_respect_inclusion():
         for b in range(1, 5):
             dom, cod = chain(a), chain(b)
             for mapping in itertools.product(range(b), repeat=a):
-                images = _image_table(mapping)
                 for coarse in range(1, dom.full_mask + 1):
                     fine = coarse
                     while fine:
                         checked += 1
                         ok = ok and check_image_filter_inclusion(mapping, coarse, fine)
-                        ok = ok and check_image_filter_inclusion(mapping, coarse, fine, images)
                         fine = (fine - 1) & coarse
-    report(8, f"image filters preserve containment ({checked} map/filter-pair checks, with and without the "
-              "image table)", ok)
+    report(8, f"image filters preserve containment ({checked} map/filter-pair checks)", ok)
 
 
 def test_criterion_9a_gate_filters_are_principal():
@@ -304,9 +297,9 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
     ok = ok and map_failing > 0 and (posets, maps) == (4473 + 30, 494)
     report(
         "9j",
-        f"table fact-1-1 equals the per-pair upper_iff_downset loop on {posets} posets (<= 5, 30 of 6; "
+        f"table fact-1-1 equals the per-pair Fact 1.1 loop on {posets} posets (<= 5, 30 of 6; "
         f"{runs} runs, {failing} on spoiled tables failing), table lemma-3 equals the per-pair "
-        f"check_image_filter_inclusion loop on {maps} maps between carriers <= 4 ({map_runs} runs, "
+        f"Lemma 3 loop on {maps} maps between carriers <= 4 ({map_runs} runs, "
         f"{map_failing} failing)",
         ok,
     )

@@ -45,6 +45,7 @@ def _census_built(n):
 # (way in, the operation's name in its message, build the input, call it)
 GUARDED = [
     ("build_poset", "poset", lambda: (["a", "b", "c"], [(0, 1), (1, 2)]), lambda x: build_poset(*x)),
+    ("Poset", "poset", lambda: (["a", "b", "c"], (0b001, 0b011, 0b111)), lambda x: Poset(*x)),
     ("product", "product", lambda: [two(), two()], product),
     ("boolean_power", "boolean power", lambda: 2, boolean_power),
     ("product_topology", "product topology", lambda: [topology.interval_topology(two())] * 2,
@@ -58,10 +59,6 @@ GUARDED = [
     ("super_filters", "super-filter enumeration", lambda: filters.SetFilter(chain(6), 0b111111),
      filters.super_filters),
     ("order_convergence_is_pointlike", "pointlike check", lambda: chain(6), filters.order_convergence_is_pointlike),
-    ("upper_iff_downset", "upper-bounds table", lambda: filters.SetFilter(chain(3), 1),
-     lambda f: filters.upper_iff_downset(f, 0)),
-    ("check_image_filter_inclusion", "image table", lambda: (0, 1, 2),
-     lambda m: morphisms.check_image_filter_inclusion(m, 1, 1)),
     ("all_posets", "upper-bounds table", lambda: _census_built(4), all_posets),
     ("all_lattices", "upper-bounds table", lambda: _census_built(4), all_lattices),
     ("has_breadth_at_most", "breadth check", lambda: chain(3), lambda p: has_breadth_at_most(p, 1)),
@@ -82,6 +79,14 @@ def test_every_guard_reads_the_environment(monkeypatch, what, build, call):
     monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2")
     with pytest.raises(LimitExceededError, match=f"^{re.escape(what)}: "):
         call(arg)
+
+
+def test_one_off_fact_and_lemma_queries_build_no_subset_table(monkeypatch):
+    # each answers from its own rows in O(n), so the subset cap does not apply
+    f = filters.SetFilter(chain(30), 0b110)
+    monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2")
+    assert filters.upper_iff_downset(f, 29)
+    assert morphisms.check_image_filter_inclusion(tuple(range(30)), 0b111, 0b011)
 
 
 def test_lemma_3_guards_each_domain_before_its_first_map(monkeypatch):

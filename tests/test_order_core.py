@@ -360,8 +360,9 @@ class TestValidation:
             Poset([["a"]], [1])
         with pytest.raises(MalformedInputError, match="labels must be strings"):
             build_poset([1, 2], [(0, 1)])
-        for entry in ((0, 1, 2), 5):
-            with pytest.raises(MalformedInputError, match="bad cover entry"):
+        # a cover entry is two ints, not bools: the rule the poset files follow
+        for entry in ((0, 1, 2), 5, ("x", "y"), (0.0, 1), "ab", (None, 1), (True, 1)):
+            with pytest.raises(MalformedInputError, match="^bad cover entry: "):
                 build_poset(["a", "b", "c"], [entry])
 
     def test_unknown_label(self):
