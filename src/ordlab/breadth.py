@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .limits import check_subset_elements
-from .order_core import Poset, _mask_arg
+from .order_core import Poset
 
 
 class BreadthCheck(NamedTuple):
@@ -80,7 +80,6 @@ def has_breadth_at_most(lattice: Poset, n: int) -> BreadthCheck:
 
 def is_irredundant(lattice: Poset, mask: int) -> bool:
     """No proper subset (the empty one included) has the same infimum."""
-    mask = _mask_arg(lattice, mask)
     if mask == 0:
         return True
     target = lattice.infimum_mask(mask)

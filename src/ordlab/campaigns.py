@@ -166,7 +166,7 @@ def _check_breadth_2n(n: int) -> tuple[int, Optional[dict]]:
         report.breadth == n
         and breadth_mod.is_irredundant(lattice, report.witness)
         and breadth_mod.is_irredundant(lattice, family)
-        and lattice.infimum(family) == lattice.bottom
+        and lattice.infimum_mask(family) == lattice.bottom
     ):
         return 1, None
     return 1, _poset_witness(

@@ -6,8 +6,7 @@ filter is exactly the family of supersets of one nonempty generator set,
 and the routes here take that generator mask.  On any finite poset such
 a filter converges, in order or in star, exactly when its generator is
 one point, and then to that point (:func:`limit_mask`).
-:class:`SetFilter` wraps a generator for the oracle checks, which
-materialize its ``members``.
+:class:`SetFilter` wraps a generator for the oracle checks.
 """
 
 from __future__ import annotations
@@ -36,19 +35,6 @@ class SetFilter(Record):
 
     def __post_init__(self) -> None:
         _check_generator(self.parent, self.generator)
-
-    def members(self) -> list[int]:
-        """All member sets, i.e. every superset of the generator."""
-        check_subset_elements(self.parent.n, "filter materialization")
-        free = self.parent.full_mask & ~self.generator
-        out = []
-        sub = 0
-        while True:
-            out.append(self.generator | sub)
-            if sub == free:
-                break
-            sub = (sub - free) & free
-        return out
 
 
 def limit_mask(p: Poset, gen: int) -> int:

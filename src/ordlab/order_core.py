@@ -114,7 +114,7 @@ class Poset:
         if len(self.down) != n:
             raise MalformedInputError("relation size does not match label count")
         for i, row in enumerate(self.down):
-            if not isinstance(row, int) or row < 0 or row & ~self.full_mask:
+            if not isinstance(row, int) or isinstance(row, bool) or row < 0 or row & ~self.full_mask:
                 raise MalformedInputError("relation row out of range")
             if not (row >> i) & 1:
                 raise MalformedInputError("relation is not reflexive")
@@ -169,28 +169,20 @@ class Poset:
         return True
 
     def upper_bounds_mask(self, mask: int) -> int:
-        return _bounds_mask(self.up, mask, self.full_mask)
+        """Elements above every member of the subset; the carrier when empty."""
+        return _bounds_mask(self.up, _mask_arg(self, mask), self.full_mask)
 
     def lower_bounds_mask(self, mask: int) -> int:
-        return _bounds_mask(self.down, mask, self.full_mask)
-
-    def upper_bounds(self, mask: int) -> int:
-        """Elements above every member of the subset; the carrier when empty."""
-        return self.upper_bounds_mask(_mask_arg(self, mask))
+        """Elements below every member of the subset; the carrier when empty."""
+        return _bounds_mask(self.down, _mask_arg(self, mask), self.full_mask)
 
     def infimum_mask(self, mask: int) -> Optional[int]:
+        """Largest lower bound, or None when absent.  inf(empty) is the top."""
         return _spanning_member(self.lower_bounds_mask(mask), self.down)
 
     def supremum_mask(self, mask: int) -> Optional[int]:
-        return _spanning_member(self.upper_bounds_mask(mask), self.up)
-
-    def infimum(self, mask: int) -> Optional[int]:
-        """Largest lower bound, or None when absent.  inf(empty) is the top."""
-        return self.infimum_mask(_mask_arg(self, mask))
-
-    def supremum(self, mask: int) -> Optional[int]:
         """Least upper bound, or None when absent.  sup(empty) is the bottom."""
-        return self.supremum_mask(_mask_arg(self, mask))
+        return _spanning_member(self.upper_bounds_mask(mask), self.up)
 
     def meet(self, i: int, j: int) -> Optional[int]:
         return self.infimum_mask((1 << i) | (1 << j))
@@ -239,16 +231,11 @@ class Poset:
     # -- structure ------------------------------------------------------
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j) with i strictly below j and nothing between,
-        sorted: i ascends, and j ascends through ``iter_bits``."""
-        out = []
-        for i in range(self.n):
-            strict_up = self.up[i] & ~(1 << i)
-            for j in iter_bits(strict_up):
-                between = self.down[j] & strict_up & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return out
+        """Cover pairs (i, j): the interval ``up[i] & down[j]`` is {i, j} with
+        i != j.  Sorted: i ascends, and j ascends through ``iter_bits``."""
+        up, down = self.up, self.down
+        return [(i, j) for i in range(self.n) for j in iter_bits(up[i] & ~(1 << i))
+                if up[i] & down[j] == 1 << i | 1 << j]
 
     def dual(self) -> "Poset":
         """Same carrier with the order reversed."""
@@ -397,35 +384,21 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[int, int]]) -> Pos
             raise MalformedInputError(f"duplicate cover {(i, j)}")
         edges[i, j] = None
 
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, j in edges:
-        succ[i].append(j)
-        indeg[j] += 1
-    order = [v for v in range(n) if indeg[v] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    if len(order) != n:
-        raise MalformedInputError("cycle detected in covers")
-
     down = [1 << v for v in range(n)]
-    for v in order:
-        for w in succ[v]:
-            down[w] |= down[v]
-
     for i, j in edges:
-        between = down[j] & ~down[i] & ~(1 << j)
-        if any((down[k] >> i) & 1 and k != i for k in iter_bits(between)):
+        down[j] |= 1 << i
+    for k in range(n):  # Warshall's closure on the rows
+        row, bit = down[k], 1 << k
+        down = [d | row if d & bit else d for d in down]
+    p = Poset._from_rows(labels, down)
+    if any(d & u != 1 << v for v, (d, u) in enumerate(zip(p.down, p.up))):
+        raise MalformedInputError("cycle detected in covers")
+    for i, j in edges:
+        if p.up[i] & p.down[j] != 1 << i | 1 << j:
             raise MalformedInputError(
                 f"edge {(i, j)} is implied by other covers; supply covers only, not the full relation"
             )
-    return Poset._from_rows(labels, down)
+    return p
 
 
 def _pair_table(rows: Sequence[int]) -> tuple[tuple[Optional[int], ...], ...]:

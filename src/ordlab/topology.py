@@ -13,7 +13,6 @@ is cross-checked against a brute-force oracle in the test suite.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .limits import check_product, check_subset_elements
@@ -29,7 +28,7 @@ class FiniteTopology(Record):
     """
 
     _fields = ("carrier_size", "min_nbhd")
-    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached open family
+    __slots__ = _fields
 
     def __init__(self, carrier_size: int, min_nbhd: tuple[int, ...]) -> None:
         full = (1 << carrier_size) - 1
@@ -51,10 +50,6 @@ class FiniteTopology(Record):
     def opens(self) -> tuple[int, ...]:
         """Materialize the whole open family (small carriers only)."""
         check_subset_elements(self.carrier_size, "open-family materialization")
-        return self._opens
-
-    @cached_property
-    def _opens(self) -> tuple[int, ...]:
         family = {0}
         for nb in set(self.min_nbhd):
             family |= {m | nb for m in family}

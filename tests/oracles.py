@@ -86,14 +86,10 @@ def naive_supremum(p: Poset, subset: frozenset[int]) -> Optional[int]:
     return None
 
 
-def naive_filter_members(p: Poset, generator: frozenset[int]) -> set[frozenset[int]]:
-    """All supersets of the generator, via direct enumeration."""
-    rest = [x for x in range(p.n) if x not in generator]
-    out = set()
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            out.add(generator | frozenset(extra))
-    return out
+def filter_members(f: SetFilter) -> list[int]:
+    """Every member of the filter: the generator with each subset of the rest."""
+    rest = f.parent.full_mask & ~f.generator
+    return [f.generator | sub for sub in range(rest + 1) if not sub & ~rest]
 
 
 def filter_from_base(p: Poset, base_sets: Iterable[int]) -> SetFilter:
@@ -321,14 +317,14 @@ def breadth_literal(p: Poset) -> int:
 def filter_upper_definitional(f: SetFilter) -> int:
     """Materialize every member of the filter and union its upper bounds."""
     out = 0
-    for member in f.members():
+    for member in filter_members(f):
         out |= f.parent.upper_bounds_mask(member)
     return out
 
 
 def filter_lower_definitional(f: SetFilter) -> int:
     out = 0
-    for member in f.members():
+    for member in filter_members(f):
         out |= f.parent.lower_bounds_mask(member)
     return out
 

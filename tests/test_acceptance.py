@@ -119,11 +119,11 @@ def test_criterion_2_one_zero_family_irredundant_in_16():
     lattice = boolean_power(4)
     family = coatom_family(4)
     mask = sum(1 << i for i in family)
-    ok = lattice.infimum(mask) == lattice.bottom
+    ok = lattice.infimum_mask(mask) == lattice.bottom
     proper = [c for r in range(1, 4) for c in itertools.combinations(family, r)]
     ok = ok and len(proper) == 14
     for combo in proper:
-        inf = lattice.infimum(sum(1 << i for i in combo))
+        inf = lattice.infimum_mask(sum(1 << i for i in combo))
         ok = ok and inf != lattice.bottom and lattice.leq(lattice.bottom, inf)
     report(2, "one-zero vectors in the 4-bit lattice: no proper subset reaches the bottom", ok)
 

@@ -133,7 +133,7 @@ class TestCoatoms:
         for n in range(1, 5):
             bn = boolean_power(n)
             fam = mask_of(coatom_family(n))
-            assert bn.infimum(fam) == bn.bottom
+            assert bn.infimum_mask(fam) == bn.bottom
             assert is_irredundant(bn, fam)
 
     def test_out_of_range(self):

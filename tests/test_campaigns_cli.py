@@ -54,8 +54,6 @@ GUARDED = [
      lambda t: t.opens()),
     ("topology_to_dict", "open-family materialization", lambda: topology.interval_topology(chain(3)),
      topology.topology_to_dict),
-    ("SetFilter.members", "filter materialization", lambda: filters.SetFilter(chain(3), 1),
-     lambda f: f.members()),
     ("super_filters", "super-filter enumeration", lambda: filters.SetFilter(chain(6), 0b111111),
      filters.super_filters),
     ("order_convergence_is_pointlike", "pointlike check", lambda: chain(6), filters.order_convergence_is_pointlike),

@@ -28,7 +28,7 @@ from ordlab.errors import LimitExceededError
 from ordlab.morphisms import hom_from_dict, hom_to_dict
 from ordlab.topology import from_closed_subbasis
 
-from oracles import filter_from_base, iter_monotone_maps
+from oracles import filter_from_base, filter_members, iter_monotone_maps
 
 
 def collapse_hom():
@@ -195,7 +195,7 @@ class TestImageFilter:
                 for gen in range(1, L.full_mask + 1):
                     f = SetFilter(L, gen)
                     base = []
-                    for member in f.members():
+                    for member in filter_members(f):
                         img = 0
                         for i in range(L.n):
                             if (member >> i) & 1:

@@ -1,8 +1,9 @@
 import itertools
+import re
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ordlab import (
     MalformedInputError,
@@ -60,21 +61,32 @@ class TestBuildPoset:
         with pytest.raises(MalformedInputError, match="implied"):
             build_poset(["0", "1", "2"], [(0, 1), (1, 2), (0, 2)])
 
+    @settings(max_examples=200)  # enough draws to meet a path through the last index
     @given(st.integers(1, 6), st.data())
     def test_closure_matches_naive_oracle(self, n, data):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # any edges i != j, so cycles and implied edges occur too
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         closure = naive_transitive_closure(n, edges)
-        # reduce to covers so the input is accepted
+        labels = [str(i) for i in range(n)]
+        if any((j, i) in closure for i, j in closure if i != j):
+            with pytest.raises(MalformedInputError, match="^cycle detected in covers$"):
+                build_poset(labels, edges)
+            return
         covers = [
             (i, j)
             for (i, j) in closure
             if i != j
             and not any(k != i and k != j and (i, k) in closure and (k, j) in closure for k in range(n))
         ]
-        p = build_poset([str(i) for i in range(n)], covers)
-        got = {(i, j) for i in range(n) for j in range(n) if p.leq(i, j)}
-        assert got == closure
+        implied = [edge for edge in edges if edge not in covers]
+        if implied:
+            message = re.escape(f"edge {implied[0]} is implied by other covers")
+            with pytest.raises(MalformedInputError, match="^" + message):
+                build_poset(labels, edges)
+        # the covers of the closure are accepted, and give the closure back
+        p = build_poset(labels, covers)
+        assert {(i, j) for i in range(n) for j in range(n) if p.leq(i, j)} == closure
 
 
 class TestDownSetsAndBounds:
@@ -101,18 +113,20 @@ class TestDownSetsAndBounds:
     def test_upper_bounds_examples(self):
         b2 = boolean_power(2)
         atoms = b2.mask_of_labels(["01", "10"])
-        assert b2.labels_of(b2.upper_bounds(atoms)) == ["11"]
-        assert b2.upper_bounds(0) == b2.full_mask
+        assert b2.labels_of(b2.upper_bounds_mask(atoms)) == ["11"]
+        assert b2.upper_bounds_mask(0) == b2.full_mask
         assert b2.lower_bounds_mask(0) == b2.full_mask
         c = chain(3)
-        assert c.upper_bounds(0b101) == 0b100
+        assert c.upper_bounds_mask(0b101) == 0b100
 
     def test_masks_out_of_range_rejected(self):
         p = m3()
-        for method in (p.is_down_set, p.upper_bounds, p.infimum, p.supremum):
+        for method in (p.is_down_set, p.upper_bounds_mask, p.lower_bounds_mask, p.infimum_mask, p.supremum_mask):
             for mask in (-1, 1 << p.n):
                 with pytest.raises(ValueError, match="out of range"):
                     method(mask)
+        with pytest.raises(ValueError, match="out of range"):
+            p.meet(0, p.n)
 
     def test_labels_of_and_mask_of_labels(self):
         p = m3()
@@ -133,30 +147,30 @@ class TestDownSetsAndBounds:
         p = random_poset(size, Random(seed))
         for mask in subsets_of(p):
             s = frozenset(i for i in range(size) if (mask >> i) & 1)
-            assert p.infimum(mask) == naive_infimum(p, s)
-            assert p.supremum(mask) == naive_supremum(p, s)
+            assert p.infimum_mask(mask) == naive_infimum(p, s)
+            assert p.supremum_mask(mask) == naive_supremum(p, s)
 
 
 class TestInfimum:
     def test_coatom_family_meets_to_bottom(self):
         b3 = boolean_power(3)
         fam = b3.mask_of_labels(["011", "101", "110"])
-        assert b3.infimum(fam) == b3.bottom
+        assert b3.infimum_mask(fam) == b3.bottom
 
     def test_empty_set_conventions(self):
         for p in (chain(4), boolean_power(2), m3()):
-            assert p.infimum(0) == p.top
-            assert p.supremum(0) == p.bottom
+            assert p.infimum_mask(0) == p.top
+            assert p.supremum_mask(0) == p.bottom
 
     def test_antichain_has_no_infimum(self):
         p = build_poset(["x", "y"], [])
-        assert p.infimum(0b11) is None
-        assert p.infimum(0) is None  # no top either
+        assert p.infimum_mask(0b11) is None
+        assert p.infimum_mask(0) is None  # no top either
 
     def test_infimum_is_greatest_lower_bound(self):
         for p in [q for _, q in library_posets(8)] + seeded_posets(20, range(1, 7), seed=3):
             for mask in subsets_of(p):
-                inf = p.infimum(mask)
+                inf = p.infimum_mask(mask)
                 if inf is None:
                     continue
                 lb = p.lower_bounds_mask(mask)
@@ -351,6 +365,8 @@ class TestValidation:
             Poset(["a", "b"], (0b01, 0b110))
         with pytest.raises(MalformedInputError, match="out of range"):
             Poset(["a", "b"], (-1, 0b10))
+        with pytest.raises(MalformedInputError, match="out of range"):
+            Poset(["a", "b"], (True, 0b11))
 
     def test_bad_labels_and_covers_rejected(self):
         from ordlab.order_core import Poset
