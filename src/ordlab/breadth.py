@@ -34,7 +34,7 @@ class BreadthReport(NamedTuple):
 
 
 def _require_complete_lattice(lattice: Poset) -> None:
-    if not lattice.certificate.is_complete:
+    if not lattice.certificate.is_lattice:
         raise ValueError("breadth is defined on complete lattices")
 
 

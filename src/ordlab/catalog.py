@@ -295,7 +295,7 @@ def _random_distributive_lattice(size: int, rng: Random) -> Optional[Poset]:
     lattice, kept when it has the requested number of elements."""
     base_size = rng.randint(2, 6)
     base = random_poset(base_size, rng)
-    down_sets = [m for m in range(base.full_mask + 1) if base.is_down_set(m)]
+    down_sets = [m for m, c in enumerate(subset_union_table(base.down)) if c == m]
     count = rng.randint(1, len(down_sets))
     family = set(rng.sample(down_sets, count))
     while True:

@@ -52,11 +52,11 @@ def _read_json(path: str) -> object:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, over-long ints, deep nesting
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -81,13 +81,13 @@ def _cmd_check(args) -> int:
     doc = {
         "carrier": p.n,
         "is_lattice": cert.is_lattice,
-        "is_complete": cert.is_complete,
+        "is_complete": cert.is_lattice,  # a finite lattice is complete
         "is_distributive": cert.is_distributive,
         "variant_distributive_identity": (
             variant_distributive_identity_holds(p) if cert.is_lattice else None
         ),
-        "bottom": _label(p, cert.bottom),
-        "top": _label(p, cert.top),
+        "bottom": _label(p, p.bottom),
+        "top": _label(p, p.top),
     }
     _emit(doc)
     return EXIT_OK
@@ -95,7 +95,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_breadth(args) -> int:
     p = _resolve_poset(args.poset)
-    if not p.certificate.is_complete:
+    if not p.certificate.is_lattice:
         raise MalformedInputError("breadth is defined on complete lattices")
     report = breadth_mod.compute_breadth(p)
     _emit({"breadth": report.breadth, "witness": p.labels_of(report.witness)})
@@ -193,7 +193,7 @@ def _cmd_converge(args) -> int:
     if not labels:
         raise MalformedInputError("empty generator")
     gen = p.mask_of_labels(labels)
-    if not p.certificate.is_complete:
+    if not p.certificate.is_lattice:
         sys.stderr.write(
             "warning: poset is not a complete lattice; convergence is false wherever a bound is missing\n"
         )

@@ -12,13 +12,12 @@ definition.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from . import filters
 from .errors import MalformedInputError
 from .limits import check_maps
-from .order_core import Poset, Record, iter_bits, poset_to_dict
+from .order_core import Poset, _transpose, iter_bits, mask_of, poset_to_dict
 
 if TYPE_CHECKING:  # for is_continuous's annotation: the convergence campaigns load no topology
     from .topology import FiniteTopology
@@ -34,38 +33,13 @@ class Classification(enum.IntEnum):
         return self.name.lower().replace("_", "-")
 
 
-class LatticeHom(Record):
+class LatticeHom(NamedTuple):
     """A total map between two lattices with its computed classification."""
 
-    _fields = ("domain", "codomain", "mapping", "classification")
-    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached tables
-
-    def __init__(
-        self, domain: Poset, codomain: Poset, mapping: tuple[int, ...], classification: Classification
-    ) -> None:
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "mapping", mapping)
-        object.__setattr__(self, "classification", classification)
-
-    @cached_property
-    def bound_preimages(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(above, below)``: ``above[x]`` is the preimage of the up-set of x
-        and ``below[y]`` that of the down-set of y, both ORs of fibres."""
-        cod = self.codomain
-        above, below, fibers = [0] * cod.n, [0] * cod.n, [0] * cod.n
-        for i, v in enumerate(self.mapping):
-            fibers[v] |= 1 << i
-        for v, fiber in enumerate(fibers):
-            if not fiber:
-                continue
-            for rows, out in ((cod.down, above), (cod.up, below)):
-                rest = rows[v]
-                while rest:
-                    low = rest & -rest
-                    out[low.bit_length() - 1] |= fiber
-                    rest ^= low
-        return tuple(above), tuple(below)
+    domain: Poset
+    codomain: Poset
+    mapping: tuple[int, ...]
+    classification: Classification
 
 
 def _maps_rows_into(mapping: Sequence[int], dom_rows: Sequence[int], cod_rows: Sequence[int]) -> bool:
@@ -201,11 +175,11 @@ def preimage_interval_analysis(h: LatticeHom, x: int, y: int) -> PreimageInterva
     For a nonempty preimage, low/high are its infimum and supremum in the
     domain; the preimage is an interval exactly when it equals [low, high].
     """
-    dom = h.domain
-    if not h.codomain.leq(x, y):
+    dom, cod = h.domain, h.codomain
+    if not cod.leq(x, y):
         raise ValueError("need x <= y in the codomain")
-    above, below = h.bound_preimages
-    pre = above[x] & below[y]
+    box = cod.up[x] & cod.down[y]
+    pre = mask_of(i for i, v in enumerate(h.mapping) if (box >> v) & 1)
     kind, low, high, missing = "empty", None, None, None
     if pre:
         kind = "non_interval"
@@ -236,7 +210,8 @@ def preimage_scan(h: LatticeHom, *, principal_only: bool = False) -> PreimageSca
     interval [x, y].  Both views are reported by the CLI.
 
     Each interval costs one AND, f^{-1}([x, y]) = f^{-1}(up x) ∩
-    f^{-1}(down y) from :attr:`LatticeHom.bound_preimages`, and a nonempty
+    f^{-1}(down y), from two transposes: ``above[x]`` holds the i with
+    x <= f(i) and ``below[y]`` those with f(i) <= y.  A nonempty
     preimage is an interval exactly when it is one of the domain's
     ``interval_masks``.  The report is built only for a failing interval.
     """
@@ -248,7 +223,7 @@ def preimage_scan(h: LatticeHom, *, principal_only: bool = False) -> PreimageSca
         pairs = [(bot, x) for x in range(cod.n)] + [(x, top) for x in range(cod.n)]
     else:
         pairs = cod.interval_pairs
-    above, below = h.bound_preimages
+    above, below = (_transpose([rows[v] for v in h.mapping], cod.n) for rows in (cod.down, cod.up))
     intervals = h.domain.interval_masks
     for checked, (x, y) in enumerate(pairs, 1):
         pre = above[x] & below[y]

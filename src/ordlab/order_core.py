@@ -91,7 +91,7 @@ class Poset:
         # before ``up`` is derived, so short or out-of-range rows are
         # reported as malformed input rather than raising IndexError
         self._validate()
-        self.up: tuple[int, ...] = _transpose(self.down)
+        self.up: tuple[int, ...] = _transpose(self.down, self.n)
 
     @classmethod
     def _from_rows(
@@ -105,7 +105,7 @@ class Poset:
         p.n = len(p.labels)
         p.down = tuple(down)
         p.full_mask = (1 << p.n) - 1
-        p.up = _transpose(p.down) if up is None else tuple(up)
+        p.up = _transpose(p.down, p.n) if up is None else tuple(up)
         return p
 
     def _validate(self) -> None:
@@ -221,12 +221,7 @@ class Poset:
         """The lattice certificate, built on first access; its ``is_lattice``
         is :func:`_is_lattice` on the rows."""
         is_lattice = _is_lattice(self.down, self.up)
-        # On a finite carrier a lattice with bottom and top has all infima and
-        # suprema; the test suite checks the equivalence against the literal
-        # all-subsets definition.
-        is_complete = is_lattice
-        is_distributive = is_lattice and _is_distributive(self.down, self.join_table)
-        return LatticeCert(self, is_lattice, is_complete, is_distributive, self.bottom, self.top)
+        return LatticeCert(is_lattice, is_lattice and _is_distributive(self.down, self.join_table))
 
     # -- structure ------------------------------------------------------
 
@@ -279,16 +274,17 @@ def _is_distributive(down: Sequence[int], join: Sequence[Sequence[int]]) -> bool
     return all(not irr & down[join[a][b]] & ~(down[a] | down[b]) for a in range(n) for b in range(a + 1, n))
 
 
-def _transpose(down: tuple[int, ...]) -> tuple[int, ...]:
-    """The ``up`` rows of the order whose ``down`` rows are given."""
-    up = [0] * len(down)
-    for j, row in enumerate(down):
+def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The ``width`` columns of the bit matrix ``rows``: column x holds the j
+    whose row holds x, as the ``up`` rows of an order do of its ``down`` rows."""
+    cols = [0] * width
+    for j, row in enumerate(rows):
         bit = 1 << j
         while row:
             low = row & -row
-            up[low.bit_length() - 1] |= bit
+            cols[low.bit_length() - 1] |= bit
             row ^= low
-    return tuple(up)
+    return tuple(cols)
 
 
 def _mask_arg(parent: Poset, mask: int) -> int:
@@ -299,15 +295,15 @@ def _mask_arg(parent: Poset, mask: int) -> int:
 
 
 class Record:
-    """Base of the immutable value classes that validate their fields or
-    cache derived tables.
+    """Base of the immutable value classes that validate their fields in
+    ``__init__``: ``SetFilter``, ``FiniteTopology`` and ``CampaignSpec``.
 
-    A subclass lists its fields in ``_fields`` (its ``__slots__``, plus
-    ``__dict__`` when it has cached properties) and sets them in
-    ``__init__`` through ``object.__setattr__``; afterwards assigning or
+    A subclass lists its fields in ``_fields``, which are its ``__slots__``,
+    and sets them through ``object.__setattr__``; afterwards assigning or
     deleting an attribute raises :class:`AttributeError`.  Equality and
     the hash are by the fields, between instances of the same class.
-    Plain records are :class:`typing.NamedTuple` classes instead.
+    Plain records, which validate nothing, are :class:`typing.NamedTuple`
+    classes instead.
     """
 
     __slots__ = ()
@@ -339,14 +335,13 @@ class Record:
 
 
 class LatticeCert(NamedTuple):
-    """Result of certifying a poset's lattice structure."""
+    """Result of certifying a poset's lattice structure.  A finite lattice is
+    complete: its bottom and top are the infimum and supremum of the empty
+    set, and every nonempty subset has both by iterated meets and joins (the
+    test suite checks this against the literal all-subsets definition)."""
 
-    poset: Poset
     is_lattice: bool
-    is_complete: bool
     is_distributive: bool
-    bottom: Optional[int]
-    top: Optional[int]
 
 
 def _check_labels(labels: Sequence[str]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .limits import check_product, check_subset_elements
-from .order_core import Poset, Record, _box_rows, iter_bits
+from .order_core import Poset, Record, _box_rows, iter_bits, subset_union_table
 
 
 class FiniteTopology(Record):
@@ -50,10 +50,8 @@ class FiniteTopology(Record):
     def opens(self) -> tuple[int, ...]:
         """Materialize the whole open family (small carriers only)."""
         check_subset_elements(self.carrier_size, "open-family materialization")
-        family = {0}
-        for nb in set(self.min_nbhd):
-            family |= {m | nb for m in family}
-        return tuple(sorted(family))
+        # m is open exactly when the union of its points' neighbourhoods is m
+        return tuple(m for m, c in enumerate(subset_union_table(self.min_nbhd)) if c == m)
 
     def closed_family(self) -> tuple[int, ...]:
         full = self.full_mask

@@ -575,7 +575,8 @@ GATES = (
         (4473, 139062, 494, True),
         "subset tables (upper bounds, down/up closures) equal per-mask definitions on {0} posets <= 5 ({1} masks), "
         "enumerated up rows are the transposes, image tables agree on {2} maps between carriers <= 4",
-        campaigns={"subset_intersection_table": ("fact-1-1",), "subset_union_table": ("fact-1-1", "lemma-3"),
+        campaigns={"subset_intersection_table": ("fact-1-1",),
+                   "subset_union_table": ("fact-1-1", "lemma-3", *HOM_CAMPAIGNS),
                    "_image_table": ("lemma-3",),
                    "_transpose": ("fact-1-1", "hausdorff", "lemma-3", "product-lemma", *HOM_CAMPAIGNS)},
     ),

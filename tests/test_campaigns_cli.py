@@ -173,6 +173,50 @@ def test_converge_outputs_are_pinned(capsys):
     assert (calls, digest.hexdigest()) == (CONVERGE_CALLS, CONVERGE_SHA256)
 
 
+def _check_calls():
+    """``ordlab check`` on every library poset and on a 2-antichain read on
+    stdin, which is no lattice and has neither bottom nor top."""
+    for name in catalog.poset_names():
+        yield None, ["check", name]
+    yield json.dumps({"labels": ["x", "y"], "covers": []}), ["check", "-"]
+
+
+# exit codes, stdout and stderr of the calls above, recorded while the
+# certificate still stored its poset, bottom and top
+CHECK_CALLS, CHECK_SHA256 = 23, "59d8b7973c8f719997f0881838fdec3c8aa4e3d36be88be75ca9ea7150dcd3a1"
+
+
+def test_check_outputs_are_pinned(monkeypatch, capsys):
+    digest, calls = hashlib.sha256(), 0
+    for stdin, args in _check_calls():
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([args, code, out, err]).encode())
+        calls += 1
+    assert (calls, digest.hexdigest()) == (CHECK_CALLS, CHECK_SHA256)
+
+
+# input the JSON reader must report as malformed, not end in a traceback
+UNREADABLE = {
+    "not-utf-8": b'\xff\xfe{"labels": ["a"], "covers": []}',
+    "too-deep": b"[" * 200_000 + b"]" * 200_000,
+    "long-int": b'{"labels": ["a"], "covers": [], "n": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["check FILE", "check -", "hom FILE"])
+@pytest.mark.parametrize("data", list(UNREADABLE.values()), ids=list(UNREADABLE))
+def test_unreadable_json_exits_2(tmp_path, monkeypatch, capsys, command, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code = cli.main([arg.replace("FILE", str(path)) for arg in command.split()])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_converge_names_every_single_label(monkeypatch, capsys):
     # product labels hold commas, as in (0,1): each must name its point,
     # on every library poset and on a product of a product read on stdin

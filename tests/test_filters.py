@@ -7,7 +7,6 @@ from ordlab import (
     chain,
     limit_mask,
     m3,
-    n5,
     order_converges,
     star_converges,
     super_filters,

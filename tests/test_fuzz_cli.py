@@ -1,7 +1,7 @@
 """Random input through the ways in: ``cli.main``, run in process on
-random JSON documents on stdin, random ``converge --generator`` strings and
-random ``ORDLAB_MAX_ELEMENTS`` values, may end only in exit 0, 2 (malformed
-input) or 3 (limit exceeded).  Any other exit, or an exception escaping
+random JSON documents on stdin, random bytes in a poset file, random
+``converge --generator`` strings and random ``ORDLAB_MAX_ELEMENTS`` values,
+may end only in exit 0, 2 (malformed input) or 3 (limit exceeded).  Any other exit, or an exception escaping
 ``main``, is a defect."""
 
 import contextlib
@@ -9,6 +9,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from unittest import mock
 
 from hypothesis import given
@@ -63,6 +64,15 @@ def test_hom_documents_on_stdin(doc):
 @given(st.text(max_size=12))
 def test_text_on_stdin(text):
     assert _exit_code(["check", "-"], text) in ALLOWED
+
+
+@given(st.binary(max_size=64))
+def test_bytes_in_a_poset_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poset.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert _exit_code(["check", path]) in ALLOWED
 
 
 @given(

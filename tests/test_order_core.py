@@ -199,22 +199,22 @@ class TestCertify:
     def test_boolean_powers(self):
         for n in range(1, 5):
             cert = boolean_power(n).certificate
-            assert cert.is_lattice and cert.is_complete and cert.is_distributive
+            assert cert.is_lattice and cert.is_distributive
 
     def test_m3_not_distributive(self):
         cert = m3().certificate
-        assert cert.is_lattice and cert.is_complete and not cert.is_distributive
+        assert cert.is_lattice and not cert.is_distributive
 
     def test_antichain_not_lattice(self):
         cert = build_poset(["x", "y"], []).certificate
-        assert not cert.is_lattice and not cert.is_complete
+        assert not cert.is_lattice
 
     def test_completeness_shortcut_matches_literal(self):
         pool = list(all_posets_up_to(4))
         pool += [q for _, q in library_posets(6)]
         pool += seeded_posets(60, range(5, 7), seed=17)
         for p in pool:
-            assert p.certificate.is_complete == is_complete_literal(p)
+            assert p.certificate.is_lattice == is_complete_literal(p)
 
     def test_early_exit_without_bottom(self):
         p = random_poset(64, Random(5))
