@@ -12,7 +12,6 @@ poset on n <= 8 points into a :class:`PosetFamily` of packed int codes;
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator, Optional
@@ -23,12 +22,11 @@ from .order_core import (
     LIBRARY_NAMES,
     Poset,
     _pairs_have_joins,
+    _row_unions,
     are_order_isomorphic,
     boolean_power,
     build_poset,
     product,
-    subset_intersection_table,
-    subset_union_table,
 )
 
 
@@ -152,15 +150,15 @@ def all_posets(n: int) -> PosetFamily:
     n-1 elements, so extending every smaller poset by a fresh element z
     (choosing the down-set below z and an up-set above it, compatible
     with transitivity) enumerates each labeled poset exactly once.  Both
-    choices are read off one table of the smaller poset's up-sets, as each
-    down-set is the complement of an up-set.  The families are cached per
-    size; the guards run on every call.
+    choices are read off the smaller poset's down-sets with their upper
+    bounds, as each up-set is the complement of a down-set.  The families
+    are cached per size; the guards run on every call.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > 8:
         raise LimitExceededError(f"all_posets: {n} points exceeds limit 8 (one byte per order row)")
-    check_subset_elements(n - 1, "upper-bounds table")  # the extension's subset tables are on n-1 rows
+    check_subset_elements(n - 1, "upper-bounds table")  # the extension bounds every down-set of n-1 rows
     return _extend_posets(n)
 
 
@@ -170,16 +168,13 @@ def _extend_posets(n: int) -> PosetFamily:
 
     Output order: the smaller posets in their census order, then the
     down-sets d below z ascending, then the up-sets u above z ascending.
-    One subset table of the base gives both: the down-sets are exactly
-    the complements of its up-sets, so walking the up-sets in descending
-    order yields the down-sets ascending.  The up-set u must lie in
-    ``allowed``, an up-set, and every subset of it is numerically at most
-    ``allowed``, so only the up-sets up to ``allowed`` (a prefix of the
-    ascending list) are tested.
+    The base's down-sets come with their upper bounds from one walk over
+    its rows, and its up-sets are their complements, so the down-sets in
+    descending order give the up-sets ascending.
     """
     m, z_bit = n - 1, 1 << (n - 1)
     full = z_bit - 1  # the base's carrier
-    # the bits z adds to a code below the up-set u and above the down-set d
+    # the bits z adds to a code below the up-set u and above the down-set d (any mask is both on an antichain)
     above, below = [z_bit << 8 * (2 * n - 1)], [z_bit << 8 * m]
     for i in range(m):
         above += [g | z_bit << 8 * i | 1 << 8 * (2 * n - 1) + i for g in above]
@@ -189,14 +184,13 @@ def _extend_posets(n: int) -> PosetFamily:
     for code in bases.codes:
         down, up = bases.rows(code)
         head = int.from_bytes(down + b"\0" + up, "little")  # the old rows at their new places
-        upper_bounds = subset_intersection_table(up, full)
-        up_sets = [u for u, c in enumerate(subset_union_table(up)) if c == u]
-        for outside in reversed(up_sets):
-            d = full ^ outside
+        bounds = _row_unions(down, up, full)
+        down_sets = sorted(bounds)
+        up_sets = [full ^ d for d in reversed(down_sets)]
+        for d in down_sets:
             # everything above the new element must be above all of d
-            allowed, head_d = upper_bounds[d] & outside, head | below[d]
-            scan = up_sets[: bisect_right(up_sets, allowed)]
-            out += [head_d | above[u] for u in scan if not u & ~allowed]
+            allowed, head_d = bounds[d] & ~d, head | below[d]
+            out += [head_d | above[u] for u in up_sets if not u & ~allowed]
     return PosetFamily(n, tuple(out))
 
 
@@ -295,7 +289,7 @@ def _random_distributive_lattice(size: int, rng: Random) -> Optional[Poset]:
     lattice, kept when it has the requested number of elements."""
     base_size = rng.randint(2, 6)
     base = random_poset(base_size, rng)
-    down_sets = [m for m, c in enumerate(subset_union_table(base.down)) if c == m]
+    down_sets = sorted(_row_unions(base.down, base.up, base.full_mask))
     count = rng.randint(1, len(down_sets))
     family = set(rng.sample(down_sets, count))
     while True:

@@ -36,23 +36,11 @@ def mask_of(indices: Iterable[int]) -> int:
     return out
 
 
-def subset_union_table(rows: Sequence[int]) -> list[int]:
-    """``table[m]`` is the OR of ``rows[i]`` over the bits i of m, for
-    every mask m below 2^len(rows).
-
-    One increasing pass over the masks: the masks whose top bit is i are
-    the 2^i masks before them, each with ``rows[i]`` added.  The table has
-    2^n entries, so callers hold n to the subset-enumeration limit.
-    """
-    table = [0]
-    for row in rows:
-        table += [t | row for t in table]
-    return table
-
-
 def subset_intersection_table(rows: Sequence[int], full: int) -> list[int]:
-    """``table[m]`` is the AND of ``rows[i]`` over the bits i of m, and
-    ``full`` for the empty mask; built like :func:`subset_union_table`."""
+    """``table[m]`` is the AND of ``rows[i]`` over the bits i of m (``full``
+    for 0), for every mask m, in one increasing pass: the masks with top bit
+    i are the 2^i before them, each with ``rows[i]`` added.  2^n entries, so
+    callers hold n to the subset-enumeration limit."""
     table = [full]
     for row in rows:
         table += [t & row for t in table]
@@ -61,9 +49,25 @@ def subset_intersection_table(rows: Sequence[int], full: int) -> list[int]:
 
 def _image_table(mapping: Sequence[int]) -> list[int]:
     """``table[m]`` is the image of the domain subset m under ``mapping``
-    (domain index -> codomain index), for every mask m; unguarded, so the
-    caller holds ``len(mapping)`` to the subset-enumeration limit."""
-    return subset_union_table([1 << v for v in mapping])
+    (domain index -> codomain index), for every mask m; built and
+    unguarded like :func:`subset_intersection_table`."""
+    table = [0]
+    for bit in [1 << v for v in mapping]:
+        table += [t | bit for t in table]
+    return table
+
+
+def _row_unions(rows: Sequence[int], tags: Sequence[int], full: int) -> dict[int, int]:
+    """Every union of ``rows`` (0 included) mapped to the AND of the ``tags``
+    of the rows it took (``full`` for 0), grown one row at a time, so the
+    cost follows the family and not 2^len(rows).  On ``down`` rows tagged
+    with ``up`` rows: every down-set with its upper bounds, whichever rows
+    reached it, as they include its maximal members."""
+    unions = {0: full}
+    for row, tag in zip(rows, tags):
+        for seen, bound in list(unions.items()):
+            unions.setdefault(seen | row, bound & tag)
+    return unions
 
 
 def _downset_member_table(p: Poset) -> list[int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .limits import check_product, check_subset_elements
-from .order_core import Poset, Record, _box_rows, iter_bits, subset_union_table
+from .order_core import Poset, Record, _box_rows, _row_unions, iter_bits
 
 
 class FiniteTopology(Record):
@@ -50,8 +50,8 @@ class FiniteTopology(Record):
     def opens(self) -> tuple[int, ...]:
         """Materialize the whole open family (small carriers only)."""
         check_subset_elements(self.carrier_size, "open-family materialization")
-        # m is open exactly when the union of its points' neighbourhoods is m
-        return tuple(m for m, c in enumerate(subset_union_table(self.min_nbhd)) if c == m)
+        # the opens are the unions of minimal neighbourhoods; the bounds go unread
+        return tuple(sorted(_row_unions(self.min_nbhd, self.min_nbhd, 0)))
 
     def closed_family(self) -> tuple[int, ...]:
         full = self.full_mask

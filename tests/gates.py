@@ -288,15 +288,11 @@ _CLOSED_FORM = "return 0 if gen & (gen - 1) else gen"
 
 
 def _subset_table_cases():
-    """Every poset <= 5 with its upper-bound, down-closure and up-closure
-    tables, and every map between carriers <= 4 with its image table, by
-    the per-mask definitions."""
-    naive = (oracles.naive_upper_bounds, oracles.naive_down_closure, oracles.naive_up_closure)
+    """Every poset <= 5 with its upper-bounds table, and every map between
+    carriers <= 4 with its image table, by the per-mask definitions."""
     sets = [members_of(m) for m in range(1 << 5)]
-    posets = [
-        (p, (True, *([mask_from(table(p, s)) for s in sets[: p.full_mask + 1]] for table in naive)))
-        for p in all_posets_up_to(5)
-    ]
+    posets = [(p, (True, [mask_from(oracles.naive_upper_bounds(p, s)) for s in sets[: p.full_mask + 1]]))
+              for p in all_posets_up_to(5)]
     maps = [
         (m, [mask_from(oracles.naive_image(m, members_of(s))) for s in range(1 << a)])
         for a, b in itertools.product(range(1, 5), repeat=2) for m in itertools.product(range(b), repeat=a)
@@ -307,8 +303,28 @@ def _subset_table_cases():
 def _subset_tables(p: Poset) -> tuple:
     # the enumeration hands over its up rows; they must be the transpose
     p._validate()
-    tables = core_mod.subset_intersection_table(p.up, p.full_mask), *map(core_mod.subset_union_table, (p.down, p.up))
-    return core_mod.Poset(p.labels, p.down).up == p.up, *tables
+    return core_mod.Poset(p.labels, p.down).up == p.up, core_mod.subset_intersection_table(p.up, p.full_mask)
+
+
+def _row_union_cases():
+    """Every poset <= 5 and 200 seeded random posets on 6-10 points, each
+    with its down-sets mapped to their upper bounds, by the per-mask
+    definitions; and the interval, lower and upper topologies of the poset
+    classes <= 4 with the open family of brute-force generation."""
+    rng = Random(16)
+    posets = [*all_posets_up_to(5), *(random_poset(rng.randint(6, 10), rng) for _ in range(200))]
+    down_sets = [
+        (p, {m: mask_from(oracles.naive_upper_bounds(p, members_of(m))) for m in range(p.full_mask + 1)
+             if mask_from(oracles.naive_down_closure(p, members_of(m))) == m})
+        for p in posets
+    ]
+    topologies = [
+        (make(p), oracles.brute_force_closed_generation(p.n, closed))
+        for p in catalog_mod.iso_representatives(all_posets_up_to(4))
+        for make, closed in ((topo_mod.interval_topology, p.down + p.up), (topo_mod.lower_topology, p.down),
+                             (topo_mod.upper_topology, p.up))
+    ]
+    return down_sets, topologies
 
 
 def _pruned_search(pool) -> tuple:
@@ -567,16 +583,14 @@ GATES = (
         campaigns={"limit_mask": ("lemma-2", "star-preservation")},
     ),
     Gate("9g", "test_criterion_9g_gate_subset_tables", core_mod,
-        ("subset_intersection_table", "subset_union_table", "_image_table", "_transpose"),
-        ("naive_upper_bounds", "naive_down_closure", "naive_up_closure", "naive_image"),
+        ("subset_intersection_table", "_image_table", "_transpose"), ("naive_upper_bounds", "naive_image"),
         _subset_table_cases,
         lambda cases: (len(cases[0]), sum(1 << p.n for p, _ in cases[0]), len(cases[1]),
                        agree(_subset_tables, cases[0]) and agree(core_mod._image_table, cases[1])),
         (4473, 139062, 494, True),
-        "subset tables (upper bounds, down/up closures) equal per-mask definitions on {0} posets <= 5 ({1} masks), "
-        "enumerated up rows are the transposes, image tables agree on {2} maps between carriers <= 4",
+        "upper-bounds tables equal the per-mask definition on {0} posets <= 5 ({1} masks), enumerated up rows are "
+        "the transposes, image tables agree on {2} maps between carriers <= 4",
         campaigns={"subset_intersection_table": ("fact-1-1",),
-                   "subset_union_table": ("fact-1-1", "lemma-3", *HOM_CAMPAIGNS),
                    "_image_table": ("lemma-3",),
                    "_transpose": ("fact-1-1", "hausdorff", "lemma-3", "product-lemma", *HOM_CAMPAIGNS)},
     ),
@@ -700,12 +714,34 @@ GATES = (
             ("code is the sorted profile", "_normal_code", "return tuple(code)", "return tuple(sorted(profile))"),
             ("no confirm on a miss", "iso_representatives",
              "if not any(are_order_isomorphic(p, q) for q in kept):", "if True:"),
-            ("bisect_left in the extension", "_extend_posets", "bisect_right(up_sets, allowed)",
-             "__import__('bisect').bisect_left(up_sets, allowed)"),
-            # the same posets in another order: only the rows digest sees it
-            ("down-sets in up-set order", "_extend_posets", "reversed(up_sets)", "up_sets"),
-            ("allowed keeps d", "_extend_posets", "upper_bounds[d] & outside", "upper_bounds[d]"),
+            # the same posets in other orders: only the rows digest sees them
+            ("down-sets walked in descending order", "_extend_posets", "for d in down_sets:",
+             "for d in reversed(down_sets):"),
+            ("up-sets listed in down-set order", "_extend_posets", "for d in reversed(down_sets)]",
+             "for d in down_sets]"),
+            ("allowed keeps d", "_extend_posets", "bounds[d] & ~d", "bounds[d]"),
         ),
         campaigns={"all_posets": ("fact-1-1",), "_extend_posets": ("fact-1-1",)},
+    ),
+    Gate("9p", "test_criterion_9p_gate_row_unions", core_mod, ("_row_unions", "topology.FiniteTopology.opens"),
+        ("naive_down_closure", "naive_upper_bounds", "brute_force_closed_generation"),
+        _row_union_cases,
+        lambda cases: (len(cases[0]), sum(len(bounds) for _, bounds in cases[0]), len(cases[1]),
+                       agree(lambda p: core_mod._row_unions(p.down, p.up, p.full_mask), cases[0]),
+                       agree(topo_mod.FiniteTopology.opens, cases[1])),
+        (4673, 55501, 72, True, True),
+        "the walk over the down rows gives every down-set with its upper bounds, as the per-mask definitions do, on "
+        "{0} posets (every poset <= 5, seeded random on 6-10; {1} down-sets), and the open families of {2} interval, "
+        "lower and upper topologies (poset classes <= 4) equal brute-force generation",
+        mutants=(
+            ("the last row never joined", "_row_unions", "zip(rows, tags)", "zip(rows[:-1], tags)"),
+            ("the new row's tag not ANDed", "_row_unions", "bound & tag", "bound"),
+            ("the empty union bounded by 0", "_row_unions", "unions = {0: full}", "unions = {0: 0}"),
+        ),
+        # every union reached again gets the bounds it has: those of a
+        # down-set whichever points reached it, and opens read none
+        equivalent=(("the last route's bounds kept", "_row_unions", "unions.setdefault(seen | row, bound & tag)",
+                     "unions[seen | row] = bound & tag"),),
+        campaigns={"_row_unions": ("fact-1-1", *HOM_CAMPAIGNS)},
     ),
 )

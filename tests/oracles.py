@@ -62,10 +62,6 @@ def naive_down_closure(p: Poset, subset: frozenset[int]) -> frozenset[int]:
     return frozenset(x for x in range(p.n) if any(p.leq(x, s) for s in subset))
 
 
-def naive_up_closure(p: Poset, subset: frozenset[int]) -> frozenset[int]:
-    return frozenset(x for x in range(p.n) if any(p.leq(s, x) for s in subset))
-
-
 def naive_image(mapping: tuple[int, ...], subset: frozenset[int]) -> frozenset[int]:
     return frozenset(mapping[i] for i in subset)
 
@@ -135,30 +131,18 @@ def all_filter_families(carrier: int) -> list[set[int]]:
 
 
 def brute_force_closed_generation(carrier: int, closed_sets: list[int]) -> tuple[int, ...]:
-    """Coarsest topology with the listed sets closed, by intersecting
-    every valid open family on the carrier.  carrier <= 4 only."""
+    """Coarsest topology with the listed sets closed, by intersecting every
+    family of subsets of the carrier that holds the empty set, the carrier
+    and the complements of the listed sets and is closed under union and
+    intersection.  carrier <= 4 only."""
     full = (1 << carrier) - 1
-    subbasic_opens = [full & ~c for c in closed_sets]
-    nsets = full + 1
+    required = {0, full} | {full & ~c for c in closed_sets}
+    free = [m for m in range(full + 1) if m not in required]
     best: Optional[set[int]] = None
-    for fam_bits in range(1 << nsets):
-        if not (fam_bits >> 0) & 1 or not (fam_bits >> full) & 1:
-            continue
-        fam = [m for m in range(nsets) if (fam_bits >> m) & 1]
-        fs = set(fam)
-        if any(u not in fs for u in subbasic_opens):
-            continue
-        ok = True
-        for a in fam:
-            for b in fam:
-                if (a | b) not in fs or (a & b) not in fs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        best = fs if best is None else best & fs
+    for fam_bits in range(1 << len(free)):
+        fam = required | {m for i, m in enumerate(free) if (fam_bits >> i) & 1}
+        if all(a | b in fam and a & b in fam for a in fam for b in fam):
+            best = fam if best is None else best & fam
     assert best is not None
     return tuple(sorted(best))
 

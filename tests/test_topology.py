@@ -1,3 +1,4 @@
+import tracemalloc
 from random import Random
 
 import pytest
@@ -114,6 +115,21 @@ class TestFromClosedSubbasis:
                 if a.carrier_size != b.carrier_size:
                     continue
                 assert topologies_equal(a, b) == (set(a.opens()) == set(b.opens()))
+
+
+class TestOpenFamily:
+    def test_sparse_family_costs_its_size(self):
+        # 21 opens on a 20-point carrier, at the subset cap: the walk holds
+        # the family, not a table of all 2^20 masks (about 47 MB)
+        t = lower_topology(chain(20))
+        tracemalloc.start()
+        try:
+            opens = t.opens()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opens == tuple((1 << 20) - (1 << k) for k in range(20, -1, -1))
+        assert peak < 1 << 20, peak
 
 
 class TestIntervalTopology:
