@@ -32,7 +32,6 @@ from .errors import MalformedInputError
 from .limits import check_subset_elements
 from .order_core import (
     Poset,
-    Record,
     _downset_member_table,
     _image_table,
     boolean_power,
@@ -43,28 +42,27 @@ from .order_core import (
 )
 
 
-class CampaignSpec(Record):
-    __slots__ = _fields = ("name", "size_limit", "trials", "seed")
+class _SpecFields(NamedTuple):
+    name: str
+    size_limit: int
+    trials: int
+    seed: int
 
-    def __init__(self, name: str, size_limit: int, trials: int = 0, seed: int = 0) -> None:
+
+class CampaignSpec(_SpecFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, size_limit: int, trials: int = 0, seed: int = 0) -> CampaignSpec:
         if name not in CAMPAIGN_NAMES:
             raise ValueError(f"unknown campaign {name!r}")
         if size_limit < 1:
             raise ValueError("size limit must be positive")
         if trials < 0:
             raise ValueError("trials must be nonnegative")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "size_limit", size_limit)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
+        return super().__new__(cls, name, size_limit, trials, seed)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "size_limit": self.size_limit,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
 
 class CampaignResult(NamedTuple):

@@ -17,7 +17,7 @@ from random import Random
 from typing import Iterable, Iterator, Optional
 
 from .errors import LimitExceededError, OrdlabError
-from .limits import check_subset_elements
+from .limits import check_elements, check_subset_elements
 from .order_core import (
     LIBRARY_NAMES,
     Poset,
@@ -261,7 +261,7 @@ def iso_representatives(posets: Iterable[Poset]) -> list[Poset]:
         key = (
             p.n,
             tuple(sorted(profile)),
-            [(u & d).bit_count() for u in p.up for d in p.down].count(2),  # covers: up[x] & down[j] == {x, j}
+            len(p.covers()),
         )
         kept = buckets.setdefault(key, [])
         if not any(are_order_isomorphic(p, q) for q in kept):
@@ -275,6 +275,7 @@ def random_poset(size: int, rng: Random) -> Poset:
     probability 0.35."""
     if size < 1:
         raise ValueError("need size >= 1")
+    check_elements(size, "poset")  # _from_rows is trusted and checks no cap
     down = [1 << i for i in range(size)]
     for j in range(size):
         for i in range(j):
@@ -366,6 +367,7 @@ def random_lattice(size: int, seed: int) -> Poset:
     """
     if size < 2:
         raise ValueError("need size >= 2")
+    check_elements(size, "poset")  # before any block is built
     rng = Random(seed)
     for _ in range(_LATTICE_TRIES):
         if rng.random() < 0.5:

@@ -11,9 +11,11 @@ one point, and then to that point (:func:`limit_mask`).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import MalformedInputError
 from .limits import check_subset_elements
-from .order_core import Poset, Record, iter_bits
+from .order_core import Poset, iter_bits
 
 
 def _check_generator(p: Poset, gen: int) -> None:
@@ -23,15 +25,20 @@ def _check_generator(p: Poset, gen: int) -> None:
         raise MalformedInputError("filter generator out of range")
 
 
-class SetFilter(Record):
+class _FilterFields(NamedTuple):
+    parent: Poset
+    generator: int
+
+
+class SetFilter(_FilterFields):
     """The filter of all supersets of ``generator`` on ``parent``'s carrier."""
 
-    __slots__ = _fields = ("parent", "generator")
+    __slots__ = ()
 
-    def __init__(self, parent: Poset, generator: int) -> None:
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "generator", generator)
+    def __new__(cls, parent: Poset, generator: int) -> SetFilter:
+        self = super().__new__(cls, parent, generator)
         self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         _check_generator(self.parent, self.generator)

@@ -164,14 +164,6 @@ class Poset:
 
     # -- down-sets and bounds ------------------------------------------
 
-    def is_down_set(self, mask: int) -> bool:
-        """True iff the subset is closed under going down."""
-        mask = _mask_arg(self, mask)
-        for i in iter_bits(mask):
-            if self.down[i] & ~mask:
-                return False
-        return True
-
     def upper_bounds_mask(self, mask: int) -> int:
         """Elements above every member of the subset; the carrier when empty."""
         return _bounds_mask(self.up, _mask_arg(self, mask), self.full_mask)
@@ -296,46 +288,6 @@ def _mask_arg(parent: Poset, mask: int) -> int:
     if mask < 0 or mask & ~parent.full_mask:
         raise ValueError("subset mask out of range")
     return mask
-
-
-class Record:
-    """Base of the immutable value classes that validate their fields in
-    ``__init__``: ``SetFilter``, ``FiniteTopology`` and ``CampaignSpec``.
-
-    A subclass lists its fields in ``_fields``, which are its ``__slots__``,
-    and sets them through ``object.__setattr__``; afterwards assigning or
-    deleting an attribute raises :class:`AttributeError`.  Equality and
-    the hash are by the fields, between instances of the same class.
-    Plain records, which validate nothing, are :class:`typing.NamedTuple`
-    classes instead.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._key()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LatticeCert(NamedTuple):

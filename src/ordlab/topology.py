@@ -13,13 +13,18 @@ is cross-checked against a brute-force oracle in the test suite.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .limits import check_product, check_subset_elements
-from .order_core import Poset, Record, _box_rows, _row_unions, iter_bits
+from .order_core import Poset, _box_rows, _row_unions, iter_bits
 
 
-class FiniteTopology(Record):
+class _TopologyFields(NamedTuple):
+    carrier_size: int
+    min_nbhd: tuple[int, ...]
+
+
+class FiniteTopology(_TopologyFields):
     """A topology on ``{0..carrier_size-1}`` as minimal neighborhoods.
 
     ``min_nbhd[p]`` is the intersection of all open sets containing p.
@@ -27,10 +32,9 @@ class FiniteTopology(Record):
     equal, so equality of the two fields is genuine set-family equality.
     """
 
-    _fields = ("carrier_size", "min_nbhd")
-    __slots__ = _fields
+    __slots__ = ()
 
-    def __init__(self, carrier_size: int, min_nbhd: tuple[int, ...]) -> None:
+    def __new__(cls, carrier_size: int, min_nbhd: tuple[int, ...]) -> FiniteTopology:
         full = (1 << carrier_size) - 1
         if len(min_nbhd) != carrier_size:
             raise ValueError("neighborhood table size mismatch")
@@ -40,8 +44,7 @@ class FiniteTopology(Record):
             for q in iter_bits(nb):
                 if min_nbhd[q] & ~nb:
                     raise ValueError("neighborhood table not closed under the topology")
-        object.__setattr__(self, "carrier_size", carrier_size)
-        object.__setattr__(self, "min_nbhd", min_nbhd)
+        return super().__new__(cls, carrier_size, min_nbhd)
 
     @property
     def full_mask(self) -> int:
@@ -154,6 +157,6 @@ def is_discrete(t: FiniteTopology) -> bool:
 
 def topology_to_dict(t: FiniteTopology) -> dict:
     """JSON dump: each open as a sorted index list, opens sorted lexicographically."""
-    opens = [sorted(iter_bits(m)) for m in t.opens()]
+    opens = [list(iter_bits(m)) for m in t.opens()]
     opens.sort()
     return {"carrier": t.carrier_size, "opens": opens}

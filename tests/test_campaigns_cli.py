@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from random import Random
 
 import pytest
 
@@ -62,6 +64,8 @@ GUARDED = [
     ("has_breadth_at_most", "breadth check", lambda: chain(3), lambda p: has_breadth_at_most(p, 1)),
     # the candidate-map cap has no environment setting: 8^8 maps are past its default
     ("enumerate_homs", "hom enumeration", lambda: boolean_power(3), lambda b: morphisms.enumerate_homs(b, b)),
+    ("random_poset", "poset", lambda: 3, lambda n: catalog.random_poset(n, Random(0))),
+    ("random_lattice", "poset", lambda: 3, lambda n: catalog.random_lattice(n, 0)),
     ("run_campaign", "upper-bounds table", lambda: CampaignSpec("fact-1-1", 5), run_campaign),
     # lemma-3 builds its carriers before any map, so the element cap stops it
     # first (the image-table guard is reached in the test below)
@@ -77,6 +81,26 @@ def test_every_guard_reads_the_environment(monkeypatch, what, build, call):
     monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2")
     with pytest.raises(LimitExceededError, match=f"^{re.escape(what)}: "):
         call(arg)
+
+
+def test_random_generators_check_the_cap_before_building():
+    # a size past the cap is refused before the first draw: neither the
+    # stacked blocks of a random lattice nor the rows of a random poset are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceededError, match="^poset: 100000 elements exceeds limit 64$"):
+            catalog.random_lattice(100_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+    class NoDraws(Random):
+        def random(self):
+            raise AssertionError("drew before the cap check")
+
+    with pytest.raises(LimitExceededError, match="^poset: 65 elements exceeds limit 64$"):
+        catalog.random_poset(65, NoDraws(0))
 
 
 def test_one_off_fact_and_lemma_queries_build_no_subset_table(monkeypatch):

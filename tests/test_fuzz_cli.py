@@ -16,20 +16,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordlab import cli
+from ordlab.campaigns import CAMPAIGN_NAMES, CAMPAIGNS
 
 ALLOWED = (0, 2, 3)
 
 
-def _exit_code(argv, stdin="", env=None):
+def _run(argv, stdin="", env=None):
+    """``(exit code, stdout)`` of ``cli.main(argv)``, run in process."""
+    out = io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(sys, "stdin", io.StringIO(stdin)))
-        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         stack.enter_context(mock.patch.dict(os.environ, env or {}))
         try:
-            return cli.main(argv)
+            code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects the arguments
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _exit_code(argv, stdin="", env=None):
+    return _run(argv, stdin, env)[0]
 
 
 labels = st.text(max_size=3)
@@ -90,3 +98,21 @@ def test_converge_generators(poset, generator, mode):
 )
 def test_max_elements_values(value, argv):
     assert _exit_code(argv, env={"ORDLAB_MAX_ELEMENTS": value}) in ALLOWED
+
+
+@given(
+    st.sampled_from(CAMPAIGN_NAMES),
+    st.data(),
+    st.integers(-2, 3),
+    st.sampled_from([0, 2**70, -(2**70)]) | st.integers(-(2**70), 2**70),
+)
+def test_campaign_arguments(name, data, trials, seed):
+    # a limit past the cap is refused, never clamped; an accepted one whose
+    # instances pass a resource guard exits 3, before anything is printed
+    cap = CAMPAIGNS[name].cap
+    limit = data.draw(st.sampled_from([-2, 0, 1, 2, 3, 10**9] + ([cap + 1] if cap else [])), label="limit")
+    code, out = _run(["campaign", name, "--limit", str(limit), "--trials", str(trials), "--seed", str(seed)])
+    refused = limit < 1 or trials < 0 or (cap is not None and limit > cap)
+    assert (code == 2) if refused else (code in (0, 3))
+    if code != 0:
+        assert out == ""

@@ -104,12 +104,6 @@ class TestDownSetsAndBounds:
         for p in (chain(4), boolean_power(3), m3()):
             assert p.down[p.top] == p.full_mask
 
-    def test_is_down_set(self):
-        c = chain(3)
-        assert c.is_down_set(0b011)
-        assert not c.is_down_set(0b010)
-        assert c.is_down_set(0)
-
     def test_upper_bounds_examples(self):
         b2 = boolean_power(2)
         atoms = b2.mask_of_labels(["01", "10"])
@@ -121,7 +115,7 @@ class TestDownSetsAndBounds:
 
     def test_masks_out_of_range_rejected(self):
         p = m3()
-        for method in (p.is_down_set, p.upper_bounds_mask, p.lower_bounds_mask, p.infimum_mask, p.supremum_mask):
+        for method in (p.upper_bounds_mask, p.lower_bounds_mask, p.infimum_mask, p.supremum_mask):
             for mask in (-1, 1 << p.n):
                 with pytest.raises(ValueError, match="out of range"):
                     method(mask)

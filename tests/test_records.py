@@ -1,12 +1,14 @@
 """The record types: immutable, equal and hashed by value, and cheap to import.
 
-Plain records are ``typing.NamedTuple`` classes; the three that validate
-their fields are ``order_core.Record`` classes, and no record caches a
-derived table.
-Neither needs ``dataclasses``, whose import pulls in ``inspect``,
-``ast``, ``dis`` and ``tokenize`` at every CLI start.
+Every record is a ``typing.NamedTuple``, and no record caches a derived
+table.  The three that validate their fields subclass a NamedTuple of
+those fields and check them in ``__new__``, which pickling and ``copy``
+go through too; ``_make`` and ``_replace`` do not.  None needs
+``dataclasses``, whose import pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize`` at every CLI start.
 """
 
+import copy
 import json
 import os
 import pickle
@@ -35,7 +37,7 @@ from ordlab.morphisms import (
     preimage_interval_analysis,
     preimage_scan,
 )
-from ordlab.order_core import LatticeCert, Record
+from ordlab.order_core import LatticeCert
 from ordlab.topology import FiniteTopology, interval_topology
 
 # the fields of each record, in order
@@ -90,9 +92,11 @@ EXAMPLES = _examples()
 
 def test_every_record_type_is_covered():
     assert set(EXAMPLES) == set(FIELDS) and len(FIELDS) == 11
-    # only the types that validate their fields are Record classes
-    assert set(Record.__subclasses__()) == {SetFilter, FiniteTopology, CampaignSpec}
-    assert all(issubclass(cls, tuple) for cls in set(FIELDS) - set(Record.__subclasses__()))
+    # one kind of record: every type is a tuple of its fields, and the three
+    # that validate them add no slot to the NamedTuple they subclass
+    assert all(issubclass(cls, tuple) for cls in FIELDS)
+    for cls in (SetFilter, FiniteTopology, CampaignSpec):
+        assert cls.__slots__ == () and cls.__base__.__base__ is tuple
 
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
@@ -132,6 +136,25 @@ def test_constructor_signatures_and_validation():
         SetFilter(m3(), 1 << 5)
     with pytest.raises(ValueError, match="not closed"):
         FiniteTopology(3, (0b011, 0b110, 0b100))
+    with pytest.raises(ValueError, match="size mismatch"):
+        FiniteTopology(2, (0b01,))
+
+
+def test_pickle_and_copy_validate_through_new():
+    # both rebuild a record by calling the class with its fields, so a
+    # record whose fields were made invalid behind __new__ is refused
+    bad = (
+        (tuple.__new__(SetFilter, (m3(), 0)), MalformedInputError, "nonempty"),
+        (tuple.__new__(FiniteTopology, (3, (0b011, 0b110, 0b100))), ValueError, "not closed"),
+        (tuple.__new__(CampaignSpec, ("fact-1-1", 0, 0, 0)), ValueError, "size limit"),
+    )
+    for record, error, message in bad:
+        data = pickle.dumps(record)
+        with pytest.raises(error, match=message):
+            pickle.loads(data)
+        for clone in (copy.copy, copy.deepcopy):
+            with pytest.raises(error, match=message):
+                clone(record)
 
 
 def test_post_init_hook_runs_once_per_filter(monkeypatch):
