@@ -6,12 +6,14 @@ nonempty subsets of the carrier (the empty set is harmless either way:
 its infimum, the top, is achieved by the empty subfamily).
 
 One walk over the irredundant sets (:func:`_irredundant_sets`) answers
-every question here.  Breadth <= n fails exactly when some (n+1)-subset
-is irredundant (a larger subset can drop members one at a time, keeping
-its infimum, until n are left), and the first one in lexicographic order
-is the counterexample; the breadth is the size of the largest irredundant
-set of meet-irreducibles.  The test suite's oracle gates check both
-against the literal definition and a scan of the (n+1)-subsets.
+every question here.  Over the meet-irreducibles it gives the breadth,
+the size of their largest irredundant set, which decides every bound.
+Breadth <= n fails exactly when some (n+1)-subset is irredundant (a
+larger subset can drop members one at a time, keeping its infimum, until
+n are left), and only then does the walk run over the carrier, for the
+first one in lexicographic order: the counterexample, and the breadth's
+witness.  The test suite's oracle gates check both against the literal
+definition and a scan of the (n+1)-subsets.
 """
 
 from __future__ import annotations
@@ -65,17 +67,22 @@ def _irredundant_sets(rows: Sequence[int], full: int, most: int) -> Iterator[int
     return grow(0, 0, full, ())
 
 
+def _first_irredundant(lattice: Poset, size: int) -> Optional[int]:
+    """The first irredundant ``size``-subset of the carrier in lexicographic order, or None."""
+    sets = _irredundant_sets(lattice.down, lattice.full_mask, size)
+    return next((members for members in sets if members.bit_count() == size), None)
+
+
 def has_breadth_at_most(lattice: Poset, n: int) -> BreadthCheck:
-    """Decide breadth <= n, returning the first irredundant (n+1)-subset on
-    failure."""
+    """Decide breadth <= n on the meet-irreducibles, returning the first
+    irredundant (n+1)-subset of the carrier on failure."""
     _require_complete_lattice(lattice)
     if n < 1:
         raise ValueError("breadth bound must be positive")
     check_subset_elements(lattice.n, "breadth check")
-    for members in _irredundant_sets(lattice.down, lattice.full_mask, n + 1):
-        if members.bit_count() > n:
-            return BreadthCheck(False, members)
-    return BreadthCheck(True, None)
+    if _meet_irreducible_breadth(lattice) <= n:
+        return BreadthCheck(True, None)
+    return BreadthCheck(False, _first_irredundant(lattice, n + 1))
 
 
 def is_irredundant(lattice: Poset, mask: int) -> bool:
@@ -113,8 +120,8 @@ def _meet_irreducible_breadth(lattice: Poset) -> int:
 
 def compute_breadth(lattice: Poset) -> BreadthReport:
     """Least n with breadth <= n, plus an irredundant witness of that size:
-    the first n-subset of the carrier that :func:`has_breadth_at_most`
-    finds to violate breadth <= n-1.
+    the first irredundant n-subset of the carrier, the counterexample
+    :func:`has_breadth_at_most` gives to breadth <= n-1.
 
     The one-element lattice is degenerate: its breadth is 1 but no
     single element is irredundant (the empty subset already reaches the
@@ -124,7 +131,7 @@ def compute_breadth(lattice: Poset) -> BreadthReport:
     check_subset_elements(lattice.n, "breadth check")
     n = _meet_irreducible_breadth(lattice)
     if n > 1:
-        witness = has_breadth_at_most(lattice, n - 1).counterexample
+        witness = _first_irredundant(lattice, n)
     elif lattice.n >= 2:
         witness = 1 << lattice.bottom
     else:

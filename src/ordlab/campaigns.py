@@ -94,15 +94,11 @@ def _random_lattices(spec: CampaignSpec) -> list[Poset]:
 
 
 def _lattice_pool(spec: CampaignSpec) -> list[Poset]:
-    pool = [p for _, p in catalog.library_lattices(spec.size_limit)]
-    pool.extend(_random_lattices(spec))
-    return pool
+    return [p for _, p in catalog.library_lattices(spec.size_limit)] + _random_lattices(spec)
 
 
 def _poset_witness(p: Poset, **extra) -> dict:
-    doc = {"poset": poset_to_dict(p)}
-    doc.update(extra)
-    return doc
+    return {"poset": poset_to_dict(p), **extra}
 
 
 # -- instance sources: (spec) -> instances ----------------------------------

@@ -12,6 +12,7 @@ poset on n <= 8 points into a :class:`PosetFamily` of packed int codes;
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator, Optional
@@ -88,6 +89,15 @@ def named_poset(name: str) -> Poset:
     return chain(int(name.removeprefix("chain")))
 
 
+def _library_size(name: str) -> int:
+    """The size of ``named_poset(name)``, read off the name without building the poset."""
+    if "x" in name:
+        return math.prod(map(_library_size, name.split("x")))
+    if name[0] in "MN":
+        return 5 if name == "N5" else int(name[1:]) + 2
+    return 1 << int(name[2:]) if name.startswith("2^") else int(name.removeprefix("chain"))
+
+
 def poset_names() -> list[str]:
     return sorted(LIBRARY_NAMES)
 
@@ -96,20 +106,16 @@ def library_posets(max_size: int) -> list[tuple[str, Poset]]:
     """The deterministic instance family, sorted by size then name.
 
     Always contains the chain 2, the n-bit vector lattices with n <= 4,
-    and products of chains, subject to the size cap.
+    and products of chains, subject to the size cap; a name past the cap
+    is never built, so the element guard sees only the posets kept.
     """
-    seen: dict[str, Poset] = {}
-    for name in poset_names():
-        p = named_poset(name)
-        if p.n <= max_size:
-            seen[name] = p
-    items = sorted(seen.items(), key=lambda kv: (kv[1].n, kv[0]))
+    fitting = sorted((size, name) for name in poset_names() if (size := _library_size(name)) <= max_size)
     # Drop alias entries that duplicate an identical poset already kept.
     out: list[tuple[str, Poset]] = []
-    for name, p in items:
-        if any(p == q for _, q in out):
-            continue
-        out.append((name, p))
+    for _, name in fitting:
+        p = named_poset(name)
+        if not any(p == q for _, q in out):
+            out.append((name, p))
     return out
 
 

@@ -56,25 +56,14 @@ def _maps_rows_into(mapping: Sequence[int], dom_rows: Sequence[int], cod_rows: S
     return True
 
 
-def _is_lattice_hom(mapping: Sequence[int], dom: Poset, cod: Poset) -> bool:
-    meet_d, join_d = dom.meet_table, dom.join_table
-    meet_c, join_c = cod.meet_table, cod.join_table
-    for x in range(dom.n):
-        for y in range(x + 1, dom.n):
-            if meet_c[mapping[x]][mapping[y]] != mapping[meet_d[x][y]]:
-                return False
-            if join_c[mapping[x]][mapping[y]] != mapping[join_d[x][y]]:
-                return False
-    return True
-
-
 def _require_lattices(domain: Poset, codomain: Poset) -> None:
     if not domain.certificate.is_lattice or not codomain.certificate.is_lattice:
         raise ValueError("classification needs lattices on both sides")
 
 
 def classify(mapping: Sequence[int], domain: Poset, codomain: Poset) -> LatticeHom:
-    """Classify a total map between two certified lattices."""
+    """Classify a total map between two certified lattices: a monotone map
+    is a lattice hom exactly when the hom search pinned to its values yields it."""
     m = tuple(mapping)
     if len(m) != domain.n:
         raise MalformedInputError("map is not total on the domain")
@@ -85,7 +74,7 @@ def classify(mapping: Sequence[int], domain: Poset, codomain: Poset) -> LatticeH
     level = Classification.NOT_ORDER_PRESERVING
     if _maps_rows_into(m, domain.up, codomain.up):
         level = Classification.ORDER_PRESERVING
-        if _is_lattice_hom(m, domain, codomain):
+        if next(_search(domain, codomain, [1 << v for v in m]), None) is not None:
             level = Classification.LATTICE_HOM
             if m[domain.bottom] == codomain.bottom and m[domain.top] == codomain.top:
                 level = Classification.COMPLETE_HOM

@@ -327,14 +327,33 @@ def _row_union_cases():
     return down_sets, topologies
 
 
-def _pruned_search(pool) -> tuple:
+def _brute_levels():
+    """Every ordered pair of the gate 9h lattices with the level of each
+    monotone map between them by definition: monotone on the comparable
+    pairs by scalar ``leq`` queries, a lattice hom by the pairwise test,
+    complete by the all-subsets test.  Every other map is not monotone."""
+    levels, cases = morph_mod.Classification, []
+    for dom, cod in itertools.product(_gate_9h_lattices(), repeat=2):
+        pairs = [(x, y) for x in range(dom.n) for y in range(dom.n) if x != y and dom.leq(x, y)]
+        found = {}
+        for m in itertools.product(range(cod.n), repeat=dom.n):
+            if all(cod.leq(m[x], m[y]) for x, y in pairs):
+                found[m] = (
+                    levels.ORDER_PRESERVING if not oracles.naive_is_lattice_hom(m, dom, cod)
+                    else COMPLETE_HOM if oracles.is_complete_hom_exhaustive(m, dom, cod) else levels.LATTICE_HOM
+                )
+        cases.append((dom, cod, found))
+    return cases
+
+
+def _pruned_search(cases) -> tuple:
     ok, maps, homs, levels = True, 0, 0, morph_mod.Classification
-    for dom, cod in itertools.product(pool, repeat=2):
-        by_level = {level: set() for level in levels}
+    for dom, cod, found_levels in cases:
         for m in itertools.product(range(cod.n), repeat=dom.n):
             maps += 1
-            by_level[morph_mod.classify(m, dom, cod).classification].add(m)
-        at_least = {level: set().union(*(by_level[k] for k in levels if k >= level)) for level in levels}
+            level = found_levels.get(m, levels.NOT_ORDER_PRESERVING)
+            ok = ok and morph_mod.classify(m, dom, cod).classification == level
+        at_least = {level: {m for m, k in found_levels.items() if k >= level} for level in levels}
         found = [h.mapping for h in morph_mod.enumerate_homs(dom, cod)]
         # unpinned, the search yields exactly the lattice homs
         pruned = list(morph_mod._search(dom, cod, [cod.full_mask] * dom.n))
@@ -342,7 +361,7 @@ def _pruned_search(pool) -> tuple:
         homs += len(found) + len(pruned)
         for got, level in ((found, COMPLETE_HOM), (pruned, levels.LATTICE_HOM), (monotone, levels.ORDER_PRESERVING)):
             ok = ok and len(got) == len(set(got)) and set(got) == at_least[level]
-    return maps, homs, len(pool), ok
+    return maps, homs, len({id(dom) for dom, _, _ in cases}), ok
 
 
 def _preimage_cases():
@@ -527,17 +546,26 @@ GATES = (
         ),
         campaigns={"_bounds_mask": ("breadth-2n",), "_spanning_member": ("breadth-2n",)},
     ),
-    Gate("9c", "test_criterion_9c_gate_breadth_reduction", breadth_mod, ("has_breadth_at_most", "_irredundant_sets"),
+    Gate("9c", "test_criterion_9c_gate_breadth_reduction", breadth_mod,
+        ("has_breadth_at_most", "_meet_irreducible_breadth", "_first_irredundant", "_irredundant_sets"),
         ("has_breadth_at_most_literal", "breadth_violation_by_combinations"),
         _breadth_bound_cases, lambda cases: (len({id(p) for p, *_ in cases}), agree(_breadth_bound, cases)),
         (25, True, 6835, True),
-        "breadth size-bound reduction agrees with the definition on {0} lattice classes (<= 6), and its "
-        "counterexample is the first irredundant (n+1)-subset of the scan in combinations order, also for every n "
-        "on the {2} lattices of the gate 9i table",
+        "breadth bound decided on the meet-irreducibles agrees with the definition on {0} lattice classes (<= 6), "
+        "and its counterexample is the first irredundant (n+1)-subset of the scan in combinations order, also for "
+        "every n on the {2} lattices of the gate 9i table",
         once=_breadth_bounds_on_table,
-        mutants=(("sets of at most n members walked", "has_breadth_at_most", "lattice.full_mask, n + 1)",
-                  "lattice.full_mask, n)"),),
-        campaigns={"has_breadth_at_most": ("breadth-2n",), "_irredundant_sets": ("breadth-2n",)},
+        mutants=(
+            ("sets of at most n members walked", "_first_irredundant", "lattice.full_mask, size)",
+             "lattice.full_mask, size - 1)"),
+            ("bound one too generous", "has_breadth_at_most", "_meet_irreducible_breadth(lattice) <= n",
+             "_meet_irreducible_breadth(lattice) <= n + 1"),
+            ("bound read strictly", "has_breadth_at_most", "_meet_irreducible_breadth(lattice) <= n",
+             "_meet_irreducible_breadth(lattice) < n"),
+            ("growth stopped one size early", "_meet_irreducible_breadth", _BREADTH_SIZES, "len(rows) - 1))), 1)"),
+        ),
+        campaigns={name: ("breadth-2n",) for name in ("_meet_irreducible_breadth", "_first_irredundant",
+                                                     "_irredundant_sets")},
     ),
     Gate("9d", "test_criterion_9d_gate_complete_hom_shortcut", morph_mod, ("classify",),
         ("is_complete_hom_exhaustive",), _complete_hom_cases,
@@ -595,9 +623,18 @@ GATES = (
                    "_transpose": ("fact-1-1", "hausdorff", "lemma-3", "product-lemma", *HOM_CAMPAIGNS)},
     ),
     Gate("9h(a)", "test_criterion_9h_a_gate_pruned_hom_search", morph_mod, ("enumerate_homs", "_search", "classify"),
-        ("iter_monotone_maps",), _gate_9h_lattices, _pruned_search, (184814, 7449, 15, True),
+        ("iter_monotone_maps", "naive_is_lattice_hom", "is_complete_hom_exhaustive"), _brute_levels,
+        _pruned_search, (184814, 7449, 15, True),
         "unpinned hom search yields exactly the brute-force lattice homs and enumerate_homs exactly the brute-force "
-        "complete homs, monotone backtracking equals the monotone maps ({0} maps, {1} homs, {2} lattices <= 5)",
+        "complete homs, monotone backtracking equals the monotone maps, and classify gives every map its brute-force "
+        "level ({0} maps, {1} homs, {2} lattices <= 5)",
+        mutants=(
+            ("pins widened to the whole codomain", "classify", "[1 << v for v in m]",
+             "[codomain.full_mask for v in m]"),
+            ("the last value left unpinned", "classify", "[1 << v for v in m]",
+             "[*(1 << v for v in m[:-1]), codomain.full_mask]"),
+            ("search answer ignored", "classify", "None) is not None:", "()) is not None:"),
+        ),
         campaigns={"enumerate_homs": HOM_CAMPAIGNS, "_search": HOM_CAMPAIGNS},
     ),
     Gate("9h(b)", "test_criterion_9h_b_gate_preimage_scan_by_lookup", morph_mod, ("preimage_scan",),
@@ -640,7 +677,7 @@ GATES = (
         campaigns={"_is_distributive": ("breadth-2n", *HOM_CAMPAIGNS)},
     ),
     Gate("9i", "test_criterion_9i_gate_meet_irreducible_breadth", breadth_mod,
-        ("compute_breadth", "_meet_irreducible_breadth", "_irredundant_sets", "has_breadth_at_most"),
+        ("compute_breadth", "_meet_irreducible_breadth", "_irredundant_sets", "_first_irredundant"),
         ("breadth_by_bounds", "breadth_literal"), _breadth_cases,
         lambda cases: (len(cases[0]), len(cases[1]),
                        all(breadth_mod.compute_breadth(p)[1:] == expected[:2] for p, expected in cases[0]),
@@ -651,6 +688,8 @@ GATES = (
         mutants=(
             ("join-irreducibles", "_meet_irreducible_breadth", "enumerate(lattice.up) if row ^ (1 << m) in ups",
              "enumerate(lattice.down) if row ^ (1 << m) in set(lattice.down)"),
+            ("up rows of the meet-irreducibles walked", "_meet_irreducible_breadth", "rows = [lattice.down[m]",
+             "rows = [lattice.up[m]"),
             ("only the new member's drop checked", "_irredundant_sets", _BREADTH_DROPS, "dropped = (lower,)"),
             ("growth stopped one size early", "_meet_irreducible_breadth", _BREADTH_SIZES, "len(rows) - 1))), 1)"),
             ("no floor at 1", "_meet_irreducible_breadth", _BREADTH_SIZES, "len(rows)))), 0)"),
@@ -659,7 +698,10 @@ GATES = (
              "for i in reversed(range(start, len(rows))):"),
             ("the new member's own drop unchecked", "_irredundant_sets", _BREADTH_DROPS,
              "dropped = tuple(d & row for d in drops)"),
-            ("a set one short returned", "has_breadth_at_most", "members.bit_count() > n", "members.bit_count() >= n"),
+            ("a set one short returned", "_first_irredundant", "members.bit_count() == size",
+             "members.bit_count() >= size - 1"),
+            ("witness sought one size up", "compute_breadth", "_first_irredundant(lattice, n)",
+             "_first_irredundant(lattice, n + 1)"),
         ),
         # the top's down row is the whole carrier, so adding it never changes a
         # set's lower bounds and it joins no irredundant set
@@ -668,7 +710,7 @@ GATES = (
         # compute_breadth raises AssertionError when it finds no irredundant witness
         caught=(AssertionError,),
         campaigns={name: ("breadth-2n",) for name in
-                   ("compute_breadth", "_meet_irreducible_breadth", "_irredundant_sets", "has_breadth_at_most")},
+                   ("compute_breadth", "_meet_irreducible_breadth", "_irredundant_sets", "_first_irredundant")},
     ),
     Gate("9m", "test_criterion_9m_gate_box_rows", core_mod,
         ("_box_rows", "product", "boolean_power", "topology.product_topology", "Poset._from_rows"),
@@ -693,10 +735,11 @@ GATES = (
         ),
         # a mutant that raises, e.g. on a neighbourhood table of the wrong size, is caught
         caught=(ValueError, IndexError),
-        # the library pools hold 2^2 and 2xchain3; breadth-2n builds no product of posets
+        # at limit 4 the library pools build 2^2 and no product, as no product
+        # name fits; breadth-2n builds no product of posets
         campaigns={"_box_rows": ("breadth-2n", "hausdorff", "product-lemma", *HOM_CAMPAIGNS),
                    "boolean_power": ("breadth-2n", "hausdorff", "product-lemma", *HOM_CAMPAIGNS),
-                   "product": ("hausdorff", "product-lemma", *HOM_CAMPAIGNS),
+                   "product": ("product-lemma",),
                    "topology.product_topology": ("product-lemma",)},
     ),
     Gate("9n", "test_criterion_9n_gate_memoised_census", catalog_mod,

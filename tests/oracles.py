@@ -10,7 +10,8 @@ sets, breadth), the scan of the (n+1)-subsets for a breadth violation
 the bounds 1, 2, ... on it (:func:`breadth_by_bounds`), the per-point
 and per-filter convergence definitions, the convergence sweep over every
 filter (:func:`all_filter_limit_sweep`), the closed-family continuity
-check, the filter a base generates, the triple distributive law and the
+check, the filter a base generates, the triple distributive law, the
+pairwise lattice-hom test (:func:`naive_is_lattice_hom`) and the
 pairwise class census (:func:`iso_representatives_pairwise`), which run
 the package's bound queries, pair tables, super-filters, open-family
 materialization and isomorphism test (themselves gated against the
@@ -254,6 +255,20 @@ def is_complete_literal(p: Poset) -> bool:
         p.infimum_mask(mask) is not None and p.supremum_mask(mask) is not None
         for mask in range(1 << p.n)
     )
+
+
+def naive_is_lattice_hom(mapping, dom: Poset, cod: Poset) -> bool:
+    """f(x ∧ y) = f(x) ∧ f(y) and f(x ∨ y) = f(x) ∨ f(y) for every pair,
+    read off the meet and join tables."""
+    meet_d, join_d = dom.meet_table, dom.join_table
+    meet_c, join_c = cod.meet_table, cod.join_table
+    for x in range(dom.n):
+        for y in range(x + 1, dom.n):
+            if meet_c[mapping[x]][mapping[y]] != mapping[meet_d[x][y]]:
+                return False
+            if join_c[mapping[x]][mapping[y]] != mapping[join_d[x][y]]:
+                return False
+    return True
 
 
 def is_complete_hom_exhaustive(mapping, dom: Poset, cod: Poset) -> bool:

@@ -1,5 +1,6 @@
 import pytest
 
+from ordlab import breadth as breadth_mod
 from ordlab import (
     boolean_power,
     chain,
@@ -48,6 +49,20 @@ class TestHasBreadthAtMost:
             has_breadth_at_most(build_poset(["x", "y"], []), 1)
         with pytest.raises(ValueError):
             has_breadth_at_most(chain(3), 0)
+
+    @pytest.mark.parametrize("name, n", [("2^4", 4), ("2xM3", 3)])
+    def test_bound_that_holds_never_walks_the_carrier(self, monkeypatch, name, n):
+        """A bound that holds is decided on the meet-irreducibles' rows alone."""
+        lattice, walked = named_poset(name), []
+        walk = breadth_mod._irredundant_sets
+
+        def recording(rows, full, most):
+            walked.append(tuple(rows))
+            return walk(rows, full, most)
+
+        monkeypatch.setattr(breadth_mod, "_irredundant_sets", recording)
+        assert has_breadth_at_most(lattice, n) == (True, None)
+        assert walked and lattice.down not in walked
 
     def test_limit_guard(self, monkeypatch):
         cube = boolean_power(3)

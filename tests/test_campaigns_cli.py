@@ -124,6 +124,22 @@ def test_lemma_3_guards_each_domain_before_its_first_map(monkeypatch):
     assert domains == [1] * 10 + [2] * 30  # into chains 1-4: k maps from 1 point, k^2 from 2
 
 
+@pytest.mark.parametrize("cap, args", [("12", ["lemma-2"]), ("10", ["hausdorff", "--limit", "5"])])
+def test_library_builds_only_the_names_that_fit(monkeypatch, cap, args):
+    # no instance of these runs has more than 5 elements, so a cap below
+    # the 16 elements of 2^4 must not stop them
+    monkeypatch.delenv("ORDLAB_MAX_ELEMENTS", raising=False)
+    plain = run_cli(["campaign", *args])
+    capped = run_cli(["campaign", *args], env={"ORDLAB_MAX_ELEMENTS": cap})
+    assert plain.returncode == 0 and '"status":"pass"' in plain.stdout
+    assert (capped.returncode, capped.stdout, capped.stderr) == (0, plain.stdout, "")
+
+
+def test_library_sizes_are_read_off_the_names():
+    names = catalog.poset_names()
+    assert [catalog._library_size(name) for name in names] == [catalog.named_poset(name).n for name in names]
+
+
 # (campaign, --limit, ORDLAB_MAX_ELEMENTS, stderr): a lowered cap stops a
 # sweep at the first size past it, naming the first table or carrier built
 # at that size
