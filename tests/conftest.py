@@ -1,10 +1,16 @@
+import contextlib
+import io
+import os
 import sys
 from pathlib import Path
 from random import Random
+from typing import NamedTuple, Optional, Union
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
+from ordlab import cli
 from ordlab.catalog import random_poset
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -22,3 +28,28 @@ def seeded_posets(count: int, sizes: range, seed: int):
     """Deterministic stream of random posets for bulk property checks."""
     r = Random(seed)
     return [random_poset(r.choice(list(sizes)), r) for _ in range(count)]
+
+
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv, stdin: Union[str, bytes] = "", env: Optional[dict] = None) -> CliRun:
+    """``ordlab ARGV`` run in process, as the console script runs it:
+    ``stdin`` on standard input (bytes are read as UTF-8) and ``env`` over
+    the environment.  argparse's SystemExit becomes the exit code; any other
+    exception propagates."""
+    data = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8") if isinstance(stdin, bytes) else io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(sys, "stdin", data))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        stack.enter_context(mock.patch.dict(os.environ, env or {}))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: --help, or arguments it rejects
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())

@@ -208,14 +208,21 @@ def _filter_bounds(cases) -> tuple:
 
 
 def _breadth_bound_cases():
+    """The lattice classes <= 6, and 2^3 and 2xM3 of breadth 3, with the
+    definitions' answer for every n from 1 to the size; n = 0 is refused."""
+    pool = [*_lattice_classes(), catalog_mod.named_poset("2^3"), catalog_mod.named_poset("2xM3")]
     return [
-        (p, n, (oracles.has_breadth_at_most_literal(p, n), *oracles.breadth_violation_by_combinations(p, n)))
-        for p in _lattice_classes() for n in range(1, p.n + 1)
+        (p, n, (oracles.has_breadth_at_most_literal(p, n), *oracles.breadth_violation_by_combinations(p, n))
+         if n else "breadth bound must be positive")
+        for p in pool for n in range(p.n + 1)
     ]
 
 
-def _breadth_bound(p: Poset, n: int) -> tuple:
-    check = breadth_mod.has_breadth_at_most(p, n)
+def _breadth_bound(p: Poset, n: int) -> object:
+    try:
+        check = breadth_mod.has_breadth_at_most(p, n)
+    except ValueError as exc:
+        return str(exc)
     return check.holds, *check
 
 
@@ -417,6 +424,12 @@ def _breadth_cases():
 
 _BREADTH_SIZES = "len(rows)))), 1)"
 _BREADTH_DROPS = "dropped = (*(d & row for d in drops), lower)"
+# M(L) misread: both give breadth 2 on 2^3 and 2xM3, whose breadth is 3
+_JOIN_IRREDUCIBLES = ("join-irreducibles", "_meet_irreducible_breadth",
+                      "enumerate(lattice.up) if row ^ (1 << m) in ups",
+                      "enumerate(lattice.down) if row ^ (1 << m) in set(lattice.down)")
+_UP_ROWS_WALKED = ("up rows of the meet-irreducibles walked", "_meet_irreducible_breadth", "rows = [lattice.down[m]",
+                   "rows = [lattice.up[m]")
 
 
 def _box_rows_cases():
@@ -550,10 +563,10 @@ GATES = (
         ("has_breadth_at_most", "_meet_irreducible_breadth", "_first_irredundant", "_irredundant_sets"),
         ("has_breadth_at_most_literal", "breadth_violation_by_combinations"),
         _breadth_bound_cases, lambda cases: (len({id(p) for p, *_ in cases}), agree(_breadth_bound, cases)),
-        (25, True, 6835, True),
-        "breadth bound decided on the meet-irreducibles agrees with the definition on {0} lattice classes (<= 6), "
-        "and its counterexample is the first irredundant (n+1)-subset of the scan in combinations order, also for "
-        "every n on the {2} lattices of the gate 9i table",
+        (27, True, 6835, True),
+        "breadth bound decided on the meet-irreducibles agrees with the definition on {0} lattices (the classes "
+        "<= 6, 2^3 and 2xM3) for every n from 1, refuses n = 0, and its counterexample is the first irredundant "
+        "(n+1)-subset of the scan in combinations order, also for every n on the {2} lattices of the gate 9i table",
         once=_breadth_bounds_on_table,
         mutants=(
             ("sets of at most n members walked", "_first_irredundant", "lattice.full_mask, size)",
@@ -563,6 +576,9 @@ GATES = (
             ("bound read strictly", "has_breadth_at_most", "_meet_irreducible_breadth(lattice) <= n",
              "_meet_irreducible_breadth(lattice) < n"),
             ("growth stopped one size early", "_meet_irreducible_breadth", _BREADTH_SIZES, "len(rows) - 1))), 1)"),
+            _JOIN_IRREDUCIBLES,
+            _UP_ROWS_WALKED,
+            ("n = 0 let through", "has_breadth_at_most", "if n < 1:", "if n < 0:"),
         ),
         campaigns={name: ("breadth-2n",) for name in ("_meet_irreducible_breadth", "_first_irredundant",
                                                      "_irredundant_sets")},
@@ -618,6 +634,12 @@ GATES = (
         (4473, 139062, 494, True),
         "upper-bounds tables equal the per-mask definition on {0} posets <= 5 ({1} masks), enumerated up rows are "
         "the transposes, image tables agree on {2} maps between carriers <= 4",
+        mutants=(
+            ("rows joined", "subset_intersection_table", "t & row", "t | row"),
+            ("the empty set bounded by nothing", "subset_intersection_table", "table = [full]", "table = [0]"),
+            ("images toggled", "_image_table", "t | bit", "t ^ bit"),
+            ("columns overwritten", "_transpose", "|= bit", "= bit"),
+        ),
         campaigns={"subset_intersection_table": ("fact-1-1",),
                    "_image_table": ("lemma-3",),
                    "_transpose": ("fact-1-1", "hausdorff", "lemma-3", "product-lemma", *HOM_CAMPAIGNS)},
@@ -686,10 +708,8 @@ GATES = (
         "breadth by meet-irreducibles equals the loop over the bounds (breadth and witness) on {0} lattices and the "
         "literal breadth on {1} classes (<= 6)",
         mutants=(
-            ("join-irreducibles", "_meet_irreducible_breadth", "enumerate(lattice.up) if row ^ (1 << m) in ups",
-             "enumerate(lattice.down) if row ^ (1 << m) in set(lattice.down)"),
-            ("up rows of the meet-irreducibles walked", "_meet_irreducible_breadth", "rows = [lattice.down[m]",
-             "rows = [lattice.up[m]"),
+            _JOIN_IRREDUCIBLES,
+            _UP_ROWS_WALKED,
             ("only the new member's drop checked", "_irredundant_sets", _BREADTH_DROPS, "dropped = (lower,)"),
             ("growth stopped one size early", "_meet_irreducible_breadth", _BREADTH_SIZES, "len(rows) - 1))), 1)"),
             ("no floor at 1", "_meet_irreducible_breadth", _BREADTH_SIZES, "len(rows)))), 0)"),

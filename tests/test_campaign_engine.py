@@ -17,20 +17,15 @@ import pytest
 
 from ordlab import breadth as breadth_mod
 from ordlab import campaigns as campaigns_mod
-from ordlab import catalog, cli
+from conftest import run_cli
+from ordlab import catalog
 from ordlab import morphisms as morph
 from ordlab import topology as topo
-from ordlab.campaigns import CampaignSpec, _random_lattices, _random_posets, run_campaign
+from ordlab.campaigns import CAMPAIGNS, CampaignSpec, _random_lattices, _random_posets, run_campaign
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _campaign(capsys, args: str) -> tuple[int, str, str]:
-    code = cli.main(["campaign", *args.split()])
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 GOLDEN = [
@@ -67,35 +62,33 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("args, exit_code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_campaign_stdout_golden(capsys, args, exit_code, digest):
-    code, out, _ = _campaign(capsys, args)
+def test_campaign_stdout_golden(args, exit_code, digest):
+    code, out, _ = run_cli(["campaign", *args.split()])
     assert code == exit_code
     assert _sha(out) == digest
 
 
-CAPS = {"breadth-2n": 16, "fact-1-1": 6, "hausdorff": 64, "lemma-3": 5, "product-lemma": 64}
+CAPS = sorted((name, c.cap) for name, c in CAMPAIGNS.items() if c.cap is not None)
 
 
-@pytest.mark.parametrize("name, cap", sorted(CAPS.items()))
-def test_limit_above_cap_exits_2_and_names_cap(capsys, name, cap):
-    code, out, err = _campaign(capsys, f"{name} --limit {cap + 1}")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert f"cap {cap}" in err
+@pytest.mark.parametrize("name, cap", CAPS)
+def test_limit_above_cap_exits_2_and_names_cap(name, cap):
+    # a limit past the cap is refused, never clamped
+    message = f"error: campaign {name}: size limit {cap + 1} is above its cap {cap}\n"
+    assert run_cli(["campaign", name, "--limit", str(cap + 1)]) == (2, "", message)
 
 
-def test_hausdorff_runs_at_its_cap(capsys):
-    code, out, _ = _campaign(capsys, "hausdorff --limit 64 --trials 20")
+def test_hausdorff_runs_at_its_cap():
+    code, out, _ = run_cli(["campaign", "hausdorff", "--limit", "64", "--trials", "20"])
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "pass"
     assert doc["instances_checked"] == 40
 
 
-def test_fact_1_1_runs_at_its_cap(capsys):
+def test_fact_1_1_runs_at_its_cap():
     # every labelled poset on up to 6 points: 669,363 + 49,148,694 pairs
-    code, out, _ = _campaign(capsys, "fact-1-1 --limit 6")
+    code, out, _ = run_cli(["campaign", "fact-1-1", "--limit", "6"])
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "pass"
@@ -113,8 +106,8 @@ def test_random_instances_respect_the_limit():
             assert all(p.n <= limit for p in posets + lattices)
 
 
-def test_hom_campaigns_keep_the_candidate_map_bound(capsys):
-    code, out, err = _campaign(capsys, "prop-2-1 --limit 8")
+def test_hom_campaigns_keep_the_candidate_map_bound():
+    code, out, err = run_cli(["campaign", "prop-2-1", "--limit", "8"])
     assert code == 3
     assert out == ""
     assert "candidate maps exceeds limit" in err
@@ -201,7 +194,7 @@ def test_counterexample_channel(monkeypatch, name, limit, module, attr, fail_at,
 
 
 @pytest.mark.parametrize("args, attr", [("fact-1-1 --trials 1", "random_poset"), ("prop-2-1", "library_lattices")])
-def test_catalog_double_reaches_the_campaign(monkeypatch, capsys, args, attr):
+def test_catalog_double_reaches_the_campaign(monkeypatch, args, attr):
     # the instance sources read catalog's functions at call time, as they
     # read the other modules' functions
     original = getattr(catalog, attr)
@@ -212,5 +205,5 @@ def test_catalog_double_reaches_the_campaign(monkeypatch, capsys, args, attr):
         return original(*a)
 
     monkeypatch.setattr(catalog, attr, double)
-    assert _campaign(capsys, args)[0] == 0
+    assert run_cli(["campaign", *args.split()]).returncode == 0
     assert len(seen) == 1

@@ -2,15 +2,15 @@ import argparse
 import hashlib
 import io
 import json
-import os
 import re
-import subprocess
 import sys
 import tracemalloc
 from random import Random
+from typing import NamedTuple, Union
 
 import pytest
 
+from conftest import run_cli
 from ordlab import campaigns, catalog, cli, filters, limits, morphisms, topology
 from ordlab.breadth import has_breadth_at_most
 from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, run_campaign
@@ -18,25 +18,6 @@ from ordlab.catalog import all_lattices, all_posets, all_posets_up_to, chain, m3
 from ordlab.errors import LimitExceededError
 from ordlab.limits import Limits, default_limits
 from ordlab.order_core import Poset, boolean_power, build_poset, poset_to_dict, product
-
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-
-
-def run_cli(args, stdin=None, env=None, timeout=None, cwd=None):
-    full_env = dict(os.environ)
-    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, full_env.get("PYTHONPATH")]))
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "ordlab", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=full_env,
-        timeout=timeout,
-        cwd=cwd,
-    )
 
 
 def _census_built(n):
@@ -248,13 +229,13 @@ UNREADABLE = {
 
 @pytest.mark.parametrize("command", ["check FILE", "check -", "hom FILE"])
 @pytest.mark.parametrize("data", list(UNREADABLE.values()), ids=list(UNREADABLE))
-def test_unreadable_json_exits_2(tmp_path, monkeypatch, capsys, command, data):
+def test_unreadable_json_exits_2(tmp_path, command, data):
     path = tmp_path / "doc.json"
     path.write_bytes(data)
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    code = cli.main([arg.replace("FILE", str(path)) for arg in command.split()])
-    out, err = capsys.readouterr()
-    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = run_cli([arg.replace("FILE", str(path)) for arg in command.split()], data)
+    reading = "cannot read" if data == UNREADABLE["not-utf-8"] else "invalid JSON in"
+    source = "-" if command.endswith("-") else path
+    assert (code, out) == (2, "") and err.startswith(f"error: {reading} {source}: ")
 
 
 def test_converge_names_every_single_label(monkeypatch, capsys):
@@ -406,9 +387,115 @@ def test_campaign_choices_read_late_print_as_a_tuple(monkeypatch, capsys, args):
         outputs.append((exited.value.code, *capsys.readouterr()))
     assert outputs[0] == outputs[1]
 
-def test_library_name_takes_precedence_over_a_file(tmp_path):
+
+class Pin(NamedTuple):
+    """``ordlab ARGV`` with ``stdin``: its exit code, stdout and stderr.  A
+    pattern must match the whole text; a substring pins what argparse may
+    word otherwise on another Python."""
+
+    id: str
+    argv: list
+    code: int
+    stdout: Union[str, re.Pattern] = ""
+    stderr: Union[str, re.Pattern] = ""
+    stdin: str = ""
+
+
+def _hom(domain, codomain, table) -> str:
+    return json.dumps({"domain": domain, "codomain": codomain, "map": table})
+
+
+_CHAIN_20 = json.dumps({"labels": [str(i) for i in range(20)], "covers": [[i, i + 1] for i in range(19)]})
+
+# what the console script prints for each call, with the exit code
+CLI_PINS = [
+    # breadth and its witness, the first irredundant set in combinations order
+    Pin("breadth 2^4", ["breadth", "2^4"], 0, '{"breadth":4,"witness":["0111","1011","1101","1110"]}\n'),
+    Pin("breadth 2xM3", ["breadth", "2xM3"], 0, '{"breadth":3,"witness":["(0,1)","(1,a)","(1,b)"]}\n'),
+    Pin("breadth chain3xchain3", ["breadth", "chain3xchain3"], 0, '{"breadth":2,"witness":["(0,1)","(1,0)"]}\n'),
+    # a monotone map is a lattice hom exactly when the hom search pinned to it yields it
+    Pin("hom 2 to chain3", ["hom", "-"], 0,
+        '{"classification":"lattice-hom","continuous":{"interval":true,"lower":true,"upper":true},"interval_preimages"'
+        ':{"all_interval_or_empty":true,"intervals_checked":6},"principal_preimages":{"all_interval_or_empty":true,'
+        '"intervals_checked":6}}\n', stdin=_hom("2", "chain3", {"0": "1", "1": "2"})),
+    # hom documents that name too little or the wrong end
+    Pin("hom partial map", ["hom", "-"], 2, stderr="error: hom map is not total on the domain\n",
+        stdin=_hom("2", "chain3", {"0": "1"})),
+    Pin("hom value of the domain", ["hom", "-"], 2, stderr="error: unknown label '01'\n",
+        stdin=_hom("2^2", "chain3", {"00": "0", "01": "01", "10": "1", "11": "2"})),
+    Pin("hom key of the codomain", ["hom", "-"], 2, stderr="error: unknown label '2'\n",
+        stdin=_hom("2", "chain3", {"0": "0", "2": "2"})),
+    Pin("hom value not a string", ["hom", "-"], 2, stderr="error: hom map entries must be labels\n",
+        stdin=_hom("2", "chain3", {"0": 0, "1": "2"})),
+    Pin("hom map a list", ["hom", "-"], 2, stderr='error: hom "map" must be an object of label pairs\n',
+        stdin=_hom("2", "chain3", [["0", "0"], ["1", "2"]])),
+    Pin("hom end not a lattice", ["hom", "-"], 2, stderr="error: hom document needs lattices on both sides\n",
+        stdin=_hom({"labels": ["x", "y"], "covers": []}, "2", {"x": "0", "y": "1"})),
+    # a bad cover entry is named as read; a cycle and an implied edge are refused
+    Pin("check string cover entry", ["check", "-"], 2, stderr="error: bad cover entry: ['x', 'y']\n",
+        stdin='{"labels":["a","b"],"covers":[["x","y"]]}'),
+    Pin("check bool cover entry", ["check", "-"], 2, stderr="error: bad cover entry: [True, 1]\n",
+        stdin='{"labels":["a","b"],"covers":[[true,1]]}'),
+    Pin("check 3-cycle", ["check", "-"], 2, stderr="error: cycle detected in covers\n",
+        stdin='{"labels":["x","y","z"],"covers":[[0,1],[1,2],[2,0]]}'),
+    Pin("check implied edge", ["check", "-"], 2,
+        stderr="error: edge (0, 2) is implied by other covers; supply covers only, not the full relation\n",
+        stdin='{"labels":["a","b","c"],"covers":[[0,1],[1,2],[0,2]]}'),
+    Pin("check 100,000 deep", ["check", "-"], 2, stderr=re.compile(r"error: invalid JSON in -: .*", re.S),
+        stdin="[" * 100_000 + "]" * 100_000 + "\n"),
+    # the open family is grown from the neighbourhoods, not read off 2^20 subsets
+    Pin("topology of a 20-point chain", ["topology", "-", "--kind", "lower"], 0,
+        json.dumps({"carrier": 20, "opens": [[], *(list(range(k, 20)) for k in range(20))]}, separators=(",", ":"))
+        + "\n", stdin=_CHAIN_20),
+    # convergence of a filter given by its generator labels
+    Pin("converge M3 a,b", ["converge", "M3", "--generator", "a,b", "--mode", "star"], 0,
+        '{"generator":["a","b"],"limits":[],"limits_literal_tail":[],"mode":"star"}\n'),
+    Pin("converge not a lattice", ["converge", "-", "--generator", "a", "--mode", "star"], 0,
+        '{"generator":["a"],"limits":["a"],"limits_literal_tail":["a"],"mode":"star"}\n',
+        "warning: poset is not a complete lattice; convergence is false wherever a bound is missing\n",
+        stdin='{"labels":["a","b","c"],"covers":[[0,2],[1,2]]}'),
+    Pin("converge unknown label", ["converge", "M3", "--generator", "zz"], 2, stderr="error: unknown label 'zz'\n"),
+    Pin("converge product label", ["converge", "2xchain3", "--generator", "(0,1)", "--mode", "star"], 0,
+        '{"generator":["(0,1)"],"limits":["(0,1)"],"limits_literal_tail":["(0,1)"],"mode":"star"}\n'),
+    # the parser reads the campaign names only when it prints or checks one
+    Pin("campaign --help", ["campaign", "--help"], 0,
+        re.compile(".*" + re.escape("{" + ",".join(CAMPAIGN_NAMES) + "}") + ".*", re.S)),
+    # a random lattice past the element cap is refused before it is built
+    Pin("lemma-2 past the element cap", ["campaign", "lemma-2", "--limit", "1000000000", "--trials", "1", "--seed",
+                                         "999999990"], 3, stderr="error: poset: 999999992 elements exceeds limit 64\n"),
+]
+
+
+def _matches(expected: Union[str, re.Pattern], text: str) -> bool:
+    return bool(expected.fullmatch(text)) if isinstance(expected, re.Pattern) else expected == text
+
+
+@pytest.mark.parametrize("pin", CLI_PINS, ids=[p.id for p in CLI_PINS])
+def test_cli_pins(pin):
+    code, out, err = run_cli(pin.argv, pin.stdin)
+    assert (code, _matches(pin.stdout, out), _matches(pin.stderr, err)) == (pin.code, True, True), (out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["boolean", "6"], '{"bottom":"000000","carrier":64,"is_complete":true,"is_distributive":true,'
+         '"is_lattice":true,"top":"111111","variant_distributive_identity":false}\n'),
+        (["product", "2^3", "M3"], '{"bottom":"(000,0)","carrier":40,"is_complete":true,"is_distributive":false,'
+         '"is_lattice":true,"top":"(111,1)","variant_distributive_identity":false}\n'),
+    ],
+    ids=["boolean 6", "product 2^3 M3"],
+)
+def test_products_read_back_on_stdin(argv, check):
+    built = run_cli(argv)
+    assert (built.returncode, built.stderr) == (0, "")
+    assert run_cli(["check", "-"], built.stdout) == (0, check, "")
+
+
+def test_library_name_takes_precedence_over_a_file(tmp_path, monkeypatch):
     (tmp_path / "M3").write_text(json.dumps({"labels": ["x", "y"], "covers": [[0, 1]]}))
-    res = run_cli(["check", "M3"], cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    res = run_cli(["check", "M3"])
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["carrier"] == 5
     # the file is still read under any other name
@@ -526,21 +613,13 @@ class TestCli:
         # the upper-bound set is empty and has no infimum, so nothing converges
         assert json.loads(res.stdout)["limits"] == []
 
-    def test_hom_command(self, tmp_path):
-        doc = {
-            "domain": "2^2",
-            "codomain": "2",
-            "map": {"00": "0", "01": "1", "10": "1", "11": "1"},
-        }
-        path = tmp_path / "hom.json"
-        path.write_text(json.dumps(doc))
-        res = run_cli(["hom", str(path)])
-        assert res.returncode == 0
-        out = json.loads(res.stdout)
-        assert out["classification"] == "order-preserving"
-        assert out["interval_preimages"]["all_interval_or_empty"] is False
-        assert out["continuous"]["interval"] is True  # finite interval topologies are discrete
-        assert out["continuous"]["lower"] is True
+    def test_hom_command(self):
+        # the README's example; finite interval topologies are discrete, so every map is continuous in them
+        res = run_cli(["hom", "-"], _hom("2^2", "2", {"00": "0", "01": "1", "10": "1", "11": "1"}))
+        failure = '"failure":{"interval":["1","1"],"preimage":["01","10","11"]}'
+        assert res == (0, '{"classification":"order-preserving","continuous":{"interval":true,"lower":true,"upper":true},'
+                       f'"interval_preimages":{{"all_interval_or_empty":false,{failure},"intervals_checked":3}},'
+                       f'"principal_preimages":{{"all_interval_or_empty":false,{failure},"intervals_checked":4}}}}\n', "")
 
     def test_campaign_exit_zero(self):
         res = run_cli(["campaign", "prop-2-1", "--limit", "5"])
@@ -598,7 +677,7 @@ class TestCli:
         assert default_limits() == Limits(max_elements=64, max_subset_elements=20)
         monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "8")
         assert default_limits().max_subset_elements == 8
-        res = run_cli(["breadth", str(path)], env={"ORDLAB_MAX_ELEMENTS": "64"}, timeout=60)
+        res = run_cli(["breadth", str(path)], env={"ORDLAB_MAX_ELEMENTS": "64"})
         assert res.returncode == 3
         assert "subset-enumeration limit 20" in res.stderr
 
@@ -613,7 +692,8 @@ class TestCli:
         assert len(json.loads(res.stdout)["labels"]) == 128
 
     def test_bad_env_value(self):
-        assert run_cli(["boolean", "2"], env={"ORDLAB_MAX_ELEMENTS": "x"}).returncode == 2
+        res = run_cli(["campaign", "hausdorff"], env={"ORDLAB_MAX_ELEMENTS": "x"})
+        assert res == (2, "", "error: ORDLAB_MAX_ELEMENTS must be an integer, got 'x'\n")
 
     def test_stdin_everywhere(self):
         doc = json.dumps(poset_to_dict(m3()))
@@ -621,8 +701,9 @@ class TestCli:
         assert res.returncode == 0
 
     def test_unknown_campaign_exit_2(self):
-        res = run_cli(["campaign", "bogus"])
-        assert res.returncode == 2
+        res = run_cli(["campaign", "nosuch"])
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "error: argument name: invalid choice: 'nosuch'" in res.stderr  # worded so on 3.10-3.13
 
     def test_input_preconditions_exit_2(self, tmp_path):
         antichain = tmp_path / "antichain.json"
