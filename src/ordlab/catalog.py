@@ -176,7 +176,9 @@ def _extend_posets(n: int) -> PosetFamily:
     down-sets d below z ascending, then the up-sets u above z ascending.
     The base's down-sets come with their upper bounds from one walk over
     its rows, and its up-sets are their complements, so the down-sets in
-    descending order give the up-sets ascending.
+    descending order give the up-sets ascending.  Each down-set tests every
+    up-set against its bounds: that costs less than a walk over the up-sets
+    inside the bounds, once per down-set (measured 2x slower on 6 points).
     """
     m, z_bit = n - 1, 1 << (n - 1)
     full = z_bit - 1  # the base's carrier

@@ -4,7 +4,10 @@ Two caps apply: ``max_elements`` bounds carriers of relational operations
 (orders, products, topologies as neighborhood tables), while
 ``max_subset_elements`` bounds operations that enumerate all 2^n subsets
 of a carrier (breadth search, filter enumeration, open-family
-materialization, subset tables).  The limits are one policy, and the
+materialization, subset tables).  A third, ``max_search_nodes``, is a work
+budget, not a size: the hom search counts the nodes it visits and stops at
+the budget, whatever the ends' sizes (see ``morphisms._search``); it is a
+constant that no setting changes.  The limits are one policy, and the
 environment variable ``ORDLAB_MAX_ELEMENTS`` is its only setting: it
 overrides the element cap and can lower the subset cap but never raise it
 above its default, since a 2^64-entry table or open family cannot be
@@ -34,7 +37,7 @@ ENV_MAX_ELEMENTS = "ORDLAB_MAX_ELEMENTS"
 class Limits(NamedTuple):
     max_elements: int = DEFAULT_MAX_ELEMENTS
     max_subset_elements: int = DEFAULT_MAX_SUBSET_ELEMENTS
-    max_maps: int = 10_000_000
+    max_search_nodes: int = 500_000
 
 
 def default_limits() -> Limits:
@@ -98,17 +101,3 @@ def check_subset_elements(n: int, what: str) -> None:
             f"{what}: {n} elements exceeds subset-enumeration limit {lim.max_subset_elements}"
         )
 
-
-def check_maps(base: int, exponent: int, what: str) -> None:
-    """Holds the ``base ** exponent`` candidate maps (the codomain size to
-    the domain size) to the map cap.  The running power is compared with
-    the cap, so a count far past it is never built; at 2^64 or more the
-    message shows it as ``base^exponent``."""
-    cap = default_limits().max_maps
-    count = 1
-    for _ in range(exponent):
-        count *= base
-        if count > cap:
-            big = exponent * (base.bit_length() - 1) >= 64 or base**exponent >= 1 << 64
-            shown = f"{base}^{exponent}" if big else base**exponent
-            raise LimitExceededError(f"{what}: {shown} candidate maps exceeds limit {cap}")

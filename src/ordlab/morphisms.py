@@ -15,8 +15,8 @@ import enum
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from . import filters
-from .errors import MalformedInputError
-from .limits import check_maps
+from .errors import LimitExceededError, MalformedInputError
+from .limits import default_limits
 from .order_core import Poset, _transpose, iter_bits, mask_of, poset_to_dict
 
 if TYPE_CHECKING:  # for is_continuous's annotation: the convergence campaigns load no topology
@@ -89,7 +89,8 @@ def _search(domain: Poset, codomain: Poset, pins: list[int]) -> Iterator[tuple[i
     covers (monotone by transitivity).  A lattice hom also needs
     f(x ∧ y) = f(x) ∧ f(y) for each incomparable pair, applied at the later
     of x and y (their meet comes before both), and f(x ∨ y) = f(x) ∨ f(y),
-    applied at x ∨ y."""
+    applied at x ∨ y.  Each build of a position's mask is a node, and a
+    search past ``max_search_nodes`` of them raises LimitExceededError."""
     n, nc = domain.n, codomain.n
     order = sorted(range(n), key=lambda i: domain.down[i].bit_count())
     below: list[list[int]] = [[] for _ in range(n)]
@@ -109,12 +110,16 @@ def _search(domain: Poset, codomain: Poset, pins: list[int]) -> Iterator[tuple[i
         for w, u in enumerate(row):
             meet_solutions[w][u] |= 1 << v
     cod_up = codomain.up
+    budget = cap = default_limits().max_search_nodes
     values, stack = [0] * n, [-1] * n
     pos = 0
     while pos >= 0:
         x = order[pos]
         allowed = stack[pos]
         if allowed < 0:
+            if not budget:
+                raise LimitExceededError(f"hom search: {n} -> {nc} elements exceeds node budget {cap}")
+            budget -= 1
             allowed = pins[x]
             for c in below[x]:
                 allowed &= cod_up[values[c]]
@@ -138,8 +143,9 @@ def _search(domain: Poset, codomain: Poset, pins: list[int]) -> Iterator[tuple[i
 def enumerate_homs(domain: Poset, codomain: Poset) -> list[LatticeHom]:
     """Every complete hom: the lattice homs of the pruned search with
     bottom and top pinned, which on finite lattices are exactly the
-    complete homs (acceptance gates 9d and 9h(c))."""
-    check_maps(codomain.n, domain.n, "hom enumeration")
+    complete homs (acceptance gates 9d and 9h(c)).  The pinned top is the
+    search's last position, so each hom is a node of its own, and the node
+    budget bounds the list too, whatever the codomain^domain maps."""
     _require_lattices(domain, codomain)
     pins = [codomain.full_mask] * domain.n
     pins[domain.bottom] &= 1 << codomain.bottom

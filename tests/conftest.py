@@ -1,7 +1,10 @@
+import __future__
 import contextlib
+import inspect
 import io
 import os
 import sys
+import textwrap
 from pathlib import Path
 from random import Random
 from typing import NamedTuple, Optional, Union
@@ -53,3 +56,19 @@ def run_cli(argv, stdin: Union[str, bytes] = "", env: Optional[dict] = None) -> 
         except SystemExit as exc:  # argparse: --help, or arguments it rejects
             code = exc.code
     return CliRun(code, out.getvalue(), err.getvalue())
+
+
+def mutant(fn, *edits: tuple[str, str]):
+    """``fn`` recompiled from its source with each ``(old, new)`` of
+    ``edits`` applied in turn, ``old`` occurring there once, in a copy of
+    its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(inspect.getmodule(fn)))
+    code = compile(
+        source, f"<mutant {fn.__name__}>", "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    exec(code, namespace)
+    return namespace[fn.__name__]

@@ -10,7 +10,6 @@ against their principal form), gate 9j (which spoils tables, not code)
 and gate 9k are written out below.
 """
 
-import __future__
 import ast
 import inspect
 import itertools
@@ -18,7 +17,6 @@ import json
 import math
 import subprocess
 import sys
-import textwrap
 import time
 import types
 from collections import defaultdict
@@ -30,6 +28,7 @@ import pytest
 
 import gates
 import oracles
+from conftest import mutant
 from gates import GATES, profile_twins, rows_digest
 from ordlab import (
     Classification, SetFilter, boolean_power, chain, check_image_filter_inclusion, coatom_family, compute_breadth,
@@ -59,20 +58,6 @@ def report(num, description, ok):
     assert ok, line
 
 
-def _mutant(fn, old: str, new: str):
-    """``fn`` recompiled from its source with ``old``, which occurs there
-    once, replaced by ``new``, in a copy of its module's namespace."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, old
-    namespace = dict(vars(inspect.getmodule(fn)))
-    code = compile(
-        source.replace(old, new), f"<mutant {fn.__name__}>", "exec",
-        flags=__future__.annotations.compiler_flag, dont_inherit=True,
-    )
-    exec(code, namespace)
-    return namespace[fn.__name__]
-
-
 def _patch_everywhere(patch, original, replacement) -> None:
     """Replace ``original`` in every loaded ordlab module that holds it."""
     for key, loaded in list(sys.modules.items()):
@@ -91,7 +76,7 @@ def _seeded_mutants(patch, module, mutants, agrees, equivalent=(), caught=()) ->
     for _, name, old, new in [*mutants, *equivalent]:
         original = getattr(module, name)
         with patch.context() as scoped:
-            _patch_everywhere(scoped, original, _mutant(original, old, new))
+            _patch_everywhere(scoped, original, mutant(original, (old, new)))
             try:
                 passed.append(agrees())
             except caught:

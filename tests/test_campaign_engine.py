@@ -52,12 +52,14 @@ GOLDEN = [
     ("hausdorff --limit 2 --trials 3 --seed 4", 0, "c1655262ffec269bab0d2cfc416fc1fd91a28084ec58f030dd48c9583985247e"),
     ("lemma-2 --limit 2 --trials 3 --seed 1", 0, "7cd183280b91a6b3730cf2ffd85ccf37f9db66ca2d118fc12ce6523c918adde1"),
     ("lemma-3 --limit 1 --trials 2", 0, "b11a07a3596fb66fcedbb3c9070021d5eb737f4cb8a6a1634c26a78811671dfb"),
-    # the hom campaigns at the largest limit the candidate-map bound accepts
+    # the hom campaigns at 7 and at 8, where a pair of 8-element ends has 8^8
+    # candidate maps and its search visits at most 3,004 nodes
     ("prop-2-1 --limit 7 --trials 5 --seed 2", 0, "827fb516a0ea3ef4bedb6c79bcc3a4dbb7377e6573bbab350fa2946c495588ad"),
     ("lemma-2 --limit 7 --trials 5 --seed 2", 0, "6f43ae17ff7b4c7baa4fdd8396e77b60ef581120cb9c09d4821a789bcf7eec95"),
     ("star-preservation --limit 7 --trials 5 --seed 2", 0, "8555a4cad28531842e8030e056b2685aea0dc22036cd4a7f7ba87b6523c9831d"),
-    # the hom search's candidate-map bound (exit 3, nothing on stdout)
-    ("prop-2-1 --limit 8", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # 11,758 and 26,722 instances
+    ("prop-2-1 --limit 8", 0, "1b095e296b438c61e9aab6e42adf6707705794327cf4e01e1cbccc08a5cebf2e"),
+    ("lemma-2 --limit 8 --trials 10", 0, "853729855eac45adf045bea7fe1eb6d72d887f685b208cfe157486ccf324d837"),
 ]
 
 
@@ -104,13 +106,6 @@ def test_random_instances_respect_the_limit():
             posets, lattices = _random_posets(spec), _random_lattices(spec)
             assert len(posets) == 4 and len(lattices) == (0 if limit == 1 else 4)
             assert all(p.n <= limit for p in posets + lattices)
-
-
-def test_hom_campaigns_keep_the_candidate_map_bound():
-    code, out, err = run_cli(["campaign", "prop-2-1", "--limit", "8"])
-    assert code == 3
-    assert out == ""
-    assert "candidate maps exceeds limit" in err
 
 
 def _spoil_report(report):

@@ -43,8 +43,6 @@ GUARDED = [
     ("all_posets", "upper-bounds table", lambda: _census_built(4), all_posets),
     ("all_lattices", "upper-bounds table", lambda: _census_built(4), all_lattices),
     ("has_breadth_at_most", "breadth check", lambda: chain(3), lambda p: has_breadth_at_most(p, 1)),
-    # the candidate-map cap has no environment setting: 8^8 maps are past its default
-    ("enumerate_homs", "hom enumeration", lambda: boolean_power(3), lambda b: morphisms.enumerate_homs(b, b)),
     ("random_poset", "poset", lambda: 3, lambda n: catalog.random_poset(n, Random(0))),
     ("random_lattice", "poset", lambda: 3, lambda n: catalog.random_lattice(n, 0)),
     ("run_campaign", "upper-bounds table", lambda: CampaignSpec("fact-1-1", 5), run_campaign),

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import run_cli
 from ordlab.campaigns import CAMPAIGN_NAMES, CAMPAIGNS
-from ordlab.catalog import named_poset
+from ordlab.catalog import named_poset, random_lattice
+from ordlab.order_core import poset_to_dict
 
 ALLOWED = (0, 2, 3)
 
@@ -28,18 +29,31 @@ posets = st.fixed_dictionaries({
     "labels": st.lists(labels, max_size=6),
     "covers": st.lists(st.lists(st.integers(-1, 6), max_size=3), max_size=8),
 })
-LIBRARY_LABELS = {name: named_poset(name).labels for name in ["2", "2^2", "chain3", "M3", "N5"]}
-poset_refs = st.sampled_from([*LIBRARY_LABELS, "nosuch"]) | posets
+LIBRARY_LABELS = {name: named_poset(name).labels for name in ["2", "2^2", "chain3", "M3", "N5", "2^3", "2xchain3"]}
+lattices = st.sampled_from(list(LIBRARY_LABELS)) | st.builds(
+    lambda n, seed: poset_to_dict(random_lattice(n, seed)), st.integers(2, 8), st.integers(0, 2**32)
+)
+# three ends in four a lattice, so that most documents reach the map
+ends = st.integers(0, 3).flatmap(lambda k: lattices if k else st.just("nosuch") | posets)
+
+
+def _labels(end) -> list:
+    return list(end["labels"] if isinstance(end, dict) else LIBRARY_LABELS.get(end, ()))
 
 
 @st.composite
 def homs(draw):
-    """A hom document whose map names labels of either end, so that its keys
-    and values may be the wrong end's; random text when neither end has one."""
-    domain, codomain = draw(poset_refs), draw(poset_refs)
-    ends = [x for d in (domain, codomain) for x in (d["labels"] if isinstance(d, dict) else LIBRARY_LABELS.get(d, ()))]
-    names = st.sampled_from(ends) if ends else labels
-    table = draw(st.dictionaries(names, names, max_size=6) | json_values)
+    """A hom document whose map is, three times in four, total from the
+    domain's labels to the codomain's; else it names labels of either end
+    (so that its keys and values may be the wrong end's; random text when
+    neither end has one), or is any JSON value."""
+    domain, codomain = draw(ends), draw(ends)
+    keys, values = _labels(domain), _labels(codomain)
+    if values and draw(st.integers(0, 3)):
+        table = draw(st.fixed_dictionaries({k: st.sampled_from(values) for k in keys}))
+    else:
+        names = st.sampled_from(keys + values) if keys or values else labels
+        table = draw(st.dictionaries(names, names, max_size=6) | json_values)
     return {"domain": domain, "codomain": codomain, "map": table}
 
 
@@ -94,7 +108,8 @@ def test_campaign_arguments(name, data, trials, seed):
     # a limit past the cap is refused, never clamped; an accepted one whose
     # instances pass a resource guard exits 3, before anything is printed
     cap = CAMPAIGNS[name].cap
-    limit = data.draw(st.sampled_from([-2, 0, 1, 2, 3, 10**9] + ([cap + 1] if cap else [])), label="limit")
+    # the uncapped hom campaigns also at 8, where a pair of ends has 8^8 candidate maps
+    limit = data.draw(st.sampled_from([-2, 0, 1, 2, 3, 10**9] + ([cap + 1] if cap else [8])), label="limit")
     code, out, _ = run_cli(["campaign", name, "--limit", str(limit), "--trials", str(trials), "--seed", str(seed)])
     refused = limit < 1 or trials < 0 or (cap is not None and limit > cap)
     assert (code == 2) if refused else (code in (0, 3))

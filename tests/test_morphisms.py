@@ -23,11 +23,14 @@ from ordlab import (
     two,
     upper_topology,
 )
+from ordlab import morphisms as morph
 from ordlab.catalog import all_lattices, iso_representatives, library_lattices
 from ordlab.errors import LimitExceededError
+from ordlab.limits import Limits
 from ordlab.morphisms import hom_from_dict, hom_to_dict
 from ordlab.topology import from_closed_subbasis
 
+from conftest import mutant
 from oracles import filter_from_base, filter_members, iter_monotone_maps
 
 
@@ -90,22 +93,49 @@ class TestEnumerateHoms:
             with pytest.raises(ValueError, match="lattices on both sides"):
                 classify([0, 0], dom, cod)
 
-    def test_limit_guard(self):
-        with pytest.raises(LimitExceededError):
-            # 8^8 candidate maps, past the default 10,000,000
-            enumerate_homs(boolean_power(3), boolean_power(3))
+    def test_counts_follow_birkhoff_duality(self):
+        # by Birkhoff duality the complete homs 2^m -> 2^n are the maps from
+        # the codomain's n atoms to the domain's m atoms: m^n of them (Davey
+        # & Priestley, ch. 5), a count the search does not read
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            assert len(enumerate_homs(boolean_power(m), boolean_power(n))) == m**n, (m, n)
+        assert len(enumerate_homs(boolean_power(5), boolean_power(5))) == 3_125
 
-    def test_map_count_refused_before_it_is_built(self, monkeypatch):
-        # 1500^1500 has 4,765 digits, past what str() formats; the guard
-        # stops the running power at the cap and names it as a power
-        monkeypatch.setenv("ORDLAB_MAX_ELEMENTS", "2000")
-        big = chain(1500)
-        refused = r"^hom enumeration: 1500\^1500 candidate maps exceeds limit 10000000$"
-        with pytest.raises(LimitExceededError, match=refused):
-            enumerate_homs(big, big)
-        refused = "^hom enumeration: 16777216 candidate maps exceeds limit 10000000$"
-        with pytest.raises(LimitExceededError, match=refused):
-            enumerate_homs(boolean_power(3), boolean_power(3))
+    def test_limit_guard(self):
+        # the search's node budget: 2^6 -> 2^6 has 46,656 homs in 6,773,165
+        # nodes, and is refused after 500,000, in about 2 s
+        assert Limits().max_search_nodes == 500_000
+        b6 = boolean_power(6)
+        with pytest.raises(LimitExceededError, match="^hom search: 64 -> 64 elements exceeds node budget 500000$"):
+            enumerate_homs(b6, b6)
+
+
+# the search for 2^4 -> 2^4 builds 7,230 candidate masks
+SQUARE_OF_2_4_NODES = 7_230
+
+
+def _budget(monkeypatch, nodes):
+    monkeypatch.setattr(morph, "default_limits", lambda: Limits(max_search_nodes=nodes))
+
+
+class TestNodeBudget:
+    def test_admits_exactly_the_nodes_visited(self, monkeypatch):
+        b4 = boolean_power(4)
+        _budget(monkeypatch, SQUARE_OF_2_4_NODES)
+        assert len(enumerate_homs(b4, b4)) == 256
+        _budget(monkeypatch, SQUARE_OF_2_4_NODES - 1)
+        with pytest.raises(LimitExceededError, match="^hom search: 16 -> 16 elements exceeds node budget 7229$"):
+            enumerate_homs(b4, b4)
+
+    @pytest.mark.parametrize("edits", [
+        [("budget -= 1", "pass")],
+        [("            budget -= 1\n", ""), ("yield tuple(values)", "budget -= 1\n            yield tuple(values)")],
+    ], ids=["never decremented", "decremented per hom"])
+    def test_seeded_mutants_are_caught(self, monkeypatch, edits):
+        b4 = boolean_power(4)
+        _budget(monkeypatch, SQUARE_OF_2_4_NODES - 1)
+        monkeypatch.setattr(morph, "_search", mutant(morph._search, *edits))
+        assert len(enumerate_homs(b4, b4)) == 256  # the mutant lets the search past its budget
 
 
 class TestPreimageIntervals:

@@ -42,7 +42,7 @@ from ordlab.topology import FiniteTopology, interval_topology
 
 # the fields of each record, in order
 FIELDS = {
-    Limits: ("max_elements", "max_subset_elements", "max_maps"),
+    Limits: ("max_elements", "max_subset_elements", "max_search_nodes"),
     BreadthReport: ("lattice", "breadth", "witness"),
     CampaignSpec: ("name", "size_limit", "trials", "seed"),
     CampaignResult: ("spec", "instances_checked", "status", "witness"),
@@ -64,7 +64,7 @@ def _examples():
     """Per record type: a factory called twice for two equal instances
     built from separate objects, and a different instance."""
     return {
-        Limits: (lambda: Limits(max_maps=100), Limits()),
+        Limits: (lambda: Limits(max_search_nodes=100), Limits()),
         BreadthReport: (lambda: compute_breadth(m3()), compute_breadth(chain(3))),
         CampaignSpec: (
             lambda: CampaignSpec(name="lemma-2", size_limit=4, trials=2, seed=7),
@@ -119,7 +119,7 @@ def test_record_is_immutable_and_compared_by_value(cls):
 
 
 def test_constructor_signatures_and_validation():
-    assert Limits(max_maps=100) == Limits(64, 20, 100)
+    assert Limits(max_search_nodes=100) == Limits(64, 20, 100)
     assert CampaignSpec(name="fact-1-1", size_limit=3).to_dict() == {
         "name": "fact-1-1", "size_limit": 3, "trials": 0, "seed": 0,
     }
