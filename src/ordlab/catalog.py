@@ -3,10 +3,16 @@
 The named library covers the structures every campaign iterates over:
 chains, bounded antichains (M_k diamonds), the n-bit vector lattices,
 M3, N5, and a few products.  ``all_posets`` enumerates every labeled
-poset on n <= 8 points into a :class:`PosetFamily` of packed int codes;
-``all_lattices`` builds the ones that pass the row lattice test, and
-``iso_representatives`` keeps one poset per isomorphism class.
-``random_poset``/``random_lattice`` produce seeded deterministic samples.
+poset on n <= 8 points into a :class:`PosetFamily` of packed int codes,
+each size by one-point extensions of the size below.  ``all_lattices``
+takes only the bounded extensions of the (n-1)-point census: a base with
+neither bound yields none, a base with one bound the one extension where
+the new point is the other, a bounded base those that keep both bounds,
+and the empty base its one extension, the one-point lattice; it builds
+the ones that pass the row pair test.  ``iso_representatives`` keeps one
+poset per isomorphism class, relabelling rows through tables built once
+per profile order within the call.  ``random_poset``/``random_lattice``
+produce seeded deterministic samples.
 """
 
 from __future__ import annotations
@@ -149,6 +155,15 @@ class PosetFamily:
         return raw[: self.n], raw[self.n :]
 
 
+def _check_census(n: int, name: str) -> None:
+    """The census guards, run on every call before any cached family is read."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > 8:
+        raise LimitExceededError(f"{name}: {n} points exceeds limit 8 (one byte per order row)")
+    check_subset_elements(n - 1, "upper-bounds table")  # the extension bounds every down-set of n-1 rows
+
+
 def all_posets(n: int) -> PosetFamily:
     """Every labeled poset on carrier {0..n-1}, n <= 8, as a packed family.
 
@@ -160,12 +175,35 @@ def all_posets(n: int) -> PosetFamily:
     bounds, as each up-set is the complement of a down-set.  The families
     are cached per size; the guards run on every call.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > 8:
-        raise LimitExceededError(f"all_posets: {n} points exceeds limit 8 (one byte per order row)")
-    check_subset_elements(n - 1, "upper-bounds table")  # the extension bounds every down-set of n-1 rows
+    _check_census(n, "all_posets")
     return _extend_posets(n)
+
+
+def _extension_tables(n: int) -> tuple[PosetFamily, list[int], list[int]]:
+    """The census on m = n - 1 points that a new point z = m extends (the
+    empty poset when m = 0), and the bits z adds to a code on n points:
+    ``above[u]`` when z lies below the up-set u, ``below[d]`` when it lies
+    above the down-set d (any mask is both on an antichain)."""
+    m, z_bit = n - 1, 1 << (n - 1)
+    above, below = [z_bit << 8 * (2 * n - 1)], [z_bit << 8 * m]
+    for i in range(m):
+        above += [g | z_bit << 8 * i | 1 << 8 * (2 * n - 1) + i for g in above]
+        below += [g | z_bit << 8 * (n + i) | 1 << 8 * m + i for g in below]
+    return (all_posets(m) if m else PosetFamily(0, (0,))), above, below
+
+
+def _head(down: bytes, up: bytes) -> int:
+    """A base's rows at their places in a code on one more point."""
+    return int.from_bytes(down + b"\0" + up, "little")
+
+
+def _down_and_up_sets(down: bytes, up: bytes, full: int) -> tuple[dict[int, int], list[int], list[int]]:
+    """A base's down-sets with their upper bounds, from one walk over its
+    rows; the down-sets ascending; and the up-sets ascending, which are
+    their complements in descending order."""
+    bounds = _row_unions(down, up, full)
+    down_sets = sorted(bounds)
+    return bounds, down_sets, [full ^ d for d in reversed(down_sets)]
 
 
 @lru_cache(maxsize=None)
@@ -174,31 +212,23 @@ def _extend_posets(n: int) -> PosetFamily:
 
     Output order: the smaller posets in their census order, then the
     down-sets d below z ascending, then the up-sets u above z ascending.
-    The base's down-sets come with their upper bounds from one walk over
-    its rows, and its up-sets are their complements, so the down-sets in
-    descending order give the up-sets ascending.  Each down-set tests every
-    up-set against its bounds: that costs less than a walk over the up-sets
-    inside the bounds, once per down-set (measured 2x slower on 6 points).
+    Each base's codes come from one comprehension, in which each down-set
+    tests every up-set against its bounds: that costs less than a walk over
+    the up-sets inside the bounds, once per down-set (measured 2x slower on
+    6 points), or a list of them per distinct bound.
     """
-    m, z_bit = n - 1, 1 << (n - 1)
-    full = z_bit - 1  # the base's carrier
-    # the bits z adds to a code below the up-set u and above the down-set d (any mask is both on an antichain)
-    above, below = [z_bit << 8 * (2 * n - 1)], [z_bit << 8 * m]
-    for i in range(m):
-        above += [g | z_bit << 8 * i | 1 << 8 * (2 * n - 1) + i for g in above]
-        below += [g | z_bit << 8 * (n + i) | 1 << 8 * m + i for g in below]
-    bases = all_posets(m) if m else PosetFamily(0, (0,))  # one point: extend the empty poset
+    full = (1 << (n - 1)) - 1  # the base's carrier
+    bases, above, below = _extension_tables(n)
     out: list[int] = []
     for code in bases.codes:
         down, up = bases.rows(code)
-        head = int.from_bytes(down + b"\0" + up, "little")  # the old rows at their new places
-        bounds = _row_unions(down, up, full)
-        down_sets = sorted(bounds)
-        up_sets = [full ^ d for d in reversed(down_sets)]
-        for d in down_sets:
-            # everything above the new element must be above all of d
-            allowed, head_d = bounds[d] & ~d, head | below[d]
-            out += [head_d | above[u] for u in up_sets if not u & ~allowed]
+        head, (bounds, down_sets, up_sets) = _head(down, up), _down_and_up_sets(down, up, full)
+        # everything above the new element must be above all of d, and outside d
+        out += [
+            placed | above[u]
+            for d in down_sets for outside, placed in ((d | full ^ bounds[d], head | below[d]),)
+            for u in up_sets if not u & outside
+        ]
     return PosetFamily(n, tuple(out))
 
 
@@ -208,42 +238,77 @@ def all_posets_up_to(n: int) -> Iterator[Poset]:
 
 def all_lattices(n: int) -> tuple[Poset, ...]:
     """Every labeled lattice on carrier {0..n-1}, in the census order of
-    :func:`all_posets`: the posets that are bounded and where every pair's
-    upper bounds ``up[i] & up[j]`` are an up row (``order_core._is_lattice``).
+    :func:`all_posets`, built from the bounded extensions of the census on
+    m = n - 1 points: only bounded posets are lattices, and a bounded
+    extension has all joins exactly when every pair's upper bounds
+    ``up[i] & up[j]`` are an up row (``order_core._pairs_have_joins``).
 
-    Each code is read as one byte string, down rows then up rows.  A full
-    down row is a top and a full up row a bottom, and a poset has at most
-    one of each, so two full bytes in the string mean both bounds (6,570
-    of the 130,023 posets on 6 points have them); only then does the pair
-    test run.  Only the lattices are built, and neither they nor a
-    certificate are cached.
+    A base extended by z below the up-set u and above the down-set d has a
+    top exactly when d is the whole base, or the base has a top t and
+    t is in u; it has a bottom exactly when u is the whole base, or the base
+    has a bottom b and b is in d.  So, for m >= 1, a base with neither bound
+    yields nothing; a base with only a top yields d = {} and u = the base
+    (z becomes the bottom); a base with only a bottom yields d = the base
+    and u = {} (z becomes the top); and a bounded base yields the (d, u) of
+    the census walk with (d the base, or u nonempty) and (u the base, or d
+    nonempty), as every nonempty up-set holds its top and every nonempty
+    down-set its bottom.  For m = 0, d = u = {} satisfies both.  The
+    candidates are a subsequence of :func:`_extend_posets`' output, placed
+    by the same tables, so the census order is kept; only the bounded ones
+    are built as codes, only the lattices as posets, and neither they nor a
+    certificate are cached.  No poset family on n points is built.
     """
-    family, full = all_posets(n), (1 << n) - 1
-    raws = map(int.to_bytes, family.codes, itertools.repeat(2 * n), itertools.repeat("little"))
-    return tuple([
-        Poset._from_rows(family.labels, raw[:n], raw[n:])
-        for raw in raws
-        if raw.count(full) == 2 and _pairs_have_joins(raw[n:])
-    ])
+    _check_census(n, "all_lattices")
+    m, full = n - 1, (1 << (n - 1)) - 1
+    bases, above, below = _extension_tables(n)
+    raws: list[bytes] = []
+    for code in bases.codes:
+        down, up = bases.rows(code)
+        top, bottom = full in down, full in up  # a full down row is a top, a full up row a bottom
+        if top and bottom or not m:
+            bounds, down_sets, up_sets = _down_and_up_sets(down, up, full)
+            pairs = [
+                (d, u)
+                for d in down_sets for outside in (d | full ^ bounds[d],)
+                for u in up_sets if not u & outside and (d == full or u) and (u == full or d)
+            ]
+        elif top or bottom:
+            pairs = [(0, full) if top else (full, 0)]  # z must be the bound the base lacks
+        else:
+            continue
+        head = _head(down, up)
+        raws += [(head | below[d] | above[u]).to_bytes(2 * n, "little") for d, u in pairs]
+    labels = tuple(str(i) for i in range(n))
+    return tuple([Poset._from_rows(labels, raw[:n], raw[n:]) for raw in raws if _pairs_have_joins(raw[n:])])
 
 
-def _normal_code(down: tuple[int, ...], profile: list[tuple[int, int]]) -> tuple[int, ...]:
-    """The down rows relabelled so that the elements come in the order of
-    their ``(down count, up count)`` profile, ties by index.  Posets with
-    equal codes are isomorphic (the relabelling is one); isomorphic posets
-    may still differ in code when profiles tie.  One pass over the bits of
-    each row, so no table grows with 2^n."""
-    order = sorted(range(len(down)), key=profile.__getitem__)
-    new_bit = [0] * len(down)
+def _relabel_tables(order: tuple[int, ...]) -> list[tuple[int, list[int]]]:
+    """For each 8-bit chunk of a row on ``len(order)`` points, its shift and
+    the table that moves each point ``order[k]`` of the chunk to bit k."""
+    new_bit = [0] * len(order)
     for k, i in enumerate(order):
         new_bit[i] = 1 << k
+    tables = []
+    for shift in range(0, len(order), 8):
+        table = [0]
+        for bit in new_bit[shift : shift + 8]:
+            table += [t | bit for t in table]
+        tables.append((shift, table))
+    return tables
+
+
+def _normal_code(down: tuple[int, ...], order: tuple[int, ...], tables: list[tuple[int, list[int]]]) -> tuple[int, ...]:
+    """The down rows relabelled so that the elements come in ``order``, that
+    of their ``(down count, up count)`` profile with ties by index, through
+    the chunk ``tables`` of :func:`_relabel_tables` for that order.  Posets
+    with equal codes are isomorphic (the relabelling is one); isomorphic
+    posets may still differ in code when profiles tie.  A table has at most
+    256 entries, so none grows with 2^n, and one route serves every n."""
     code = []
     for i in order:
         row, out = down[i], 0
-        while row:
-            low = row & -row
-            out |= new_bit[low.bit_length() - 1]
-            row ^= low
+        for shift, table in tables:
+            out |= table[row >> shift & 255]
         code.append(out)
     return tuple(code)
 
@@ -256,13 +321,20 @@ def iso_representatives(posets: Iterable[Poset]) -> list[Poset]:
     A poset whose normal code (:func:`_normal_code`) was seen before is
     isomorphic to an earlier one and is skipped; only a new code computes
     the key and runs :func:`are_order_isomorphic` against the posets kept
-    under it, so each labelled shape is confirmed once.
+    under it, so each labelled shape is confirmed once.  The relabelling
+    tables are built once per profile order within the call (at most 720
+    of 64 entries for the 6-element lattices) and dropped with it.
     """
     seen: set[tuple[int, ...]] = set()
     buckets: dict[tuple, list[Poset]] = {}
+    relabel: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
     for p in posets:
         profile = [(d.bit_count(), u.bit_count()) for d, u in zip(p.down, p.up)]
-        code = _normal_code(p.down, profile)
+        order = tuple(sorted(range(p.n), key=profile.__getitem__))
+        tables = relabel.get(order)
+        if tables is None:
+            tables = relabel[order] = _relabel_tables(order)
+        code = _normal_code(p.down, order, tables)
         if code in seen:
             continue
         seen.add(code)

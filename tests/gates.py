@@ -18,6 +18,7 @@ from functools import cache
 from random import Random
 from types import ModuleType
 from typing import Callable, NamedTuple, Optional
+from unittest import mock
 
 import oracles
 from ordlab import breadth as breadth_mod
@@ -474,6 +475,70 @@ def _trusted_transposes(cases) -> tuple:
     )
 
 
+# the census order, which the exhaustive campaigns and their pinned
+# outputs follow; recorded on the per-poset certificate route
+ALL_POSETS_1_TO_6_SHA256 = "6b252ef1734d70a3ede6af24963e81ccc09c7529df06eb271a2032e573e889ed"
+LATTICE_CLASSES_6_SHA256 = "f8a39bad2ea08b977706b3e946fedf5ef696070beabea7b646bf756fe670c321"
+
+
+def _lattice_census_cases() -> list:
+    """The rows of the lattices on 1-6 points that the filter over the whole
+    census finds (oracles.lattices_by_filter), one list per size."""
+    return [[(p.labels, p.down, p.up) for p in oracles.lattices_by_filter(n)] for n in range(1, 7)]
+
+
+def _lattice_census(cases) -> tuple:
+    """all_lattices(n) equals the filter route as a sequence of rows, for
+    n = 1, 2, ... up to the first size where it does not: the sizes and
+    counts compared, and whether the last compared size agreed.  So a
+    mutant is caught on the smallest pool that catches it, and no larger
+    census is built under it."""
+    counts = []
+    for n, expected in enumerate(cases, 1):
+        got = [(p.labels, p.down, p.up) for p in catalog_mod.all_lattices(n)]
+        counts.append(len(got))
+        if got != expected:
+            break
+    return counts, got == expected
+
+
+def _lattice_tests(cases) -> tuple:
+    """The row lattice test and the certificate equal the pairwise sup/inf
+    definition on every poset <= 5 and every bounded poset on 6 points, and
+    the lattices they find are the filter route's; the bit-level
+    isomorphism test equals brute-force permutation on the posets <= 4 and
+    the profile twins; the census rows and the 6-point lattice classes
+    match their pinned digests; and all_lattices(7) reads the 6-point
+    census (OEIS A055512 labelled lattices in A006966 classes) without a
+    7-point poset family."""
+    bounded = [p for p in all_posets(6) if p.full_mask in p.up and p.full_mask in p.down]
+    pool = [*all_posets_up_to(5), *bounded]
+    literal = [oracles.is_lattice_literal(p) for p in pool]
+    found = [(p.labels, p.down, p.up) for p, is_lattice in zip(pool, literal) if is_lattice]
+    small = [*all_posets_up_to(4), *profile_twins()]
+    pairs = [
+        (core_mod.are_order_isomorphic(a, b), oracles.are_isomorphic_brute_force(a, b, perms))
+        for a in small for perms in [oracles.relabelings(a)] for b in small
+    ]
+    return (
+        len(pool), len(bounded), len(found),
+        all(core_mod._is_lattice(p.down, p.up) == lit == p.certificate.is_lattice for p, lit in zip(pool, literal)),
+        found == [rows for expected in cases for rows in expected],
+        len(pairs), sum(fast for fast, _ in pairs), all(fast == brute for fast, brute in pairs),
+        rows_digest(p for n in range(1, 7) for p in all_posets(n)) == ALL_POSETS_1_TO_6_SHA256,
+        rows_digest(catalog_mod.iso_representatives(catalog_mod.all_lattices(6))) == LATTICE_CLASSES_6_SHA256,
+        *_seven_point_lattices(),
+    )
+
+
+def _seven_point_lattices() -> tuple[int, int, bool]:
+    """The labelled lattices on 7 points and their classes, and whether
+    they came with no call of the census on 7 points."""
+    with mock.patch.object(catalog_mod, "_extend_posets", wraps=catalog_mod._extend_posets) as census:
+        lattices = catalog_mod.all_lattices(7)
+    return len(lattices), len(catalog_mod.iso_representatives(lattices)), mock.call(7) not in census.call_args_list
+
+
 # the 318 classes of 6-point posets (OEIS A000112), recorded with the
 # pairwise route (oracles.iso_representatives_pairwise)
 POSET_CLASSES_6_SHA256 = "c7d6a87ff7596bd3e8888c6276f7a347a9cb692a22bc44194f8de41c95aa613c"
@@ -732,6 +797,34 @@ GATES = (
         campaigns={name: ("breadth-2n",) for name in
                    ("compute_breadth", "_meet_irreducible_breadth", "_irredundant_sets", "_first_irredundant")},
     ),
+    Gate("9k", "test_criterion_9k_gate_lattice_census", catalog_mod,
+        ("all_lattices", "_extension_tables", "order_core._is_lattice", "order_core._pairs_have_joins",
+         "order_core.are_order_isomorphic"),
+        ("lattices_by_filter", "is_lattice_literal", "relabelings", "are_isomorphic_brute_force"),
+        _lattice_census_cases, _lattice_census,
+        ([1, 2, 6, 36, 380, 6390], True,
+         4473 + 6570, 6570, 1 + 2 + 6 + 36 + 380 + 6390, True, True, 246 * 246, 4054 + 4, True, True, True,
+         157962, 53, True),
+        "all_lattices(n) from the bounded extensions of the (n-1)-point census equals the filter over the whole "
+        "census as a sequence, with {0} lattices on 1-6 points; the row lattice test and certificate equal the "
+        "pairwise sup/inf definition on {2} posets (<= 5 and the {3} bounded ones on 6; {4} lattices, those of "
+        "the filter); bit-level isomorphism equals brute-force permutation on {7} pairs of posets <= 4 and four "
+        "on 6-7 points ({8} isomorphic); all_posets(1..6) rows and the 6-point lattice representatives match their "
+        "pinned digests; all_lattices(7) has {12} lattices in {13} classes, with no 7-point census built",
+        once=_lattice_tests,
+        mutants=(
+            # each label names the census size that catches it: z is the top of the
+            # empty base; a top over two atoms gets no bottom z; z above the one
+            # point (d the base, u empty) is dropped
+            ("z never the top, on 1 point", "all_lattices", "(d == full or u)", "(u)"),
+            ("one-sided bases skipped, on 4 points", "all_lattices", "[(0, full) if top else (full, 0)]", "[]"),
+            ("bottom tested on u instead of d, on 2 points", "all_lattices", "(u == full or d)", "(u == full or u)"),
+        ),
+        # every lattice a hom campaign or breadth-2n pools is certified
+        campaigns={"_extension_tables": ("fact-1-1",),
+                   "order_core._is_lattice": ("breadth-2n", *HOM_CAMPAIGNS),
+                   "order_core._pairs_have_joins": ("breadth-2n", *HOM_CAMPAIGNS)},
+    ),
     Gate("9m", "test_criterion_9m_gate_box_rows", core_mod,
         ("_box_rows", "product", "boolean_power", "topology.product_topology", "Poset._from_rows"),
         ("naive_product_rows", "projection_preimages", "naive_transpose"), _box_rows_cases,
@@ -763,7 +856,7 @@ GATES = (
                    "topology.product_topology": ("product-lemma",)},
     ),
     Gate("9n", "test_criterion_9n_gate_memoised_census", catalog_mod,
-        ("iso_representatives", "_normal_code", "_extend_posets", "all_posets"),
+        ("iso_representatives", "_normal_code", "_relabel_tables", "_extend_posets", "_extension_tables", "all_posets"),
         ("iso_representatives_pairwise", "relabelled"),
         _census_cases, _census,
         (20, 4473 + 6815 + 8 + 8 * 24, [1, 3, 19, 219, 4231], True, True, [1, 2, 5, 16, 63, 318], [1, 1, 1, 2, 5, 15],
@@ -774,17 +867,22 @@ GATES = (
         "points; the 318 classes of 6-point posets match their pinned digest",
         once=_class_counts,
         mutants=(
-            ("code is the sorted profile", "_normal_code", "return tuple(code)", "return tuple(sorted(profile))"),
+            ("code is the profile order", "_normal_code", "return tuple(code)", "return order"),
             ("no confirm on a miss", "iso_representatives",
              "if not any(are_order_isomorphic(p, q) for q in kept):", "if True:"),
+            ("a chunk read one bit high", "_normal_code", "row >> shift & 255", "row >> shift + 1 & 255"),
             # the same posets in other orders: only the rows digest sees them
-            ("down-sets walked in descending order", "_extend_posets", "for d in down_sets:",
-             "for d in reversed(down_sets):"),
-            ("up-sets listed in down-set order", "_extend_posets", "for d in reversed(down_sets)]",
-             "for d in down_sets]"),
-            ("allowed keeps d", "_extend_posets", "bounds[d] & ~d", "bounds[d]"),
+            ("down-sets walked in descending order", "_extend_posets", "for d in down_sets for outside",
+             "for d in reversed(down_sets) for outside"),
+            ("up-sets listed in down-set order", "_extend_posets", "for u in up_sets if",
+             "for u in reversed(up_sets) if"),
+            ("allowed keeps d", "_extend_posets", "d | full ^ bounds[d]", "full ^ bounds[d]"),
         ),
-        campaigns={"all_posets": ("fact-1-1",), "_extend_posets": ("fact-1-1",)},
+        # a fixed permutation of the bits of every code of one size keeps
+        # equal codes equal and distinct ones distinct
+        equivalent=(("tables built for the reversed order", "iso_representatives", "_relabel_tables(order)",
+                     "_relabel_tables(order[::-1])"),),
+        campaigns={"all_posets": ("fact-1-1",), "_extend_posets": ("fact-1-1",), "_extension_tables": ("fact-1-1",)},
     ),
     Gate("9p", "test_criterion_9p_gate_row_unions", core_mod, ("_row_unions", "topology.FiniteTopology.opens"),
         ("naive_down_closure", "naive_upper_bounds", "brute_force_closed_generation"),

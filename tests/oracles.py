@@ -11,11 +11,13 @@ the bounds 1, 2, ... on it (:func:`breadth_by_bounds`), the per-point
 and per-filter convergence definitions, the convergence sweep over every
 filter (:func:`all_filter_limit_sweep`), the closed-family continuity
 check, the filter a base generates, the triple distributive law, the
-pairwise lattice-hom test (:func:`naive_is_lattice_hom`) and the
-pairwise class census (:func:`iso_representatives_pairwise`), which run
-the package's bound queries, pair tables, super-filters, open-family
-materialization and isomorphism test (themselves gated against the
-routes above) to check the shortcuts built on them.
+pairwise lattice-hom test (:func:`naive_is_lattice_hom`), the
+pairwise class census (:func:`iso_representatives_pairwise`) and the
+lattices filtered from the whole census (:func:`lattices_by_filter`),
+which run the package's bound queries, pair tables, super-filters,
+open-family materialization, isomorphism test and row lattice test
+(themselves gated against the routes above) to check the shortcuts built
+on them.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Optional
 
-from ordlab.catalog import two
+from ordlab.catalog import all_posets, two
 from ordlab.filters import SetFilter, super_filters
 from ordlab.morphisms import CheckReport, LatticeHom, classify
-from ordlab.order_core import Poset, are_order_isomorphic, boolean_power, iter_bits, mask_of
+from ordlab.order_core import Poset, _pairs_have_joins, are_order_isomorphic, boolean_power, iter_bits, mask_of
 from ordlab.topology import FiniteTopology
 
 
@@ -490,6 +492,27 @@ def is_lattice_literal(p: Poset) -> bool:
         if not any(all(leq[y][x] for y in lower) for x in lower):
             return False
     return True
+
+
+def lattices_by_filter(n: int) -> tuple[Poset, ...]:
+    """Every labeled lattice on carrier {0..n-1}, in the census order of
+    :func:`all_posets`: the posets that are bounded and where every pair's
+    upper bounds ``up[i] & up[j]`` are an up row (``order_core._is_lattice``).
+
+    Each code is read as one byte string, down rows then up rows.  A full
+    down row is a top and a full up row a bottom, and a poset has at most
+    one of each, so two full bytes in the string mean both bounds (6,570
+    of the 130,023 posets on 6 points have them); only then does the pair
+    test run.  Only the lattices are built, and neither they nor a
+    certificate are cached.
+    """
+    family, full = all_posets(n), (1 << n) - 1
+    raws = map(int.to_bytes, family.codes, itertools.repeat(2 * n), itertools.repeat("little"))
+    return tuple([
+        Poset._from_rows(family.labels, raw[:n], raw[n:])
+        for raw in raws
+        if raw.count(full) == 2 and _pairs_have_joins(raw[n:])
+    ])
 
 
 def relabelings(p: Poset) -> frozenset[frozenset[tuple[int, int]]]:

@@ -6,8 +6,8 @@ shortcuts used elsewhere.  Most are rows of the registry in ``gates.py``:
 a row holds a shortcut's production names and module, its oracles, its
 pools, its comparison with pinned counts, and its seeded and equivalent
 mutants, and one runner here checks every row.  Gate 9a (filter axioms
-against their principal form), gate 9j (which spoils tables, not code)
-and gate 9k are written out below.
+against their principal form) and gate 9j (which spoils tables, not
+code) are written out below.
 """
 
 import ast
@@ -29,7 +29,7 @@ import pytest
 import gates
 import oracles
 from conftest import mutant
-from gates import GATES, profile_twins, rows_digest
+from gates import GATES
 from ordlab import (
     Classification, SetFilter, boolean_power, chain, check_image_filter_inclusion, coatom_family, compute_breadth,
     enumerate_homs, interval_topology, is_discrete, is_hausdorff, preimage_scan, product, product_topology,
@@ -38,18 +38,10 @@ from ordlab import (
 from ordlab import campaigns as campaigns_mod
 from ordlab.breadth import is_irredundant
 from ordlab.campaigns import CAMPAIGN_NAMES, CampaignSpec, _check_fact_1_1, _check_lemma_3, run_campaign
-from ordlab.catalog import (
-    all_lattices, all_posets, all_posets_up_to, iso_representatives, library_lattices, library_posets, m3,
-    random_poset, two,
-)
-from ordlab.order_core import (
-    _image_table, _is_lattice, are_order_isomorphic, mask_of, poset_to_dict, subset_intersection_table,
-)
+from ordlab.catalog import all_posets_up_to, library_lattices, library_posets, m3, random_poset, two
+from ordlab.order_core import _image_table, mask_of, poset_to_dict, subset_intersection_table
 
-from oracles import (
-    all_filter_families, are_isomorphic_brute_force, collapse_to_two, is_lattice_literal, per_pair_fact_1_1,
-    per_pair_lemma_3, relabelings,
-)
+from oracles import all_filter_families, collapse_to_two, per_pair_fact_1_1, per_pair_lemma_3
 
 
 def report(num, description, ok):
@@ -286,55 +278,6 @@ def test_criterion_9j_gate_table_campaign_checks(monkeypatch):
         f"{runs} runs, {failing} on spoiled tables failing), table lemma-3 equals the per-pair "
         f"Lemma 3 loop on {maps} maps between carriers <= 4 ({map_runs} runs, "
         f"{map_failing} failing)",
-        ok,
-    )
-
-
-# the census order, which the exhaustive campaigns and their pinned
-# outputs follow; recorded on the per-poset certificate route
-ALL_POSETS_1_TO_6_SHA256 = "6b252ef1734d70a3ede6af24963e81ccc09c7529df06eb271a2032e573e889ed"
-LATTICE_CLASSES_6_SHA256 = "f8a39bad2ea08b977706b3e946fedf5ef696070beabea7b646bf756fe670c321"
-
-
-def test_criterion_9k_gate_lattice_census():
-    ok = True
-    bounded = [p for p in all_posets(6) if p.full_mask in p.up and p.full_mask in p.down]
-    pool = list(all_posets_up_to(5)) + bounded
-    found = []
-    for p in pool:
-        literal = is_lattice_literal(p)
-        ok = ok and _is_lattice(p.down, p.up) == literal == p.certificate.is_lattice
-        if literal:
-            found.append(p)
-    lattices = len(found)
-    ok = ok and (len(bounded), lattices) == (6570, 1 + 2 + 6 + 36 + 380 + 6390)
-    # a finite lattice is bounded, so these are all the lattices on 1-6 points
-    ok = ok and found == [p for n in range(1, 7) for p in all_lattices(n)]
-
-    # plus the profile twins
-    small = list(all_posets_up_to(4)) + profile_twins()
-    pairs = isomorphic = 0
-    for a in small:
-        perms = relabelings(a)
-        for b in small:
-            pairs += 1
-            fast = are_order_isomorphic(a, b)
-            ok = ok and fast == are_isomorphic_brute_force(a, b, perms)
-            isomorphic += fast
-    # 242 posets in 1 + 2 + 5 + 16 classes; a class of k labelled posets gives
-    # k^2 isomorphic pairs: 1 on one point, 1 + 4 on two, 91 on three, 3,957
-    # on four; each of the four larger posets is isomorphic only to itself
-    ok = ok and (pairs, isomorphic) == (246 * 246, 4054 + 4)
-
-    ok = ok and rows_digest(p for n in range(1, 7) for p in all_posets(n)) == ALL_POSETS_1_TO_6_SHA256
-    ok = ok and rows_digest(iso_representatives(all_lattices(6))) == LATTICE_CLASSES_6_SHA256
-    report(
-        "9k",
-        f"row lattice test and certificate equal the pairwise sup/inf definition on {len(pool)} posets "
-        f"(<= 5 and the 6,570 bounded ones on 6; {lattices} lattices), bit-level isomorphism equals "
-        f"brute-force permutation on {pairs} pairs of posets <= 4 and four on 6-7 points "
-        f"({isomorphic} isomorphic), all_lattices(1..6) are those {lattices} lattices in census order, and "
-        "all_posets(1..6) rows and the 6-point lattice representatives match their pinned digests",
         ok,
     )
 

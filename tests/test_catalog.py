@@ -103,9 +103,9 @@ class TestAllPosets:
         assert [len(all_lattices(n)) for n in range(1, 7)] == [1, 2, 6, 36, 380, 6390]
 
     def test_iso_classes_on_64_points(self):
-        # the normal code relabels row by row, with no table over the 2^64
-        # subsets: two labellings of the chain, 2^6 and a shuffled copy, and
-        # a random poset give three classes
+        # the normal code relabels each row through 8-bit chunk tables, with
+        # no table over the 2^64 subsets: two labellings of the chain, 2^6
+        # and a shuffled copy, and a random poset give three classes
         rng = Random(64)
         perm = list(range(64))
         rng.shuffle(perm)
@@ -123,8 +123,8 @@ class TestAllPosets:
 
 class TestPackedFamily:
     """Gate for the packed census: the codes of ``all_posets`` read back as
-    valid posets, and ``all_lattices`` filters the packed rows as the
-    certificate would filter the posets."""
+    valid posets (gate 9k compares ``all_lattices`` with the lattices
+    filtered from these codes)."""
 
     def test_codes_read_back_as_valid_posets(self):
         for n in range(1, 6):
