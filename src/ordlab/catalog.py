@@ -28,11 +28,13 @@ from .limits import check_elements, check_subset_elements
 from .order_core import (
     LIBRARY_NAMES,
     Poset,
+    _image_table,
     _pairs_have_joins,
     _row_unions,
     are_order_isomorphic,
     boolean_power,
     build_poset,
+    mask_of,
     product,
 )
 
@@ -185,10 +187,11 @@ def _extension_tables(n: int) -> tuple[PosetFamily, list[int], list[int]]:
     ``above[u]`` when z lies below the up-set u, ``below[d]`` when it lies
     above the down-set d (any mask is both on an antichain)."""
     m, z_bit = n - 1, 1 << (n - 1)
-    above, below = [z_bit << 8 * (2 * n - 1)], [z_bit << 8 * m]
-    for i in range(m):
-        above += [g | z_bit << 8 * i | 1 << 8 * (2 * n - 1) + i for g in above]
-        below += [g | z_bit << 8 * (n + i) | 1 << 8 * m + i for g in below]
+    # z's own row is the set plus z, and z joins each member's opposite row
+    spread = _image_table([8 * i + m for i in range(m)])
+    above = [(u | z_bit) << 8 * (2 * n - 1) | spread[u] for u in range(1 << m)]
+    spread = _image_table([8 * (n + i) + m for i in range(m)])
+    below = [(d | z_bit) << 8 * m | spread[d] for d in range(1 << m)]
     return (all_posets(m) if m else PosetFamily(0, (0,))), above, below
 
 
@@ -284,17 +287,10 @@ def all_lattices(n: int) -> tuple[Poset, ...]:
 
 def _relabel_tables(order: tuple[int, ...]) -> list[tuple[int, list[int]]]:
     """For each 8-bit chunk of a row on ``len(order)`` points, its shift and
-    the table that moves each point ``order[k]`` of the chunk to bit k."""
-    new_bit = [0] * len(order)
-    for k, i in enumerate(order):
-        new_bit[i] = 1 << k
-    tables = []
-    for shift in range(0, len(order), 8):
-        table = [0]
-        for bit in new_bit[shift : shift + 8]:
-            table += [t | bit for t in table]
-        tables.append((shift, table))
-    return tables
+    the image table of its points under the relabelling that moves each
+    point ``order[k]`` to bit k."""
+    position = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    return [(shift, _image_table(position[shift : shift + 8])) for shift in range(0, len(order), 8)]
 
 
 def _normal_code(down: tuple[int, ...], order: tuple[int, ...], tables: list[tuple[int, list[int]]]) -> tuple[int, ...]:
@@ -386,13 +382,7 @@ def _random_distributive_lattice(size: int, rng: Random) -> Optional[Poset]:
     if len(family) != size:
         return None
     masks = sorted(family)
-    down_rows = []
-    for j, mj in enumerate(masks):
-        row = 0
-        for i, mi in enumerate(masks):
-            if mi & ~mj == 0:
-                row |= 1 << i
-        down_rows.append(row)
+    down_rows = [mask_of(i for i, mi in enumerate(masks) if not mi & ~mj) for mj in masks]
     return Poset._from_rows([f"v{i}" for i in range(size)], down_rows)
 
 

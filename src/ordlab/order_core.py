@@ -14,6 +14,7 @@ across concurrent enumeration campaigns.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -380,13 +381,9 @@ def _is_lattice(down: Sequence[int], up: Sequence[int]) -> bool:
 
 
 def _pairs_have_joins(up: Sequence[int]) -> bool:
-    """The pair test of :func:`_is_lattice`, for callers that check the bounds."""
-    rows = set(up)
-    for i, row in enumerate(up):
-        for other in up[i + 1:]:
-            if row & other not in rows:
-                return False
-    return True
+    """The pair test of :func:`_is_lattice`, for callers that check the
+    bounds: every ``up[i] & up[j]`` with i < j is a row, as one set comparison."""
+    return set(up).issuperset(itertools.starmap(operator.and_, itertools.combinations(up, 2)))
 
 
 def variant_distributive_identity_holds(p: Poset) -> bool:

@@ -58,23 +58,24 @@ def _patch_everywhere(patch, original, replacement) -> None:
                 patch.setattr(loaded, attr, replacement)
 
 
-def _seeded_mutants(patch, module, mutants, agrees, equivalent=(), caught=()) -> tuple[list[str], list[str]]:
-    """Run the gate's comparison ``agrees`` once per mutant ``(label,
-    function of module, code replaced, replacement)``, patched in every
-    loaded ordlab module that holds the original; a mutant that raises one
-    of ``caught`` is caught.  Returns the labels of ``mutants`` the gate
-    missed and of the ``equivalent`` mutants that survived."""
+def _seeded_mutants(patch, row: gates.Gate, agrees) -> tuple[list[str], list[str]]:
+    """Run the gate's comparison ``agrees`` once per mutant ``(label, name,
+    code replaced, replacement)`` of the row, the function the row's name
+    resolves to patched in every loaded ordlab module that holds it; a
+    mutant that raises one of the row's ``caught`` is caught.  Returns the
+    labels of the mutants the gate missed and of the equivalent ones that
+    survived."""
     passed = []
-    for _, name, old, new in [*mutants, *equivalent]:
-        original = getattr(module, name)
+    for _, name, old, new in [*row.mutants, *row.equivalent]:
+        original = gates.production(row, name)
         with patch.context() as scoped:
             _patch_everywhere(scoped, original, mutant(original, (old, new)))
             try:
                 passed.append(agrees())
-            except caught:
+            except row.caught:
                 passed.append(False)
-    missed = [m[0] for m, ok in zip(mutants, passed) if ok]
-    return missed, [m[0] for m, ok in zip(equivalent, passed[len(mutants):]) if ok]
+    missed = [m[0] for m, ok in zip(row.mutants, passed) if ok]
+    return missed, [m[0] for m, ok in zip(row.equivalent, passed[len(row.mutants):]) if ok]
 
 
 def test_criterion_1_breadth_of_boolean_powers():
@@ -311,9 +312,7 @@ def _run_gate(row: gates.Gate, patch) -> None:
     cases = row.cases()
     survey = row.survey(cases)
     got = survey + row.once(cases)
-    missed, survived = _seeded_mutants(
-        patch, row.module, row.mutants, lambda: row.survey(cases) == survey, row.equivalent, row.caught
-    )
+    missed, survived = _seeded_mutants(patch, row, lambda: row.survey(cases) == survey)
     line = (
         f"{row.line.format(*got)}; seeded mutants ({', '.join(m[0] for m in row.mutants) or 'none yet'}) "
         f"missed: {', '.join(missed) or 'none'}"
@@ -333,6 +332,23 @@ def _gate_test(row: gates.Gate):
 
 # each row runs under its test's name, as before the registry
 globals().update({row.test: _gate_test(row) for row in GATES})
+
+
+def test_9k_pair_mutant_is_seen_by_the_literal_test_only(monkeypatch):
+    """Gate 9k's seeded pair-test mutant, patched into the filter oracle as
+    well: the filter then finds the census's 6-point lattices, as both call
+    the one pair test, and only is_lattice_literal refuses the posets it
+    adds, where a pair with point 0 has no join."""
+    row = next(row for row in GATES if row.num == "9k")
+    name, old, new = next(m[1:] for m in row.mutants if m[1] == "order_core._pairs_have_joins")
+    original = gates.production(row, name)
+    replacement = mutant(original, (old, new))
+    shipped = len(gates.catalog_mod.all_lattices(6))
+    _patch_everywhere(monkeypatch, original, replacement)
+    monkeypatch.setattr(oracles, "_pairs_have_joins", replacement)
+    census = gates.catalog_mod.all_lattices(6)
+    assert gates.rows_digest(census) == gates.rows_digest(oracles.lattices_by_filter(6))
+    assert (len(census) - shipped, sum(not oracles.is_lattice_literal(p) for p in census)) == (60, 60)
 
 
 def test_gate_registry_resolves():

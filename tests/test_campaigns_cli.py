@@ -62,6 +62,29 @@ def test_every_guard_reads_the_environment(monkeypatch, what, build, call):
         call(arg)
 
 
+# (way in, the call, the ValueError message): argument guards that hold on any limits
+ARGUMENT_GUARDS = [
+    ("chain", lambda: chain(0), "chain needs at least one element"),
+    ("antichain_bounded", lambda: catalog.antichain_bounded(0), "need at least one atom"),
+    ("all_posets", lambda: all_posets(0), "need n >= 1"),
+    ("random_poset", lambda: catalog.random_poset(0, Random(0)), "need size >= 1"),
+    ("boolean_power", lambda: boolean_power(0), "boolean_power needs n >= 1"),
+    ("product_topology", lambda: topology.product_topology([]), "product needs at least one factor"),
+    ("preimage_scan", lambda: morphisms.preimage_scan(
+        morphisms.LatticeHom(two(), build_poset(["x", "y"], []), (0, 1), morphisms.Classification.ORDER_PRESERVING),
+        principal_only=True), "principal scan needs a bounded codomain"),
+    ("is_continuous", lambda: morphisms.is_continuous((0, 2), *[topology.interval_topology(two())] * 2),
+     "map does not match the codomain carrier"),
+]
+
+
+@pytest.mark.parametrize("call, message", [g[1:] for g in ARGUMENT_GUARDS], ids=[g[0] for g in ARGUMENT_GUARDS])
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is ValueError
+
+
 def test_random_generators_check_the_cap_before_building():
     # a size past the cap is refused before the first draw: neither the
     # stacked blocks of a random lattice nor the rows of a random poset are built
@@ -427,6 +450,8 @@ CLI_PINS = [
         stdin=_hom("2", "chain3", {"0": 0, "1": "2"})),
     Pin("hom map a list", ["hom", "-"], 2, stderr='error: hom "map" must be an object of label pairs\n',
         stdin=_hom("2", "chain3", [["0", "0"], ["1", "2"]])),
+    Pin("hom domain a number", ["hom", "-"], 2, stderr="error: cannot interpret poset reference 5\n",
+        stdin=_hom(5, "2", {"0": "0", "1": "1"})),
     Pin("hom end not a lattice", ["hom", "-"], 2, stderr="error: hom document needs lattices on both sides\n",
         stdin=_hom({"labels": ["x", "y"], "covers": []}, "2", {"x": "0", "y": "1"})),
     # a bad cover entry is named as read; a cycle and an implied edge are refused
@@ -623,6 +648,14 @@ class TestCli:
         res = run_cli(["campaign", "prop-2-1", "--limit", "5"])
         assert res.returncode == 0
         assert json.loads(res.stdout)["status"] == "pass"
+
+    def test_campaign_counterexample_exit_4(self, monkeypatch):
+        # one check forced to return a witness: the document reports it, and stderr and the exit code say so
+        forced = campaigns.CAMPAIGNS["hausdorff"]._replace(check=lambda p: (1, {"forced": True}))
+        monkeypatch.setitem(campaigns.CAMPAIGNS, "hausdorff", forced)
+        assert run_cli(["campaign", "hausdorff", "--limit", "2"]) == (
+            4, '{"campaign":{"name":"hausdorff","seed":0,"size_limit":2,"trials":0},"instances_checked":1,'
+            '"status":"counterexample","witness":{"forced":true}}\n', "campaign hausdorff: counterexample found\n")
 
     def test_campaign_determinism(self):
         args = ["campaign", "fact-1-1", "--limit", "4", "--trials", "5", "--seed", "7"]
